@@ -18,7 +18,7 @@ from scipy.optimize import minimize
 
 from .curve import DiscountCurve
 from .daycount import year_fraction
-from .errors import AmbiguityError, OptimizationError, OrderingError
+from .errors import DATA_ERRORS, AmbiguityError, OptimizationError, OrderingError
 from .hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
 
 A_BOUNDS = (1e-4, 5.0)
@@ -254,8 +254,9 @@ def calibrate_series(
 
     By default every section is re-anchored to the first section's curve
     (the fixed-initial-curve convention).  With ``per_date_curve`` each
-    section keeps the curve it carries.  Single-date failures are recorded
-    in the series; only a fully failed series raises.
+    section keeps the curve it carries.  Single-date domain failures are
+    recorded in the series; only a fully failed series raises, and any
+    other exception (a bug) propagates.
     """
     if not sections:
         raise ValueError("no cross-sections supplied")
@@ -282,7 +283,7 @@ def calibrate_series(
                     converged=result.converged,
                 )
             )
-        except Exception as exc:  # single-date failure is data, not fatal
+        except DATA_ERRORS as exc:  # single-date failure is data, not fatal
             records.append(
                 CalibrationRecord(
                     asof=xs.asof,

@@ -13,7 +13,8 @@ error (unknown flags, missing files, invalid model for the command).
 
 A config file (flat key=value, '#' comments) supplies defaults for any
 option, with explicit command-line flags taking precedence; keys use
-underscores (e.g. ``n_paths=200000``).
+underscores (e.g. ``n_paths=200000``).  A key that names no option of any
+command (nor ``output_dir``) is a usage error.
 """
 
 from __future__ import annotations
@@ -129,14 +130,22 @@ def _closed_price(model: str, params, state, T: float, curve: DiscountCurve):
 def main(ctx, config_path, output_dir):
     """Gaussian term-structure toolkit: curves, fits, audits, simulation."""
     config = fileio.read_keyvalues(config_path) if config_path else {}
+    commands = ctx.command.commands
+    options = {"output_dir"} | {
+        param.name for command in commands.values() for param in command.params
+    }
+    unknown = [key for key in config if key not in options]
+    if unknown:
+        raise click.UsageError(
+            f"unknown config keys {', '.join(map(repr, unknown))}: they match "
+            "no option of any command"
+        )
     if output_dir is None:
         output_dir = config.get("output_dir", os.getcwd())
     os.makedirs(output_dir, exist_ok=True)
     ctx.obj = {"output_dir": output_dir, "config": config}
     if config:
-        ctx.default_map = {
-            name: dict(config) for name in main.commands
-        }
+        ctx.default_map = {name: dict(config) for name in commands}
 
 
 @main.command()

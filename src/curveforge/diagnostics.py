@@ -11,13 +11,13 @@ standard tenor grid.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import libm
 from .curve import DiscountCurve
-from .errors import OrderingError
+from .errors import DATA_ERRORS, OrderingError
 from .estimation import StateSeries
 from .hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
 from .shortrate import (
@@ -114,30 +114,32 @@ def g2pp_dPdT(
     the T-derivative of the price variance over [., T].  The market forward
     f(0,T) is the curve's own analytic (piecewise-constant) forward, so the
     result is the exact derivative of g2pp_price between curve pillars.
+    Broadcasts over array maturities and state fields; scalar in, scalar out.
     """
     t = state.t
-    if T <= t:
+    if libm.anywhere(T <= t):
         raise OrderingError(f"maturity {T} must exceed valuation time {t}")
     a, b = params.a, params.b
     sigma, eta, rho = params.sigma, params.eta, params.rho
     tau = T - t
 
-    def dvar(u: float) -> float:
-        ba = float(decay_loading(a, u))
-        bb = float(decay_loading(b, u))
+    def dvar(u):
+        ba = decay_loading(a, u)
+        bb = decay_loading(b, u)
         return (
-            (sigma * ba) ** 2
-            + (eta * bb) ** 2
+            libm.square(sigma * ba)
+            + libm.square(eta * bb)
             + 2.0 * rho * sigma * eta * ba * bb
         )
 
     dlog = (
         -curve.forward(T)
         + 0.5 * (dvar(tau) - dvar(T))
-        - math.exp(-a * tau) * state.x
-        - math.exp(-b * tau) * state.y
+        - libm.exp(-a * tau) * state.x
+        - libm.exp(-b * tau) * state.y
     )
-    return g2pp_price(params, curve, state, T) * dlog
+    out = g2pp_price(params, curve, state, T) * dlog
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def check_monotone(prices: list[tuple[float, float]]) -> ArbitrageReport:
@@ -173,15 +175,14 @@ def scan_derivative_signs(
 
     Audits the model prices at the scanned maturities for inversions and
     bisects each bracketing interval of the derivative to locate the
-    crossing; both results land in one report.
+    crossing; both results land in one report.  The scan prices and
+    differentiates all maturities in one call each; bisection is scalar.
     """
     if tau_hi <= tau_lo:
         raise OrderingError("scan interval is empty")
     taus = np.linspace(tau_lo, tau_hi, n_points)
     maturities = state.t + taus
-    derivs = np.array(
-        [g2pp_dPdT(params, curve, state, T) for T in maturities]
-    )
+    derivs = g2pp_dPdT(params, curve, state, maturities)
     crossings = []
     for i in range(len(maturities) - 1):
         d0, d1 = derivs[i], derivs[i + 1]
@@ -201,11 +202,8 @@ def scan_derivative_signs(
                 else:
                     hi = mid
             crossings.append(0.5 * (lo + hi))
-    price_list = [
-        (float(tau), g2pp_price(params, curve, state, T))
-        for tau, T in zip(taus, maturities)
-    ]
-    monotone = check_monotone(price_list)
+    prices = g2pp_price(params, curve, state, maturities)
+    monotone = check_monotone(list(zip(taus.tolist(), prices.tolist())))
     return ArbitrageReport(
         violations=monotone.violations, derivative_sign_changes=crossings
     )
@@ -224,19 +222,55 @@ def find_increasing_price_state(
 
     Scans the two opposite-sign factor configurations (+m, -m) and (-m, +m)
     over a fixed time/maturity grid and returns the (state, T, dP/dT)
-    triple with the largest positive derivative, or None when every point
-    has non-positive slope.
+    triple with the largest positive derivative (the first one on ties),
+    or None when every point has non-positive slope.  Each state's
+    maturities are differentiated in one call.
     """
     best: tuple[G2State, float, float] | None = None
     taus = np.linspace(tau_lo, tau_hi, n_taus)
     for x, y in ((magnitude, -magnitude), (-magnitude, magnitude)):
         for t in times:
             state = G2State(x=x, y=y, t=t)
-            for tau in taus:
-                deriv = g2pp_dPdT(params, curve, state, t + float(tau))
+            maturities = t + taus
+            derivs = g2pp_dPdT(params, curve, state, maturities)
+            for T, deriv in zip(maturities.tolist(), derivs.tolist()):
                 if deriv > 0.0 and (best is None or deriv > best[2]):
-                    best = (state, t + float(tau), deriv)
+                    best = (state, T, deriv)
     return best
+
+
+def _surface_pricer(model: str, params, curve, times, values):
+    """price(rows, T): the model price of the state rows at maturities T.
+
+    Rows are an index array (one broadcast call) or one index.  An unknown
+    model, a params object of the wrong type or a missing curve is refused
+    here, up front.
+    """
+    kinds = {
+        "vasicek": VasicekParams,
+        "g2pp": G2Params,
+        "holee": HoLeeParams,
+        "hullwhite": HullWhiteParams,
+    }
+    if model not in kinds:
+        raise ValueError(f"unknown model {model!r}")
+    if not isinstance(params, kinds[model]):
+        raise TypeError(f"{model} surface needs {kinds[model].__name__}")
+    if curve is None and model != "vasicek":
+        raise ValueError(f"{model} surface needs a curve")
+
+    def price(rows, T):
+        t = times[rows]
+        if model == "vasicek":
+            return vasicek_price(params, values[rows], t, T)
+        if model == "g2pp":
+            state = G2State(x=values[rows, 0], y=values[rows, 1], t=t)
+            return g2pp_price(params, curve, state, T)
+        if model == "holee":
+            return holee_price(params, curve, values[rows], t, T)
+        return hullwhite_price(params, curve, values[rows], t, T)
+
+    return price
 
 
 def build_surface(
@@ -247,49 +281,50 @@ def build_surface(
 ) -> PriceSurface:
     """Price every date of a state series on the standard tenor grid.
 
-    Each cell is priced independently; a failing cell (pricing error, or a
-    value outside (0, 1]) is recorded and left as nan without poisoning the
-    rest of the surface.
+    One broadcast call of the model's closed-form price fills the grid.
+    A failing cell is recorded and left as nan without poisoning the rest
+    of the surface.  Cells at a negative state time, cells beyond the span
+    of a curve without flat extrapolation and cells whose price overflows
+    are priced again one by one, so each carries the error its own scalar
+    call raises; a price outside (0, 1] fails its cell too.  The failures
+    are those of pricing every cell alone.  An unknown model, a params
+    object of the wrong type or a missing curve fails every cell; any other
+    exception is a bug and propagates.
     """
     times = np.asarray(states.times, dtype=float)
     if times.size == 0:
         raise ValueError("state series is empty")
     values = np.asarray(states.values, dtype=float)
-
-    def cell(i: int, tau: float) -> float:
-        t = float(times[i])
-        T = t + tau
-        if model == "vasicek":
-            if not isinstance(params, VasicekParams):
-                raise TypeError("vasicek surface needs VasicekParams")
-            return vasicek_price(params, float(values[i]), t, T)
-        if model == "g2pp":
-            if not isinstance(params, G2Params):
-                raise TypeError("g2pp surface needs G2Params")
-            x, y = values[i]
-            return g2pp_price(params, curve, G2State(x=float(x), y=float(y), t=t), T)
-        if model == "holee":
-            if not isinstance(params, HoLeeParams):
-                raise TypeError("holee surface needs HoLeeParams")
-            return holee_price(params, curve, float(values[i]), t, T)
-        if model == "hullwhite":
-            if not isinstance(params, HullWhiteParams):
-                raise TypeError("hullwhite surface needs HullWhiteParams")
-            return hullwhite_price(params, curve, float(values[i]), t, T)
-        raise ValueError(f"unknown model {model!r}")
-
-    n_dates = times.size
-    grid = np.full((n_dates, len(MATURITY_GRID)), np.nan)
-    failures: list[tuple[int, float, str]] = []
-    for i in range(n_dates):
-        for j, tau in enumerate(MATURITY_GRID):
+    maturities = times[:, None] + np.asarray(MATURITY_GRID)
+    grid = np.full(maturities.shape, np.nan)
+    errors: dict[tuple[int, int], str] = {}
+    try:
+        price = _surface_pricer(model, params, curve, times, values)
+    except (TypeError, ValueError) as exc:
+        errors = {cell: str(exc) for cell in np.ndindex(grid.shape)}
+    else:
+        # cells that a negative state time or the curve's span may make fail
+        # are left out of the broadcast call
+        limited = curve is not None and not curve.flat_extrapolation
+        span = curve.span if limited else np.inf
+        alone = (times[:, None] < 0.0) | (maturities > span)
+        rows, cols = np.nonzero(~alone)
+        grid[rows, cols] = price(rows, maturities[rows, cols])
+        alone |= np.isinf(grid)
+        grid[alone] = np.nan
+        for i, j in np.argwhere(alone).tolist():
             try:
-                p = cell(i, tau)
-                if not (0.0 < p <= 1.0) or not math.isfinite(p):
-                    raise ValueError(f"price {p} outside (0, 1]")
-                grid[i, j] = p
-            except Exception as exc:  # poison this cell only
-                failures.append((i, tau, str(exc)))
+                grid[i, j] = price(i, float(maturities[i, j]))
+            except DATA_ERRORS as exc:
+                errors[i, j] = str(exc)
+        outside = ~((grid > 0.0) & (grid <= 1.0))
+        for i, j in np.argwhere(outside).tolist():
+            if (i, j) not in errors:
+                errors[i, j] = f"price {float(grid[i, j])} outside (0, 1]"
+                grid[i, j] = np.nan
+    failures = [
+        (i, MATURITY_GRID[j], message) for (i, j), message in sorted(errors.items())
+    ]
     dates = states.dates if states.dates is not None else [float(t) for t in times]
     return PriceSurface(
         dates=dates,

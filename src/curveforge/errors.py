@@ -42,6 +42,11 @@ class BoundaryError(CurveforgeError, ValueError):
     e.g. |rho| = 1 making a covariance singular."""
 
 
+class PriceRangeError(CurveforgeError, ValueError):
+    """A zero-coupon price lies outside (0, 1], e.g. a simulated state
+    that prices a bond above par."""
+
+
 class OptimizationError(CurveforgeError, RuntimeError):
     """Every optimizer restart failed.  Carries the best partial result
     seen, if any, in ``partial``."""
@@ -74,3 +79,9 @@ class IngestionError(CurveforgeError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+#: Failures of one calibration date or one surface cell that are data, not
+#: bugs: they are recorded and the rest of the run goes on.  Anything else
+#: propagates.
+DATA_ERRORS = (CurveforgeError, ValueError, FloatingPointError, OverflowError)

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateStepError,
     OptimizationError,
     OrderingError,
+    PriceRangeError,
     SingularInversionError,
 )
 from .shortrate import (
@@ -79,7 +80,7 @@ class PricePanel:
                 if name not in maturity:
                     raise ValueError(f"quote for unknown instrument {name!r} on {d}")
                 if not 0.0 < price <= 1.0:
-                    raise ValueError(
+                    raise PriceRangeError(
                         f"price {price} for {name!r} on {d} outside (0, 1]"
                     )
                 if maturity[name] <= d:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import libm
 from .curve import DiscountCurve
 from .errors import OrderingError
 from .shortrate import decay_loading
@@ -84,17 +85,19 @@ def holee_price(
     """Zero price P(t, T) under constant forward volatility.
 
     At t = 0 with r equal to the curve's instantaneous short end this
-    reproduces the initial curve exactly.
+    reproduces the initial curve exactly.  Broadcasts over array arguments;
+    scalar in, scalar out.  On arrays a price whose exponent overflows reads
+    inf instead of raising.
     """
-    if t < 0:
+    if libm.anywhere(t < 0):
         raise OrderingError(f"valuation time must be >= 0, got {t}")
-    if T < t:
+    if libm.anywhere(T < t):
         raise OrderingError(f"maturity {T} precedes valuation time {t}")
     tau = T - t
     market = curve.log_discount(T) - curve.log_discount(t)
     fwd = curve.forward(t)
-    exponent = tau * fwd - 0.5 * params.sigma**2 * t * tau**2 - tau * r
-    return math.exp(market + exponent)
+    exponent = tau * fwd - 0.5 * params.sigma**2 * t * libm.square(tau) - tau * r
+    return libm.exp(market + exponent)
 
 
 def hullwhite_price(
@@ -111,17 +114,19 @@ def hullwhite_price(
     switches to the variant (1 - exp(-2 t)) that drops the reversion speed
     from that exponent, kept only for comparison against sources that state
     it that way.  As a -> 0 the default collapses to the constant-vol price.
+    Broadcasts over array arguments; scalar in, scalar out.  On arrays a
+    price whose exponent overflows reads inf instead of raising.
     """
-    if t < 0:
+    if libm.anywhere(t < 0):
         raise OrderingError(f"valuation time must be >= 0, got {t}")
-    if T < t:
+    if libm.anywhere(T < t):
         raise OrderingError(f"maturity {T} precedes valuation time {t}")
     a, sigma = params.a, params.sigma
     tau = T - t
-    B = float(decay_loading(a, tau))
+    B = decay_loading(a, tau)
     market = curve.log_discount(T) - curve.log_discount(t)
     fwd = curve.forward(t)
     rate = 2.0 * t if printed_formula else 2.0 * a * t
-    variance = sigma**2 * (-math.expm1(-rate)) / (4.0 * a)
-    exponent = B * fwd - variance * B**2 - B * r
-    return math.exp(market + exponent)
+    variance = sigma**2 * (-libm.expm1(-rate)) / (4.0 * a)
+    exponent = B * fwd - variance * libm.square(B) - B * r
+    return libm.exp(market + exponent)

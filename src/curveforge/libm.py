@@ -1,0 +1,68 @@
+"""Exponentials, squares and ordering checks for floats and arrays alike.
+
+The closed-form prices are written once and take floats or numpy arrays.
+On arrays their exponentials and squares still go through the math
+module's routines, element by element: numpy's vectorised exp, expm1 and
+x**2 round differently from libm's exp, expm1 and pow(x, 2) on part of the
+inputs (np.exp on ~5% of draws in [-3, 0.5] on an AVX-512 host, x*x
+against pow(x, 2) on ~0.09%), and a price computed over an array must
+equal the scalar price bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def _square(v):
+    return v ** 2
+
+
+def _or_inf(fn, v):
+    try:
+        return fn(v)
+    except OverflowError:
+        return math.inf
+
+
+def _pointwise(fn, x: np.ndarray):
+    """fn of each element of an array, where an element that overflows
+    becomes inf instead of raising; a 0-d array counts as a scalar."""
+    if not x.ndim:
+        return fn(float(x))
+    flat = x.ravel().tolist()
+    try:
+        out = list(map(fn, flat))
+    except OverflowError:
+        out = [_or_inf(fn, v) for v in flat]
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+def exp(x):
+    """math.exp; element by element on arrays (not np.exp, see above)."""
+    if isinstance(x, np.ndarray):
+        return _pointwise(math.exp, x)
+    return math.exp(x)
+
+
+def expm1(x):
+    """math.expm1; element by element on arrays."""
+    if isinstance(x, np.ndarray):
+        return _pointwise(math.expm1, x)
+    return math.expm1(x)
+
+
+def square(x):
+    """x ** 2 through libm's pow, as Python floats compute it; element by
+    element on arrays."""
+    if isinstance(x, np.ndarray):
+        return _pointwise(_square, x)
+    return x ** 2
+
+
+def anywhere(cond) -> bool:
+    """Whether a comparison holds anywhere: np.any on arrays, and the plain
+    bool of a scalar comparison unchanged."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond

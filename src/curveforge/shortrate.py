@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import libm
 from .curve import DiscountCurve
 from .errors import BoundaryError, DegenerateStepError, OrderingError, SingularInversionError
 
@@ -32,8 +33,12 @@ INVERSION_DET_TOL = 1e-14
 
 
 def decay_loading(k: float, tau):
-    """Affine loading (1 - exp(-k tau)) / k, computed stably for small k."""
-    return -np.expm1(-k * np.asarray(tau, dtype=float)) / k
+    """Affine loading (1 - exp(-k tau)) / k, computed stably for small k.
+
+    Broadcasts over array arguments; scalar in, scalar out.
+    """
+    out = -np.expm1(-k * np.asarray(tau, dtype=float)) / k
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -59,20 +64,27 @@ class VasicekParams:
 
 
 def vasicek_ab(params: VasicekParams, t: float, T: float) -> tuple[float, float]:
-    """Price coefficients (A, B) with P(t,T) = A exp(-B r)."""
-    if T < t:
+    """Price coefficients (A, B) with P(t,T) = A exp(-B r).
+
+    Broadcasts over array arguments; scalar in, scalar out.
+    """
+    if libm.anywhere(T < t):
         raise OrderingError(f"maturity {T} precedes valuation time {t}")
     a, b, sigma = params.a, params.b, params.sigma
     tau = T - t
-    B = float(decay_loading(a, tau))
-    lnA = (b - sigma**2 / (2.0 * a**2)) * (B - tau) - sigma**2 * B**2 / (4.0 * a)
-    return math.exp(lnA), B
+    B = decay_loading(a, tau)
+    lnA = (b - sigma**2 / (2.0 * a**2)) * (B - tau) - sigma**2 * libm.square(B) / (4.0 * a)
+    return libm.exp(lnA), B
 
 
 def vasicek_price(params: VasicekParams, r: float, t: float, T: float) -> float:
-    """Zero-coupon price P(t, T) given the short rate r at t."""
+    """Zero-coupon price P(t, T) given the short rate r at t.
+
+    Broadcasts over array arguments; scalar in, scalar out.  On arrays a
+    price whose exponent overflows reads inf instead of raising.
+    """
     A, B = vasicek_ab(params, t, T)
-    return A * math.exp(-B * r)
+    return A * libm.exp(-B * r)
 
 
 def vasicek_transition(
@@ -126,14 +138,18 @@ class G2Params:
 
 @dataclass(frozen=True)
 class G2State:
-    """Factor values (x, y) observed at time t (years from the curve date)."""
+    """Factor values (x, y) observed at time t (years from the curve date).
+
+    The fields may be arrays of one shape (or broadcastable ones): the
+    closed-form prices then price every state at once.
+    """
 
     x: float
     y: float
     t: float = 0.0
 
     def __post_init__(self):
-        if self.t < 0:
+        if libm.anywhere(self.t < 0):
             raise OrderingError(f"state time must be >= 0, got {self.t}")
 
 
@@ -171,9 +187,12 @@ def g2pp_variance(params: G2Params, t, T):
 def g2pp_log_price(
     params: G2Params, curve: DiscountCurve, state: G2State, T: float
 ) -> float:
-    """log P(t, T) under the curve-fitted two-factor model."""
+    """log P(t, T) under the curve-fitted two-factor model.
+
+    Broadcasts over array maturities and state fields; scalar in, scalar out.
+    """
     t = state.t
-    if T < t:
+    if libm.anywhere(T < t):
         raise OrderingError(f"maturity {T} precedes state time {t}")
     tau = T - t
     market = curve.log_discount(T) - curve.log_discount(t)
@@ -185,13 +204,18 @@ def g2pp_log_price(
     loadings = (
         decay_loading(params.a, tau) * state.x + decay_loading(params.b, tau) * state.y
     )
-    return market + adjust - float(loadings)
+    out = market + adjust - loadings
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def g2pp_price(params: G2Params, curve: DiscountCurve, state: G2State, T: float) -> float:
     """Zero-coupon price P(t, T); reproduces the curve exactly at t = 0 with
-    zero factors."""
-    return math.exp(g2pp_log_price(params, curve, state, T))
+    zero factors.
+
+    Broadcasts like g2pp_log_price; on arrays a price whose exponent
+    overflows reads inf instead of raising.
+    """
+    return libm.exp(g2pp_log_price(params, curve, state, T))
 
 
 def g2pp_transition(
@@ -230,10 +254,10 @@ def g2pp_invert_states(
     if T1 <= t or T2 <= t:
         raise OrderingError("both maturities must lie strictly after t")
     tau1, tau2 = T1 - t, T2 - t
-    ba1 = float(decay_loading(params.a, tau1))
-    ba2 = float(decay_loading(params.a, tau2))
-    bb1 = float(decay_loading(params.b, tau1))
-    bb2 = float(decay_loading(params.b, tau2))
+    ba1 = decay_loading(params.a, tau1)
+    ba2 = decay_loading(params.a, tau2)
+    bb1 = decay_loading(params.b, tau1)
+    bb2 = decay_loading(params.b, tau2)
     det = ba1 * bb2 - ba2 * bb1
     if abs(det) < INVERSION_DET_TOL:
         raise SingularInversionError(

@@ -344,6 +344,22 @@ class TestCalibrateSeries:
         with pytest.raises(ValueError):
             calibrate_series("holee", [])
 
+    def test_bug_in_calibration_propagates(self, curve, monkeypatch):
+        # a programming error is not a failed date: it must not come back
+        # as "every date failed to calibrate"
+        import curveforge.calibration
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected bug")
+
+        monkeypatch.setattr(curveforge.calibration, "calibrate", broken)
+        section = make_section(
+            "holee", HoLeeParams(sigma=0.3), curve, dt.date(2013, 7, 7),
+            0.05, (1.0, 5.0),
+        )
+        with pytest.raises(TypeError, match="injected bug"):
+            calibrate_series("holee", [section])
+
     def test_default_reanchors_to_first_curve(self, curve):
         # the second section carries a differently *shaped* curve (a level
         # shift alone would cancel out of the constant-vol price); in the

@@ -348,6 +348,22 @@ class TestSynth:
         fileio.write_panel(again, panel)
         assert again.read_bytes() == (tmp_path / "panel.csv").read_bytes()
 
+    def test_price_above_par_is_domain_error(self, runner, tmp_path):
+        # at the CLI-default two-factor parameters seed 7 simulates a state
+        # that prices Z1 above 1
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "synth", "--model", "g2pp",
+             "--seed", "7"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "'Z1'" in result.output
+        assert "2011-06-27" in result.output
+        assert "outside (0, 1]" in result.output
+        assert not (tmp_path / "panel.csv").exists()
+
     def test_g2pp_uses_internal_default_curve(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -394,6 +410,32 @@ class TestConfigPrecedence:
         (entry,) = read_log(tmp_path)
         assert entry["config"]["seed"] == 4
         assert entry["config"]["restarts"] == 2
+
+    def test_unknown_config_keys_are_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_path=7\nseed=3\nmodle=g2pp\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(cfg), "--output-dir", str(tmp_path), "synth",
+             "--model", "vasicek", "--n-obs", "5"],
+        )
+        assert result.exit_code == 2
+        assert "n_path" in result.output
+        assert "modle" in result.output
+        assert "'seed'" not in result.output
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_valid_config_key_still_applies(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_obs=5\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(cfg), "--output-dir", str(tmp_path), "synth",
+             "--model", "vasicek"],
+        )
+        assert result.exit_code == 0, result.output
+        (entry,) = read_log(tmp_path)
+        assert entry["config"]["n_obs"] == 5
 
     def test_output_dir_from_config(self, runner, inputs, tmp_path):
         outdir = tmp_path / "from-config"
