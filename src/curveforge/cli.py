@@ -36,6 +36,7 @@ from .diagnostics import build_surface, check_monotone, scan_derivative_signs
 from .errors import CurveforgeError
 from .estimation import FitConfig, fit_ml
 from .hjm import HoLeeParams, HullWhiteParams, ShortRateState, holee_price, hullwhite_price
+from .models import param_fields
 from .montecarlo import SimConfig, mc_zero_price, synth_panel
 from .shortrate import G2Params, G2State, VasicekParams, g2pp_price, vasicek_price
 
@@ -219,7 +220,7 @@ def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
     )
     params_map = {
         name: getattr(result.params, name)
-        for name in fileio._PARAM_FIELDS[model]
+        for name in param_fields(model)
     }
     _log_run(
         ctx.obj["output_dir"],

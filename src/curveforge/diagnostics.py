@@ -19,15 +19,9 @@ from . import libm
 from .curve import DiscountCurve
 from .errors import DATA_ERRORS, OrderingError
 from .estimation import StateSeries
-from .hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
-from .shortrate import (
-    G2Params,
-    G2State,
-    VasicekParams,
-    decay_loading,
-    g2pp_price,
-    vasicek_price,
-)
+from .hjm import holee_price, hullwhite_price
+from .models import PARAM_TYPES
+from .shortrate import G2Params, G2State, decay_loading, g2pp_price, vasicek_price
 
 #: Tenor grid (year fractions) used for surfaces: 1, 2, 3, 6, 9 months and
 #: 1, 2, 3, 5, 7, 10, 15, 20, 25 years.
@@ -246,16 +240,10 @@ def _surface_pricer(model: str, params, curve, times, values):
     model, a params object of the wrong type or a missing curve is refused
     here, up front.
     """
-    kinds = {
-        "vasicek": VasicekParams,
-        "g2pp": G2Params,
-        "holee": HoLeeParams,
-        "hullwhite": HullWhiteParams,
-    }
-    if model not in kinds:
+    if model not in PARAM_TYPES:
         raise ValueError(f"unknown model {model!r}")
-    if not isinstance(params, kinds[model]):
-        raise TypeError(f"{model} surface needs {kinds[model].__name__}")
+    if not isinstance(params, PARAM_TYPES[model]):
+        raise TypeError(f"{model} surface needs {PARAM_TYPES[model].__name__}")
     if curve is None and model != "vasicek":
         raise ValueError(f"{model} surface needs a curve")
 

@@ -1,12 +1,15 @@
 """Exact maximum likelihood from bond-price panels.
 
-Because log-prices are affine in the latent state, an observed panel of
-zero-coupon prices can be inverted date by date into an exact state series
-(one price series for the one-factor model, two for the two-factor model).
-The joint density of the panel is then the product of Gaussian transition
-densities of the states times the change-of-variables Jacobian of the
-price map, evaluated over the actual -- possibly irregular -- observation
-gaps.
+Both models share one affine form, log P(t,T) = alpha(t,T) - beta(t,T) . X,
+for a state X of k = 1 (vasicek) or k = 2 (g2pp) factors.  An observed panel
+of k zero-coupon price series is therefore inverted date by date into an
+exact state series by one k x k solve, beta . X = alpha - log P.  The joint
+density of the panel is the product of the Gaussian transition densities of
+the states over the actual -- possibly irregular -- observation gaps, divided
+by the Jacobian P_1 ... P_k |det beta| of the price map.  One record per
+model (``_ML_MODELS``) supplies the factor count, the parameter map, the
+moment guess, alpha and beta, and the transition moments; the rest of the
+likelihood and of ``fit_ml`` is shared.
 
 Estimated parameters are taken straight from the historical series and used
 unchanged for pricing: no market-price-of-risk adjustment is applied, so
@@ -18,6 +21,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize
@@ -30,19 +34,18 @@ from .errors import (
     OptimizationError,
     OrderingError,
     PriceRangeError,
-    SingularInversionError,
 )
 from .shortrate import (
     G2Params,
-    G2State,
     VasicekParams,
-    decay_loading,
-    g2pp_variance,
+    affine_invert,
+    factor_det,
+    g2pp_affine,
+    vasicek_affine,
 )
 
 LOG2PI = math.log(2.0 * math.pi)
 RHO_CLIP = 0.9999
-_DET_TOL = 1e-14
 _THETA_BOX = 18.0          # |transformed parameter| beyond this is rejected
 _BOUNDARY_MARGIN = 1.0     # final coordinates this close to the box are flagged
 
@@ -170,41 +173,117 @@ class FitConfig:
 
 
 # ---------------------------------------------------------------------------
-# one-factor likelihood
+# k-factor likelihood
 # ---------------------------------------------------------------------------
 
 
-def _vasicek_states(a, b, sigma, taus, prices, price_scale):
-    B = decay_loading(a, taus)
-    lnA = (b - sigma**2 / (2.0 * a**2)) * (B - taus) - sigma**2 * B**2 / (4.0 * a)
-    r = (lnA - (np.log(prices) - math.log(price_scale))) / B
-    return r, B
+@dataclass(frozen=True)
+class _PanelData:
+    """The parameter-free arrays of a panel observed through k instruments."""
+
+    times: np.ndarray
+    gaps: np.ndarray  # one entry when every gap is equal
+    taus: list[np.ndarray]
+    log_prices: list[np.ndarray]  # log(price / price_scale)
+    price_product: np.ndarray  # product of the observed prices after date 0
+
+    @classmethod
+    def of(cls, panel: PricePanel, factors: int, price_scale: float = 1.0):
+        names = [name for name, _ in panel.instruments[:factors]]
+        prices = [panel.prices(name) for name in names]
+        gaps = panel.gaps
+        product = prices[0][1:]
+        for p in prices[1:]:
+            product = product * p[1:]
+        return cls(
+            times=panel.times,
+            gaps=gaps[:1] if np.all(gaps == gaps[0]) else gaps,
+            taus=[panel.taus(name) for name in names],
+            log_prices=[np.log(p) - math.log(price_scale) for p in prices],
+            price_product=product,
+        )
 
 
-def _gaussian_loglik_terms(resid, var):
-    return -0.5 * (LOG2PI + np.log(var) + resid * resid / var)
+def _ou_variance(speed, vol, gaps):
+    return vol**2 * (-np.expm1(-2.0 * speed * gaps)) / (2.0 * speed)
 
 
-def _loglik_vasicek_core(a, b, sigma, taus, prices, gaps, uniform, price_scale):
-    r, B = _vasicek_states(a, b, sigma, taus, prices, price_scale)
-    if uniform:
-        h = float(gaps[0])
-        decay = math.exp(-a * h)
-        var = sigma**2 * (-math.expm1(-2.0 * a * h)) / (2.0 * a)
-        if not (var > 0 and math.isfinite(var)):
-            raise DegenerateStepError(f"transition variance degenerate at gap {h}")
-        mean = r[:-1] * decay + b * (1.0 - decay)
-        density = _gaussian_loglik_terms(r[1:] - mean, var)
+def _vasicek_gap_moments(p: VasicekParams, gaps):
+    decay = np.exp(-p.a * gaps)
+    return [decay], [p.b * (1.0 - decay)], [[_ou_variance(p.a, p.sigma, gaps)]]
+
+
+def _g2pp_gap_moments(p: G2Params, gaps):
+    if abs(p.rho) >= 1.0:
+        raise BoundaryError("|rho| = 1 makes the factor covariance singular")
+    a, b = p.a, p.b
+    c12 = p.rho * p.sigma * p.eta * (-np.expm1(-(a + b) * gaps)) / (a + b)
+    cov = [[_ou_variance(a, p.sigma, gaps), c12], [c12, _ou_variance(b, p.eta, gaps)]]
+    return [np.exp(-a * gaps), np.exp(-b * gaps)], None, cov
+
+
+def _gaussian_logpdf(resid, cov):
+    """log N(resid; 0, cov) date by date, for k = 1 or 2 factors."""
+    det_cov = factor_det(cov)
+    if not (np.all(det_cov > 0) and np.all(np.isfinite(det_cov))):
+        raise DegenerateStepError(
+            "transition covariance is degenerate at some gap "
+            "(a vanishing variance or |rho| at 1)"
+        )
+    if len(resid) == 1:
+        quad = resid[0] * resid[0] / det_cov
     else:
-        decay = np.exp(-a * gaps)
-        var = sigma**2 * (-np.expm1(-2.0 * a * gaps)) / (2.0 * a)
-        if not (np.all(var > 0) and np.all(np.isfinite(var))):
-            raise DegenerateStepError("transition variance degenerate at some gap")
-        mean = r[:-1] * decay + b * (1.0 - decay)
-        density = _gaussian_loglik_terms(r[1:] - mean, var)
-    # Jacobian of the observed-price map: |dP/dr| = B * P at each kept date
-    jacobian = np.log(B[1:] * prices[1:])
-    return float(np.sum(density) - np.sum(jacobian)), r
+        dx, dy = resid
+        quad = (cov[1][1] * dx * dx - 2.0 * cov[0][1] * dx * dy + cov[0][0] * dy * dy) / det_cov
+    return -0.5 * len(resid) * LOG2PI - 0.5 * np.log(det_cov) - 0.5 * quad
+
+
+@dataclass(frozen=True)
+class _MLModel:
+    """One model's part in the likelihood and in fit_ml."""
+
+    factors: int
+    needs_curve: bool
+    from_theta: Callable[[np.ndarray], object]
+    moment_guess: Callable[[PricePanel], np.ndarray]
+    # (params, curve, times, taus) -> intercepts alpha[j], loadings beta[j][i]
+    affine: Callable
+    # (params, gaps) -> decay[i], drift[i] or None, covariance[i][j]
+    gap_moments: Callable
+
+
+def _states(model: _MLModel, params, curve, data: _PanelData):
+    """Exact factor series X[i] and det beta at every date."""
+    alpha, beta = model.affine(params, curve, data.times, data.taus)
+    return affine_invert(alpha, beta, data.log_prices)
+
+
+def _loglik(model: _MLModel, params, curve, data: _PanelData):
+    """Exact log-likelihood of the panel and its factor series.
+
+    The first date is conditioned on; every later date adds the Gaussian
+    transition density of the states over its gap minus the log-Jacobian
+    log(P_1 ... P_k |det beta|) of the price map.
+    """
+    X, det = _states(model, params, curve, data)
+    decay, drift, cov = model.gap_moments(params, data.gaps)
+    resid = []
+    for i, x in enumerate(X):
+        mean = x[:-1] * decay[i]
+        resid.append(x[1:] - (mean if drift is None else mean + drift[i]))
+    density = _gaussian_logpdf(resid, cov)
+    jacobian = np.log(data.price_product * np.abs(det[1:]))
+    return float(np.sum(density) - np.sum(jacobian)), X
+
+
+def _panel_loglik(model: str, params, curve, panel: PricePanel, price_scale: float):
+    spec = _ML_MODELS[model]
+    k = spec.factors
+    if len(panel.instruments) != k:
+        raise ValueError(f"the {k}-factor likelihood needs exactly {k} instrument(s)")
+    if len(panel.observations) < 2:
+        raise ValueError("need at least two observations")
+    return _loglik(spec, params, curve, _PanelData.of(panel, k, price_scale))[0]
 
 
 def loglik_vasicek(
@@ -213,91 +292,14 @@ def loglik_vasicek(
     """Exact log-likelihood of a single-instrument panel.
 
     The first observation is conditioned on; every later one contributes a
-    Gaussian transition density over its own gap minus the log-Jacobian of
-    the price map.  ``price_scale`` declares that observed quotes are that
-    multiple of a unit zero price (e.g. per-100 quotes): states are inverted
-    from price/scale while the Jacobian keeps the observed scale, shifting
-    the likelihood by -n*log(scale) without moving the optimum.
+    Gaussian transition density over its own gap minus the log-Jacobian
+    log(B P) of the price map.  ``price_scale`` declares that observed
+    quotes are that multiple of a unit zero price (e.g. per-100 quotes):
+    states are inverted from price/scale while the Jacobian keeps the
+    observed scale, shifting the likelihood by -n*log(scale) without moving
+    the optimum.
     """
-    if len(panel.instruments) != 1:
-        raise ValueError("one-factor likelihood needs exactly one instrument")
-    if len(panel.observations) < 2:
-        raise ValueError("need at least two observations")
-    name = panel.instruments[0][0]
-    taus = panel.taus(name)
-    prices = panel.prices(name)
-    gaps = panel.gaps
-    uniform = bool(np.all(gaps == gaps[0]))
-    ll, _ = _loglik_vasicek_core(
-        params.a, params.b, params.sigma, taus, prices, gaps, uniform, price_scale
-    )
-    return ll
-
-
-# ---------------------------------------------------------------------------
-# two-factor likelihood
-# ---------------------------------------------------------------------------
-
-
-def _g2pp_invert_panel(params, curve, times, taus1, taus2, p1, p2, price_scale):
-    """Vectorized exact inversion of a two-instrument panel into factors."""
-    T1 = times + taus1
-    T2 = times + taus2
-    ba1 = decay_loading(params.a, taus1)
-    ba2 = decay_loading(params.a, taus2)
-    bb1 = decay_loading(params.b, taus1)
-    bb2 = decay_loading(params.b, taus2)
-    det = ba1 * bb2 - ba2 * bb1
-    if np.any(np.abs(det) < _DET_TOL):
-        raise SingularInversionError(
-            "factor loadings are singular on some date "
-            "(coincident maturities or a == b)"
-        )
-    log_t = curve.log_discount(times)
-    v0t = g2pp_variance(params, 0.0, times)
-
-    def rhs(prices, T, taus):
-        market = curve.log_discount(T) - log_t
-        adjust = 0.5 * (
-            g2pp_variance(params, 0.0, taus)  # V(t,T) depends on tau only
-            - g2pp_variance(params, 0.0, T)
-            + v0t
-        )
-        return market + adjust - (np.log(prices) - math.log(price_scale))
-
-    k1 = rhs(p1, T1, taus1)
-    k2 = rhs(p2, T2, taus2)
-    x = (k1 * bb2 - k2 * bb1) / det
-    y = (ba1 * k2 - ba2 * k1) / det
-    return x, y, det
-
-
-def _loglik_g2pp_core(
-    params, curve, times, taus1, taus2, p1, p2, gaps, uniform, price_scale
-):
-    x, y, det = _g2pp_invert_panel(
-        params, curve, times, taus1, taus2, p1, p2, price_scale
-    )
-    a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
-    if uniform:
-        h = float(gaps[0])
-        gaps = np.array([h])
-    decay_x = np.exp(-a * gaps)
-    decay_y = np.exp(-b * gaps)
-    v1 = sigma**2 * (-np.expm1(-2.0 * a * gaps)) / (2.0 * a)
-    v2 = eta**2 * (-np.expm1(-2.0 * b * gaps)) / (2.0 * b)
-    c12 = rho * sigma * eta * (-np.expm1(-(a + b) * gaps)) / (a + b)
-    det_cov = v1 * v2 - c12 * c12
-    if not (np.all(det_cov > 0) and np.all(np.isfinite(det_cov))):
-        raise BoundaryError(
-            "transition covariance is singular (|rho| at 1 or degenerate step)"
-        )
-    dx = x[1:] - x[:-1] * decay_x
-    dy = y[1:] - y[:-1] * decay_y
-    quad = (v2 * dx * dx - 2.0 * c12 * dx * dy + v1 * dy * dy) / det_cov
-    density = -LOG2PI - 0.5 * np.log(det_cov) - 0.5 * quad
-    jacobian = np.log(p1[1:] * p2[1:] * np.abs(det[1:]))
-    return float(np.sum(density) - np.sum(jacobian)), x, y
+    return _panel_loglik("vasicek", params, None, panel, price_scale)
 
 
 def loglik_g2pp(
@@ -313,29 +315,7 @@ def loglik_g2pp(
     is P1 * P2 * |B_a(tau1) B_b(tau2) - B_a(tau2) B_b(tau1)| per date.
     See loglik_vasicek for the price_scale convention.
     """
-    if len(panel.instruments) != 2:
-        raise ValueError("two-factor likelihood needs exactly two instruments")
-    if len(panel.observations) < 2:
-        raise ValueError("need at least two observations")
-    if abs(params.rho) >= 1.0:
-        raise BoundaryError("|rho| = 1 makes the factor covariance singular")
-    (name1, _), (name2, _) = panel.instruments
-    times = panel.times
-    gaps = panel.gaps
-    uniform = bool(np.all(gaps == gaps[0]))
-    ll, _, _ = _loglik_g2pp_core(
-        params,
-        curve,
-        times,
-        panel.taus(name1),
-        panel.taus(name2),
-        panel.prices(name1),
-        panel.prices(name2),
-        gaps,
-        uniform,
-        price_scale,
-    )
-    return ll
+    return _panel_loglik("g2pp", params, curve, panel, price_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -414,51 +394,24 @@ def fit_ml(
     sigma -> 0 on a constant panel).
     """
     config = config or FitConfig()
-    if model == "vasicek":
-        guess = _moment_guess_vasicek(panel)
-        from_theta = _vasicek_from_theta
-        name = panel.instruments[0][0]
-        taus, prices = panel.taus(name), panel.prices(name)
-        gaps, times = panel.gaps, panel.times
-        uniform = bool(np.all(gaps == gaps[0]))
-
-        def negloglik(theta):
-            if np.max(np.abs(theta)) > _THETA_BOX:
-                return np.inf
-            p = from_theta(theta)
-            try:
-                ll, _ = _loglik_vasicek_core(
-                    p.a, p.b, p.sigma, taus, prices, gaps, uniform, 1.0
-                )
-            except (ValueError, FloatingPointError, OverflowError):
-                return np.inf
-            return -ll if math.isfinite(ll) else np.inf
-
-    elif model == "g2pp":
-        if curve is None:
-            raise ValueError("the two-factor fit needs the market curve")
-        guess = _moment_guess_g2pp(panel)
-        from_theta = _g2pp_from_theta
-        (name1, _), (name2, _) = panel.instruments
-        taus1, taus2 = panel.taus(name1), panel.taus(name2)
-        p1, p2 = panel.prices(name1), panel.prices(name2)
-        gaps, times = panel.gaps, panel.times
-        uniform = bool(np.all(gaps == gaps[0]))
-
-        def negloglik(theta):
-            if np.max(np.abs(theta)) > _THETA_BOX:
-                return np.inf
-            p = from_theta(theta)
-            try:
-                ll, _, _ = _loglik_g2pp_core(
-                    p, curve, times, taus1, taus2, p1, p2, gaps, uniform, 1.0
-                )
-            except (ValueError, FloatingPointError, OverflowError):
-                return np.inf
-            return -ll if math.isfinite(ll) else np.inf
-
-    else:
+    spec = _ML_MODELS.get(model)
+    if spec is None:
         raise ValueError(f"unknown model {model!r}")
+    if spec.needs_curve and curve is None:
+        raise ValueError(f"the {model} fit needs the market curve")
+    guess = spec.moment_guess(panel)
+    from_theta = spec.from_theta
+    data = _PanelData.of(panel, spec.factors)
+
+    def negloglik(theta):
+        if np.max(np.abs(theta)) > _THETA_BOX:
+            return np.inf
+        p = from_theta(theta)
+        try:
+            ll, _ = _loglik(spec, p, curve, data)
+        except (ValueError, FloatingPointError, OverflowError):
+            return np.inf
+        return -ll if math.isfinite(ll) else np.inf
 
     rng = np.random.default_rng(config.seed)
     best = None
@@ -496,18 +449,12 @@ def fit_ml(
     boundary = bool(np.max(np.abs(theta_best)) > _THETA_BOX - _BOUNDARY_MARGIN)
     params = from_theta(theta_best)
 
-    if model == "vasicek":
-        r, _ = _vasicek_states(
-            params.a, params.b, params.sigma, taus, prices, 1.0
-        )
-        states = StateSeries(times=times, values=r, dates=panel.dates)
-    else:
-        x, y, _ = _g2pp_invert_panel(
-            params, curve, times, taus1, taus2, p1, p2, 1.0
-        )
-        states = StateSeries(
-            times=times, values=np.column_stack([x, y]), dates=panel.dates
-        )
+    X, _ = _states(spec, params, curve, data)
+    states = StateSeries(
+        times=data.times,
+        values=X[0] if len(X) == 1 else np.column_stack(X),
+        dates=panel.dates,
+    )
     report = OptimizerReport(
         restarts=config.restarts,
         iterations=total_iter,
@@ -516,3 +463,23 @@ def fit_ml(
         restart_logliks=lls,
     )
     return FitResult(params=params, loglik=ll_best, states=states, report=report)
+
+
+_ML_MODELS = {
+    "vasicek": _MLModel(
+        factors=1,
+        needs_curve=False,
+        from_theta=_vasicek_from_theta,
+        moment_guess=_moment_guess_vasicek,
+        affine=lambda p, curve, times, taus: vasicek_affine(p, taus),
+        gap_moments=_vasicek_gap_moments,
+    ),
+    "g2pp": _MLModel(
+        factors=2,
+        needs_curve=True,
+        from_theta=_g2pp_from_theta,
+        moment_guess=_moment_guess_g2pp,
+        affine=g2pp_affine,
+        gap_moments=_g2pp_gap_moments,
+    ),
+}

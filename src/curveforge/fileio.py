@@ -40,7 +40,8 @@ from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface
 from .errors import IngestionError
 from .estimation import PricePanel
 from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
-from .shortrate import G2Params, G2State, VasicekParams
+from .models import PARAM_TYPES, param_fields
+from .shortrate import G2State
 
 PANEL_COLUMNS = ("date", "instrument_id", "price", "maturity")
 CURVE_COLUMNS = ("tau", "discount_factor")
@@ -654,40 +655,26 @@ def write_keyvalues(path: str | os.PathLike, mapping: dict[str, object]) -> None
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-_PARAM_FIELDS = {
-    "vasicek": ("a", "b", "sigma"),
-    "g2pp": ("a", "b", "sigma", "eta", "rho"),
-    "holee": ("sigma",),
-    "hullwhite": ("a", "sigma"),
-}
-_PARAM_TYPES = {
-    "vasicek": VasicekParams,
-    "g2pp": G2Params,
-    "holee": HoLeeParams,
-    "hullwhite": HullWhiteParams,
-}
-
-
 def params_from_file(path: str | os.PathLike, model: str):
     """Load a parameter set for ``model`` from a key=value file."""
-    if model not in _PARAM_FIELDS:
+    if model not in PARAM_TYPES:
         raise ValueError(f"unknown model {model!r}")
     mapping = read_keyvalues(path)
     if "model" in mapping and mapping["model"] != model:
         raise IngestionError(
             f"file declares model {mapping['model']!r}, expected {model!r}"
         )
-    fields = _PARAM_FIELDS[model]
+    fields = param_fields(model)
     missing = [f for f in fields if f not in mapping]
     if missing:
         raise IngestionError(f"missing parameter keys {missing} for {model}")
     kwargs = {f: _parse_float(mapping[f], f) for f in fields}
-    return _PARAM_TYPES[model](**kwargs)
+    return PARAM_TYPES[model](**kwargs)
 
 
 def params_to_file(path: str | os.PathLike, model: str, params) -> None:
     mapping: dict[str, object] = {"model": model}
-    for field_name in _PARAM_FIELDS[model]:
+    for field_name in param_fields(model):
         mapping[field_name] = getattr(params, field_name)
     write_keyvalues(path, mapping)
 

@@ -101,21 +101,14 @@ def holee_price(
 
 
 def hullwhite_price(
-    params: HullWhiteParams,
-    curve: DiscountCurve,
-    r: float,
-    t: float,
-    T: float,
-    printed_formula: bool = False,
+    params: HullWhiteParams, curve: DiscountCurve, r: float, t: float, T: float
 ) -> float:
     """Zero price P(t, T) under damped forward volatility.
 
-    The variance factor is (1 - exp(-2 a t)); ``printed_formula=True``
-    switches to the variant (1 - exp(-2 t)) that drops the reversion speed
-    from that exponent, kept only for comparison against sources that state
-    it that way.  As a -> 0 the default collapses to the constant-vol price.
-    Broadcasts over array arguments; scalar in, scalar out.  On arrays a
-    price whose exponent overflows reads inf instead of raising.
+    The variance factor is (1 - exp(-2 a t)); as a -> 0 the price collapses
+    to the constant-vol price.  Broadcasts over array arguments; scalar in,
+    scalar out.  On arrays a price whose exponent overflows reads inf
+    instead of raising.
     """
     if libm.anywhere(t < 0):
         raise OrderingError(f"valuation time must be >= 0, got {t}")
@@ -126,7 +119,6 @@ def hullwhite_price(
     B = decay_loading(a, tau)
     market = curve.log_discount(T) - curve.log_discount(t)
     fwd = curve.forward(t)
-    rate = 2.0 * t if printed_formula else 2.0 * a * t
-    variance = sigma**2 * (-libm.expm1(-rate)) / (4.0 * a)
+    variance = sigma**2 * (-libm.expm1(-2.0 * a * t)) / (4.0 * a)
     exponent = B * fwd - variance * libm.square(B) - B * r
     return libm.exp(market + exponent)

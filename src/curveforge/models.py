@@ -1,0 +1,24 @@
+"""The model names the package knows, and the parameter class of each.
+
+Parameter files, surfaces, the Monte-Carlo oracle and the CLI all read this
+one table; a model's parameter keys are the fields of its class, in order.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from .hjm import HoLeeParams, HullWhiteParams
+from .shortrate import G2Params, VasicekParams
+
+PARAM_TYPES = {
+    "vasicek": VasicekParams,
+    "g2pp": G2Params,
+    "holee": HoLeeParams,
+    "hullwhite": HullWhiteParams,
+}
+
+
+def param_fields(model: str) -> tuple[str, ...]:
+    """Parameter names of ``model`` in declaration order."""
+    return tuple(f.name for f in dataclasses.fields(PARAM_TYPES[model]))

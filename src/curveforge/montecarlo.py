@@ -2,7 +2,11 @@
 
 State paths use the exact Gaussian transition over each grid step (no Euler
 bias), so the only discretization left is the trapezoidal rule for the
-integrated short rate in the discount factor.  Per-path counter-based
+integrated short rate in the discount factor.  Every model runs through one
+k-factor kernel: each step takes factor i to x_i decay_i (+ drift_i) plus
+its row of the lower Cholesky factor of the step covariance times the
+step's normals (k = 1 for vasicek and for the stochastic part of the
+forward-curve models, k = 2 for g2pp).  Per-path counter-based
 seeding makes every estimate reproducible bit for bit and independent of
 block decomposition; accumulation relies on numpy's pairwise summation.
 """
@@ -18,7 +22,8 @@ import numpy as np
 from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import OrderingError, ResolutionError, SingularInversionError
-from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
+from .hjm import ShortRateState
+from .models import PARAM_TYPES
 from .rng import normal_block, path_generator, standard_normals
 from .shortrate import (
     G2Params,
@@ -159,69 +164,47 @@ def _blocked(n_paths: int, n_draws: int):
         start += block
 
 
-def _trapezoid_discounts_ou(a, mean_level, sigma, x0, steps, seed, n_paths):
-    """exp(-trapz of an exactly-sampled mean-reverting path), all paths."""
-    n_steps = steps.size
-    decay = np.exp(-a * steps)
-    drift = mean_level * (1.0 - decay)
-    sd = sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
-    out = np.empty(n_paths)
-    for first, count in _blocked(n_paths, n_steps):
-        z = normal_block(seed, first, count, n_steps)
-        x = np.full(count, float(x0))
-        integral = np.zeros(count)
-        for k in range(n_steps):
-            x_new = x * decay[k] + drift[k] + sd[k] * z[:, k]
-            integral += 0.5 * steps[k] * (x + x_new)
-            x = x_new
-        out[first : first + count] = np.exp(-integral)
-    return out
-
-
-def _trapezoid_discounts_g2(params, state0, steps, seed, n_paths):
-    """exp(-trapz of the factor sum), exact two-factor sampling."""
-    n_steps = steps.size
-    decay_x = np.exp(-params.a * steps)
-    decay_y = np.exp(-params.b * steps)
-    chols = [g2pp_cholesky(g2pp_transition(params, state0, float(h))[1]) for h in steps]
-    l11 = np.array([c[0, 0] for c in chols])
-    l21 = np.array([c[1, 0] for c in chols])
-    l22 = np.array([c[1, 1] for c in chols])
-    out = np.empty(n_paths)
-    for first, count in _blocked(n_paths, 2 * n_steps):
-        z = normal_block(seed, first, count, 2 * n_steps).reshape(count, n_steps, 2)
-        x = np.full(count, state0.x)
-        y = np.full(count, state0.y)
-        integral = np.zeros(count)
-        for k in range(n_steps):
-            x_new = x * decay_x[k] + l11[k] * z[:, k, 0]
-            y_new = y * decay_y[k] + l21[k] * z[:, k, 0] + l22[k] * z[:, k, 1]
-            integral += 0.5 * steps[k] * ((x + y) + (x_new + y_new))
-            x, y = x_new, y_new
-        out[first : first + count] = np.exp(-integral)
-    return out
-
-
-def _trapezoid_discounts_brownian_conv(a, sigma, g0, steps, seed, n_paths):
-    """exp(-trapz g) where dg = -a g dt + sigma dW (a = 0 allowed: g is then
-    sigma W shifted by g0).  Used for the forward-curve models whose short
-    rate splits into a deterministic part plus this convolution."""
-    n_steps = steps.size
+def _ou_steps(a, sigma, steps):
+    """Per-step decay and shock sd of dg = -a g dt + sigma dW; a = 0 gives
+    the Brownian motion sigma W."""
     if a > 0:
-        decay = np.exp(-a * steps)
-        sd = sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
-    else:
-        decay = np.ones_like(steps)
-        sd = sigma * np.sqrt(steps)
+        return np.exp(-a * steps), sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
+    return np.ones_like(steps), sigma * np.sqrt(steps)
+
+
+def _g2pp_steps(params: G2Params, state0: G2State, steps):
+    """Per-step factor decays and lower Cholesky rows of the two-factor
+    shock covariance."""
+    chols = [g2pp_cholesky(g2pp_transition(params, state0, float(h))[1]) for h in steps]
+    l11, l21, l22 = (np.array([c[i, j] for c in chols]) for i, j in ((0, 0), (1, 0), (1, 1)))
+    return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
+
+
+def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
+    """exp(-trapz of the factor sum) over exactly sampled k-factor paths.
+
+    Over step s, factor i moves to x_i decay[i][s] (+ drift[i][s] unless
+    drift is None) + sum_{j <= i} chol[i][j][s] z_j, where chol is the lower
+    Cholesky factor of the step's shock covariance and z_j the path's
+    normal j of that step.
+    """
+    k, n_steps = len(x0), steps.size
     out = np.empty(n_paths)
-    for first, count in _blocked(n_paths, n_steps):
-        z = normal_block(seed, first, count, n_steps)
-        g = np.full(count, float(g0))
+    for first, count in _blocked(n_paths, k * n_steps):
+        z = normal_block(seed, first, count, k * n_steps).reshape(count, n_steps, k)
+        x = [np.full(count, float(v)) for v in x0]
         integral = np.zeros(count)
-        for k in range(n_steps):
-            g_new = g * decay[k] + sd[k] * z[:, k]
-            integral += 0.5 * steps[k] * (g + g_new)
-            g = g_new
+        for s in range(n_steps):
+            x_new = []
+            for i in range(k):
+                v = x[i] * decay[i][s]
+                if drift is not None:
+                    v = v + drift[i][s]
+                for j in range(i + 1):
+                    v = v + chol[i][j][s] * z[:, s, j]
+                x_new.append(v)
+            integral += 0.5 * steps[s] * (sum(x[1:], x[0]) + sum(x_new[1:], x_new[0]))
+            x = x_new
         out[first : first + count] = np.exp(-integral)
     return out
 
@@ -244,8 +227,8 @@ def mc_zero_price(
     """Monte-Carlo zero-coupon price E[exp(-int r)] for any supported model.
 
     The short-rate path is sampled exactly on a uniform grid from the state
-    time to T (last step shortened to land on T) and discounted by the
-    trapezoidal rule.  Models quoted off a market curve absorb their
+    time to T (ceil(horizon / step) equal steps, none longer than the
+    configured step) and discounted by the trapezoidal rule.  Models quoted off a market curve absorb their
     deterministic shift analytically, so only the stochastic part is
     simulated.  Raises ResolutionError when the step is coarser than a 50th
     of the horizon.
@@ -263,15 +246,12 @@ def mc_zero_price(
             raise TypeError("vasicek model needs VasicekParams or (a, b, sigma)")
         r0 = state0.r if isinstance(state0, ShortRateState) else float(state0)
         t0 = state0.t if isinstance(state0, ShortRateState) else 0.0
-    elif model == "g2pp":
-        if not isinstance(params, G2Params):
-            raise TypeError("g2pp model needs G2Params")
-        if not isinstance(state0, G2State):
-            raise TypeError("g2pp model needs a G2State starting state")
-        t0 = state0.t
-    elif model in ("holee", "hullwhite"):
-        if not isinstance(state0, ShortRateState):
-            raise TypeError(f"{model} model needs a ShortRateState starting state")
+    elif model in PARAM_TYPES:
+        state_type = G2State if model == "g2pp" else ShortRateState
+        if not isinstance(params, PARAM_TYPES[model]):
+            raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
+        if not isinstance(state0, state_type):
+            raise TypeError(f"{model} model needs a {state_type.__name__} starting state")
         t0 = state0.t
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -295,8 +275,11 @@ def mc_zero_price(
     steps = np.diff(times)
 
     if model == "vasicek":
-        discounts = _trapezoid_discounts_ou(
-            *vas_abc, r0, steps, config.seed, config.n_paths
+        a, mean_level, sigma = vas_abc
+        decay, sd = _ou_steps(a, sigma, steps)
+        discounts = _trapezoid_discounts(
+            [decay], [mean_level * (1.0 - decay)], [[sd]], [r0],
+            steps, config.seed, config.n_paths,
         )
         return _estimate(discounts)
 
@@ -311,8 +294,9 @@ def mc_zero_price(
             - curve.log_discount(t0)
             + 0.5 * (g2pp_variance(params, 0.0, t0) - g2pp_variance(params, 0.0, T))
         )
-        discounts = _trapezoid_discounts_g2(
-            params, state0, steps, config.seed, config.n_paths
+        decay, chol = _g2pp_steps(params, state0, steps)
+        discounts = _trapezoid_discounts(
+            decay, None, chol, [state0.x, state0.y], steps, config.seed, config.n_paths
         )
         return _estimate(discounts, scale=math.exp(log_det))
 
@@ -327,8 +311,9 @@ def mc_zero_price(
         a_conv = params.a
     g0 = state0.r - deterministic[0]
     det_integral = float(np.trapezoid(deterministic, times))
-    discounts = _trapezoid_discounts_brownian_conv(
-        a_conv, params.sigma, g0, steps, config.seed, config.n_paths
+    decay, sd = _ou_steps(a_conv, params.sigma, steps)
+    discounts = _trapezoid_discounts(
+        [decay], None, [[sd]], [g0], steps, config.seed, config.n_paths
     )
     return _estimate(discounts, scale=math.exp(-det_integral))
 
@@ -368,14 +353,16 @@ def synth_panel(
     if min(maturities, default=None) is not None and min(maturities) <= schedule[-1]:
         raise OrderingError("instrument maturities must lie after the last observation")
 
+    if model not in ("vasicek", "g2pp"):
+        raise ValueError(f"unknown model {model!r}")
+    if not isinstance(params, PARAM_TYPES[model]):
+        raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
     times = np.array([year_fraction(schedule[0], d) for d in schedule])
     grid = times - times[0]
     rng = path_generator(seed, 0)
 
     observations = []
     if model == "vasicek":
-        if not isinstance(params, VasicekParams):
-            raise TypeError("vasicek model needs VasicekParams")
         if len(instruments) < 1:
             raise ValueError("need at least one instrument")
         r0 = params.b if state0 is None else float(state0)
@@ -386,9 +373,7 @@ def synth_panel(
                 tau = year_fraction(date, mat)
                 quotes[name] = vasicek_price(params, float(path[k]), 0.0, tau)
             observations.append((date, quotes))
-    elif model == "g2pp":
-        if not isinstance(params, G2Params):
-            raise TypeError("g2pp model needs G2Params")
+    else:
         if curve is None:
             raise ValueError("g2pp model needs the market curve")
         if len(instruments) != 2:
@@ -402,7 +387,5 @@ def synth_panel(
                 T = float(grid[k]) + year_fraction(date, mat)
                 quotes[name] = g2pp_price(params, curve, state, T)
             observations.append((date, quotes))
-    else:
-        raise ValueError(f"unknown model {model!r}")
 
     return PricePanel(observations=observations, instruments=list(instruments))

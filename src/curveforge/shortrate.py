@@ -14,8 +14,10 @@ Two models live here:
   reproduced exactly at time zero by construction.
 
 Both models admit exact Gaussian transition densities over arbitrary steps,
-and their log-prices are affine in the state -- which is what makes exact
-state inversion (and hence exact likelihood work) possible.
+and their log-prices are affine in the k-factor state X (k = 1 or 2),
+log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
+therefore give X exactly, from the one k x k solve in ``affine_invert`` --
+which is what makes exact likelihood work possible.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import libm
 from .curve import DiscountCurve
 from .errors import BoundaryError, DegenerateStepError, OrderingError, SingularInversionError
 
-INVERSION_DET_TOL = 1e-14
+INVERSION_DET_TOL = 1e-14  # |det beta| below this makes a price map singular
 
 
 def decay_loading(k: float, tau):
@@ -100,14 +102,28 @@ def vasicek_transition(
     return mean, var
 
 
+def vasicek_affine(params: VasicekParams, taus):
+    """Intercepts alpha_j and loadings beta_j = [B(tau_j)] of log P at the
+    remaining maturities ``taus`` (floats or arrays over dates), in the form
+    ``affine_invert`` takes."""
+    a, b, sigma = params.a, params.b, params.sigma
+    alpha, beta = [], []
+    for tau in taus:
+        B = decay_loading(a, tau)
+        alpha.append((b - sigma**2 / (2.0 * a**2)) * (B - tau) - sigma**2 * B**2 / (4.0 * a))
+        beta.append([B])
+    return alpha, beta
+
+
 def vasicek_invert_state(params: VasicekParams, price: float, t: float, T: float) -> float:
     """Short rate implied by an observed zero price: r = (ln A - ln P)/B."""
     if price <= 0:
         raise ValueError(f"price must be positive, got {price}")
-    A, B = vasicek_ab(params, t, T)
-    if B == 0.0 or T == t:
-        raise SingularInversionError("zero time to maturity: price carries no state")
-    return (math.log(A) - math.log(price)) / B
+    if T < t:
+        raise OrderingError(f"maturity {T} precedes valuation time {t}")
+    alpha, beta = vasicek_affine(params, [T - t])
+    (r,), _ = affine_invert(alpha, beta, [math.log(price)])
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +249,26 @@ def g2pp_transition(
     return mean, cov
 
 
+def g2pp_affine(params: G2Params, curve: DiscountCurve, t, taus):
+    """Intercepts alpha_j and loadings beta_j = [B_a(tau_j), B_b(tau_j)] of
+    log P(t, t + tau_j), for states at times ``t`` and remaining maturities
+    ``taus`` (floats or arrays over dates), in the form ``affine_invert``
+    takes."""
+    log_t = curve.log_discount(t)
+    v0t = g2pp_variance(params, 0.0, t)
+    alpha, beta = [], []
+    for tau in taus:
+        T = t + tau
+        adjust = 0.5 * (
+            g2pp_variance(params, 0.0, tau)  # V(t,T) depends on tau only
+            - g2pp_variance(params, 0.0, T)
+            + v0t
+        )
+        alpha.append(curve.log_discount(T) - log_t + adjust)
+        beta.append([decay_loading(params.a, tau), decay_loading(params.b, tau)])
+    return alpha, beta
+
+
 def g2pp_invert_states(
     params: G2Params,
     curve: DiscountCurve,
@@ -253,31 +289,8 @@ def g2pp_invert_states(
         raise ValueError("prices must be positive")
     if T1 <= t or T2 <= t:
         raise OrderingError("both maturities must lie strictly after t")
-    tau1, tau2 = T1 - t, T2 - t
-    ba1 = decay_loading(params.a, tau1)
-    ba2 = decay_loading(params.a, tau2)
-    bb1 = decay_loading(params.b, tau1)
-    bb2 = decay_loading(params.b, tau2)
-    det = ba1 * bb2 - ba2 * bb1
-    if abs(det) < INVERSION_DET_TOL:
-        raise SingularInversionError(
-            f"loading matrix is singular to working precision (det={det:.3e}); "
-            "need distinct maturities and distinct reversion speeds"
-        )
-
-    def rhs(price: float, T: float) -> float:
-        market = curve.log_discount(T) - curve.log_discount(t)
-        adjust = 0.5 * (
-            g2pp_variance(params, t, T)
-            - g2pp_variance(params, 0.0, T)
-            + g2pp_variance(params, 0.0, t)
-        )
-        return market + adjust - math.log(price)
-
-    k1 = rhs(p1, T1)
-    k2 = rhs(p2, T2)
-    x = (k1 * bb2 - k2 * bb1) / det
-    y = (ba1 * k2 - ba2 * k1) / det
+    alpha, beta = g2pp_affine(params, curve, t, [T1 - t, T2 - t])
+    (x, y), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
     return G2State(x=x, y=y, t=t)
 
 
@@ -297,3 +310,42 @@ def g2pp_cholesky(cov: np.ndarray) -> np.ndarray:
     if rem < -1e-12 * v2:
         raise BoundaryError("transition covariance is not positive semi-definite")
     return np.array([[l11, 0.0], [l21, math.sqrt(max(rem, 0.0))]])
+
+
+# ---------------------------------------------------------------------------
+# k-factor state inversion
+# ---------------------------------------------------------------------------
+
+
+def factor_det(m):
+    """Determinant of a 1x1 or 2x2 matrix given as rows m[i][j], whose
+    entries may be floats or arrays of one shape."""
+    if len(m) == 1:
+        return m[0][0]
+    return m[0][0] * m[1][1] - m[1][0] * m[0][1]
+
+
+def affine_invert(alpha, beta, log_prices):
+    """Factor values X solving beta . X = alpha - log P, for k = 1 or 2.
+
+    Price j has intercept alpha[j], log-price log_prices[j] and loading
+    beta[j][i] on factor i; entries are floats or arrays over dates.
+    Returns (X, det beta) with X[i] the values of factor i.  Raises
+    SingularInversionError where |det beta| < INVERSION_DET_TOL: a price at
+    its own maturity, two equal maturities or two equal reversion speeds
+    carry too little information to fix the state.
+    """
+    det = factor_det(beta)
+    if libm.anywhere(abs(det) < INVERSION_DET_TOL):
+        raise SingularInversionError(
+            "factor loadings are singular to working precision; need "
+            "distinct maturities after the state time and distinct "
+            "reversion speeds"
+        )
+    rhs = [a - lp for a, lp in zip(alpha, log_prices)]
+    if len(rhs) == 1:
+        return [rhs[0] / det], det
+    (b00, b01), (b10, b11) = beta
+    x = (rhs[0] * b11 - rhs[1] * b01) / det
+    y = (b00 * rhs[1] - b10 * rhs[0]) / det
+    return [x, y], det

@@ -118,8 +118,7 @@ class TestBroadcastEqualsScalar:
             )
             assert same_bits(got, ref)
 
-    @pytest.mark.parametrize("printed", [False, True])
-    def test_forward_curve_models(self, printed):
+    def test_forward_curve_models(self):
         for rng, a, _, t, T in draws(4):
             sigma = float(rng.uniform(0.001, 0.3))
             r = rng.normal(0.04, 0.05, size=t.shape)
@@ -128,11 +127,8 @@ class TestBroadcastEqualsScalar:
             ref = elementwise(lambda x, s, u: holee_price(hl, CURVE, x, s, u), r, t, T)
             assert same_bits(got, ref)
             hw = HullWhiteParams(a=a, sigma=sigma)
-            got = hullwhite_price(hw, CURVE, r, t, T, printed_formula=printed)
-            ref = elementwise(
-                lambda x, s, u: hullwhite_price(hw, CURVE, x, s, u, printed_formula=printed),
-                r, t, T,
-            )
+            got = hullwhite_price(hw, CURVE, r, t, T)
+            ref = elementwise(lambda x, s, u: hullwhite_price(hw, CURVE, x, s, u), r, t, T)
             assert same_bits(got, ref)
 
     def test_zero_dimensional_inputs_return_python_floats(self):

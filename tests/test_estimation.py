@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -8,10 +9,13 @@ from scipy.stats import multivariate_normal, norm
 from curveforge.curve import flat_curve
 from curveforge.errors import BoundaryError, DegenerateStepError, OrderingError
 from curveforge.estimation import (
+    _ML_MODELS,
     FitConfig,
     PricePanel,
     StateSeries,
-    _loglik_vasicek_core,
+    _loglik,
+    _PanelData,
+    _states,
     fit_ml,
     loglik_g2pp,
     loglik_vasicek,
@@ -189,17 +193,14 @@ class TestLoglikVasicek:
             assert got == pytest.approx(want, rel=1e-10)
 
     def test_uniform_and_irregular_code_paths_agree(self, vas_panel_weekly):
-        # same equal gaps fed through both branches of the core
-        name = vas_panel_weekly.instruments[0][0]
-        taus = vas_panel_weekly.taus(name)
-        prices = vas_panel_weekly.prices(name)
+        # weekly gaps, once through one shared transition and once gap by gap
         gaps = vas_panel_weekly.gaps
-        fast, r_fast = _loglik_vasicek_core(
-            VAS.a, VAS.b, VAS.sigma, taus, prices, gaps, True, 1.0
-        )
-        slow, r_slow = _loglik_vasicek_core(
-            VAS.a, VAS.b, VAS.sigma, taus, prices, gaps, False, 1.0
-        )
+        data = _PanelData.of(vas_panel_weekly, 1)
+        fast_data = dataclasses.replace(data, gaps=gaps[:1])
+        slow_data = dataclasses.replace(data, gaps=gaps)
+        model = _ML_MODELS["vasicek"]
+        fast, (r_fast,) = _loglik(model, VAS, None, fast_data)
+        slow, (r_slow,) = _loglik(model, VAS, None, slow_data)
         assert fast == pytest.approx(slow, rel=1e-13)
         np.testing.assert_array_equal(r_fast, r_slow)
 
@@ -229,14 +230,11 @@ class TestLoglikVasicek:
         assert shifted == pytest.approx(base - n_trans * math.log(c), rel=1e-12)
 
     def test_recovered_states_match_simulation(self, vas_panel_weekly):
-        from curveforge.estimation import _vasicek_states
         from curveforge.rng import path_generator
         from curveforge.montecarlo import simulate_ou
 
-        name = vas_panel_weekly.instruments[0][0]
-        r, _ = _vasicek_states(
-            VAS.a, VAS.b, VAS.sigma,
-            vas_panel_weekly.taus(name), vas_panel_weekly.prices(name), 1.0,
+        (r,), _ = _states(
+            _ML_MODELS["vasicek"], VAS, None, _PanelData.of(vas_panel_weekly, 1)
         )
         path = simulate_ou(
             VAS.a, VAS.b, VAS.sigma, VAS.b, vas_panel_weekly.times,
@@ -257,12 +255,12 @@ class TestLoglikVasicek:
             loglik_g2pp(G2, steep_curve, vas_panel_weekly)  # one instrument
 
     def test_degenerate_variance_raises(self, vas_panel_weekly):
-        name = vas_panel_weekly.instruments[0][0]
         with pytest.raises(DegenerateStepError):
-            _loglik_vasicek_core(
-                1.0, 0.05, 1e-200,
-                vas_panel_weekly.taus(name), vas_panel_weekly.prices(name),
-                vas_panel_weekly.gaps, True, 1.0,
+            _loglik(
+                _ML_MODELS["vasicek"],
+                VasicekParams(a=1.0, b=0.05, sigma=1e-200),
+                None,
+                _PanelData.of(vas_panel_weekly, 1),
             )
 
 

@@ -143,23 +143,6 @@ class TestDampedVolPrice:
         p_hl = holee_price(hl, market, 0.03, 1.0, 8.0)
         assert p_hw == pytest.approx(p_hl, rel=1e-5)
 
-    def test_printed_variant_differs_only_through_time_factor(self, market):
-        # the alternative variance convention matches the default at a = 1
-        # and at t = 0, and differs otherwise
-        t, T = 2.0, 7.0
-        p_default = hullwhite_price(HW, market, 0.03, t, T)
-        p_printed = hullwhite_price(HW, market, 0.03, t, T, printed_formula=True)
-        assert p_default != p_printed
-        assert hullwhite_price(HW, market, 0.03, 0.0, 5.0) == pytest.approx(
-            hullwhite_price(HW, market, 0.03, 0.0, 5.0, printed_formula=True),
-            rel=1e-15,
-        )
-        unit = HullWhiteParams(a=1.0, sigma=0.0215)
-        assert hullwhite_price(unit, market, 0.03, t, T) == pytest.approx(
-            hullwhite_price(unit, market, 0.03, t, T, printed_formula=True),
-            rel=1e-15,
-        )
-
     def test_ordering_errors(self, market):
         with pytest.raises(OrderingError):
             hullwhite_price(HW, market, 0.03, 3.0, 2.0)

@@ -1,0 +1,446 @@
+"""The k-factor likelihood, state inversion and Monte-Carlo kernel against
+frozen copies of the separate one- and two-factor code they replaced.
+
+The ``_ref_*`` functions below are verbatim copies of the earlier
+per-model implementations, kept here as differential oracles.  The
+two-factor likelihood and states, the one-factor states and every
+Monte-Carlo discount array must be equal bit for bit.  The one-factor
+log-likelihood may differ in the last bits on equal gaps, where its single
+transition now comes from numpy's exp and expm1 instead of the math
+module's.
+"""
+
+import dataclasses
+import datetime as dt
+import math
+
+import numpy as np
+import pytest
+
+from curveforge import montecarlo
+from curveforge.curve import flat_curve
+from curveforge.errors import BoundaryError, DegenerateStepError, SingularInversionError
+from curveforge.estimation import (
+    _ML_MODELS,
+    LOG2PI,
+    PricePanel,
+    _PanelData,
+    _states,
+    loglik_g2pp,
+    loglik_vasicek,
+)
+from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState
+from curveforge.montecarlo import (
+    SimConfig,
+    _g2pp_steps,
+    _ou_steps,
+    _trapezoid_discounts,
+    mc_zero_price,
+    synth_panel,
+)
+from curveforge.rng import normal_block
+from curveforge.shortrate import (
+    G2Params,
+    G2State,
+    VasicekParams,
+    decay_loading,
+    g2pp_cholesky,
+    g2pp_transition,
+    g2pp_variance,
+)
+
+START = dt.date(2010, 1, 4)
+CURVE = flat_curve(0.05, span=80.0)
+README_G2 = G2Params(a=0.3, b=0.6, sigma=0.03, eta=0.02, rho=0.4)
+FAST_VAS = VasicekParams(a=5.0, b=0.05, sigma=0.1)
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the per-model likelihoods
+# ---------------------------------------------------------------------------
+
+
+def _ref_vasicek_states(a, b, sigma, taus, prices, price_scale):
+    B = decay_loading(a, taus)
+    lnA = (b - sigma**2 / (2.0 * a**2)) * (B - taus) - sigma**2 * B**2 / (4.0 * a)
+    r = (lnA - (np.log(prices) - math.log(price_scale))) / B
+    return r, B
+
+
+def _ref_gaussian_loglik_terms(resid, var):
+    return -0.5 * (LOG2PI + np.log(var) + resid * resid / var)
+
+
+def _ref_loglik_vasicek_core(a, b, sigma, taus, prices, gaps, uniform, price_scale):
+    r, B = _ref_vasicek_states(a, b, sigma, taus, prices, price_scale)
+    if uniform:
+        h = float(gaps[0])
+        decay = math.exp(-a * h)
+        var = sigma**2 * (-math.expm1(-2.0 * a * h)) / (2.0 * a)
+        if not (var > 0 and math.isfinite(var)):
+            raise DegenerateStepError(f"transition variance degenerate at gap {h}")
+        mean = r[:-1] * decay + b * (1.0 - decay)
+        density = _ref_gaussian_loglik_terms(r[1:] - mean, var)
+    else:
+        decay = np.exp(-a * gaps)
+        var = sigma**2 * (-np.expm1(-2.0 * a * gaps)) / (2.0 * a)
+        if not (np.all(var > 0) and np.all(np.isfinite(var))):
+            raise DegenerateStepError("transition variance degenerate at some gap")
+        mean = r[:-1] * decay + b * (1.0 - decay)
+        density = _ref_gaussian_loglik_terms(r[1:] - mean, var)
+    jacobian = np.log(B[1:] * prices[1:])
+    return float(np.sum(density) - np.sum(jacobian)), r
+
+
+def _ref_g2pp_invert_panel(params, curve, times, taus1, taus2, p1, p2, price_scale):
+    T1 = times + taus1
+    T2 = times + taus2
+    ba1 = decay_loading(params.a, taus1)
+    ba2 = decay_loading(params.a, taus2)
+    bb1 = decay_loading(params.b, taus1)
+    bb2 = decay_loading(params.b, taus2)
+    det = ba1 * bb2 - ba2 * bb1
+    if np.any(np.abs(det) < 1e-14):
+        raise SingularInversionError("factor loadings are singular on some date")
+    log_t = curve.log_discount(times)
+    v0t = g2pp_variance(params, 0.0, times)
+
+    def rhs(prices, T, taus):
+        market = curve.log_discount(T) - log_t
+        adjust = 0.5 * (
+            g2pp_variance(params, 0.0, taus)
+            - g2pp_variance(params, 0.0, T)
+            + v0t
+        )
+        return market + adjust - (np.log(prices) - math.log(price_scale))
+
+    k1 = rhs(p1, T1, taus1)
+    k2 = rhs(p2, T2, taus2)
+    x = (k1 * bb2 - k2 * bb1) / det
+    y = (ba1 * k2 - ba2 * k1) / det
+    return x, y, det
+
+
+def _ref_loglik_g2pp_core(
+    params, curve, times, taus1, taus2, p1, p2, gaps, uniform, price_scale
+):
+    x, y, det = _ref_g2pp_invert_panel(
+        params, curve, times, taus1, taus2, p1, p2, price_scale
+    )
+    a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
+    if uniform:
+        h = float(gaps[0])
+        gaps = np.array([h])
+    decay_x = np.exp(-a * gaps)
+    decay_y = np.exp(-b * gaps)
+    v1 = sigma**2 * (-np.expm1(-2.0 * a * gaps)) / (2.0 * a)
+    v2 = eta**2 * (-np.expm1(-2.0 * b * gaps)) / (2.0 * b)
+    c12 = rho * sigma * eta * (-np.expm1(-(a + b) * gaps)) / (a + b)
+    det_cov = v1 * v2 - c12 * c12
+    if not (np.all(det_cov > 0) and np.all(np.isfinite(det_cov))):
+        raise BoundaryError("transition covariance is singular")
+    dx = x[1:] - x[:-1] * decay_x
+    dy = y[1:] - y[:-1] * decay_y
+    quad = (v2 * dx * dx - 2.0 * c12 * dx * dy + v1 * dy * dy) / det_cov
+    density = -LOG2PI - 0.5 * np.log(det_cov) - 0.5 * quad
+    jacobian = np.log(p1[1:] * p2[1:] * np.abs(det[1:]))
+    return float(np.sum(density) - np.sum(jacobian)), x, y
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the per-model Monte-Carlo kernels
+# ---------------------------------------------------------------------------
+
+
+def _ref_blocked(n_paths, n_draws):
+    block = max(256, min(n_paths, 2**24 // max(n_draws, 1)))
+    start = 0
+    while start < n_paths:
+        yield start, min(block, n_paths - start)
+        start += block
+
+
+def _ref_trapezoid_discounts_ou(a, mean_level, sigma, x0, steps, seed, n_paths):
+    n_steps = steps.size
+    decay = np.exp(-a * steps)
+    drift = mean_level * (1.0 - decay)
+    sd = sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
+    out = np.empty(n_paths)
+    for first, count in _ref_blocked(n_paths, n_steps):
+        z = normal_block(seed, first, count, n_steps)
+        x = np.full(count, float(x0))
+        integral = np.zeros(count)
+        for k in range(n_steps):
+            x_new = x * decay[k] + drift[k] + sd[k] * z[:, k]
+            integral += 0.5 * steps[k] * (x + x_new)
+            x = x_new
+        out[first : first + count] = np.exp(-integral)
+    return out
+
+
+def _ref_trapezoid_discounts_g2(params, state0, steps, seed, n_paths):
+    n_steps = steps.size
+    decay_x = np.exp(-params.a * steps)
+    decay_y = np.exp(-params.b * steps)
+    chols = [g2pp_cholesky(g2pp_transition(params, state0, float(h))[1]) for h in steps]
+    l11 = np.array([c[0, 0] for c in chols])
+    l21 = np.array([c[1, 0] for c in chols])
+    l22 = np.array([c[1, 1] for c in chols])
+    out = np.empty(n_paths)
+    for first, count in _ref_blocked(n_paths, 2 * n_steps):
+        z = normal_block(seed, first, count, 2 * n_steps).reshape(count, n_steps, 2)
+        x = np.full(count, state0.x)
+        y = np.full(count, state0.y)
+        integral = np.zeros(count)
+        for k in range(n_steps):
+            x_new = x * decay_x[k] + l11[k] * z[:, k, 0]
+            y_new = y * decay_y[k] + l21[k] * z[:, k, 0] + l22[k] * z[:, k, 1]
+            integral += 0.5 * steps[k] * ((x + y) + (x_new + y_new))
+            x, y = x_new, y_new
+        out[first : first + count] = np.exp(-integral)
+    return out
+
+
+def _ref_trapezoid_discounts_brownian_conv(a, sigma, g0, steps, seed, n_paths):
+    n_steps = steps.size
+    if a > 0:
+        decay = np.exp(-a * steps)
+        sd = sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
+    else:
+        decay = np.ones_like(steps)
+        sd = sigma * np.sqrt(steps)
+    out = np.empty(n_paths)
+    for first, count in _ref_blocked(n_paths, n_steps):
+        z = normal_block(seed, first, count, n_steps)
+        g = np.full(count, float(g0))
+        integral = np.zeros(count)
+        for k in range(n_steps):
+            g_new = g * decay[k] + sd[k] * z[:, k]
+            integral += 0.5 * steps[k] * (g + g_new)
+            g = g_new
+        out[first : first + count] = np.exp(-integral)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# panels
+# ---------------------------------------------------------------------------
+
+
+def _schedule(kind, n):
+    if kind == "uniform":
+        # 365-day gaps are exactly 1.0 years apart under ACT/365
+        return [START + dt.timedelta(days=365 * k) for k in range(n)]
+    rng = np.random.default_rng(4)
+    days = np.cumsum(rng.integers(2, 15, size=n))
+    return [START + dt.timedelta(days=int(d)) for d in days]
+
+
+def _scaled(panel, scale):
+    return PricePanel(
+        observations=[
+            (d, {k: scale * v for k, v in quotes.items()}) for d, quotes in panel.observations
+        ],
+        instruments=list(panel.instruments),
+    )
+
+
+@pytest.fixture(scope="module", params=["uniform", "irregular"])
+def gaps_kind(request):
+    return request.param
+
+
+def _g2_panel(kind):
+    instruments = [("L", dt.date(2023, 1, 4)), ("XL", dt.date(2030, 1, 4))]
+    return synth_panel(
+        "g2pp", README_G2, _schedule(kind, 12), instruments, curve=CURVE, seed=3
+    )
+
+
+def _vas_panel(kind):
+    return synth_panel(
+        "vasicek", FAST_VAS, _schedule(kind, 24), [("Z", dt.date(2050, 1, 4))], seed=3
+    )
+
+
+def _random_g2(rng):
+    a = float(rng.uniform(0.05, 0.6))
+    return G2Params(
+        a=a,
+        b=a + float(rng.uniform(0.1, 0.8)),
+        sigma=float(rng.uniform(0.005, 0.3)),
+        eta=float(rng.uniform(0.005, 0.3)),
+        rho=float(rng.uniform(-0.99, 0.99)),
+    )
+
+
+def _random_vas(rng):
+    return VasicekParams(
+        a=float(rng.uniform(0.1, 8.0)),
+        b=float(rng.uniform(0.005, 0.2)),
+        sigma=float(rng.uniform(0.005, 0.8)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# likelihoods and states
+# ---------------------------------------------------------------------------
+
+
+class TestLikelihoodAgainstReference:
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_g2pp_loglik_and_states_bit_identical(self, gaps_kind, scale):
+        base = _g2_panel(gaps_kind)
+        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
+        gaps = panel.gaps
+        assert bool(np.all(gaps == gaps[0])) == (gaps_kind == "uniform")
+        (n1, _), (n2, _) = panel.instruments
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            params = _random_g2(rng)
+            want, x, y = _ref_loglik_g2pp_core(
+                params, CURVE, panel.times, panel.taus(n1), panel.taus(n2),
+                panel.prices(n1), panel.prices(n2), gaps,
+                gaps_kind == "uniform", 1.0 / scale,
+            )
+            assert loglik_g2pp(params, CURVE, panel, price_scale=1.0 / scale) == want
+            data = _PanelData.of(panel, 2, 1.0 / scale)
+            (gx, gy), _ = _states(_ML_MODELS["g2pp"], params, CURVE, data)
+            np.testing.assert_array_equal(gx, x)
+            np.testing.assert_array_equal(gy, y)
+
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_vasicek_loglik_close_and_states_bit_identical(self, gaps_kind, scale):
+        base = _vas_panel(gaps_kind)
+        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
+        gaps = panel.gaps
+        name = panel.instruments[0][0]
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            p = _random_vas(rng)
+            want, r = _ref_loglik_vasicek_core(
+                p.a, p.b, p.sigma, panel.taus(name), panel.prices(name), gaps,
+                gaps_kind == "uniform", 1.0 / scale,
+            )
+            got = loglik_vasicek(p, panel, price_scale=1.0 / scale)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+            data = _PanelData.of(panel, 1, 1.0 / scale)
+            (got_r,), _ = _states(_ML_MODELS["vasicek"], p, None, data)
+            np.testing.assert_array_equal(got_r, r)
+
+    def test_one_transition_for_equal_gaps(self):
+        assert _PanelData.of(_g2_panel("uniform"), 2).gaps.size == 1
+        irregular = _g2_panel("irregular")
+        np.testing.assert_array_equal(_PanelData.of(irregular, 2).gaps, irregular.gaps)
+
+    def test_scalar_inversions_match_panel_states(self):
+        from curveforge.shortrate import g2pp_invert_states, vasicek_invert_state
+
+        panel = _g2_panel("irregular")
+        (n1, _), (n2, _) = panel.instruments
+        (x, y), _ = _states(_ML_MODELS["g2pp"], README_G2, CURVE, _PanelData.of(panel, 2))
+        for k, t in enumerate(panel.times.tolist()):
+            tau1, tau2 = panel.taus(n1)[k], panel.taus(n2)[k]
+            state = g2pp_invert_states(
+                README_G2, CURVE, (panel.prices(n1)[k], panel.prices(n2)[k]),
+                t, (t + tau1, t + tau2),
+            )
+            assert state.x == pytest.approx(x[k], abs=1e-12)
+            assert state.y == pytest.approx(y[k], abs=1e-12)
+        vas = _vas_panel("irregular")
+        (r,), _ = _states(_ML_MODELS["vasicek"], FAST_VAS, None, _PanelData.of(vas, 1))
+        for k, tau in enumerate(vas.taus("Z").tolist()):
+            got = vasicek_invert_state(FAST_VAS, vas.prices("Z")[k], 0.0, tau)
+            assert got == pytest.approx(r[k], abs=1e-12)
+
+    def test_degenerate_two_factor_step_is_a_value_error(self):
+        panel = _g2_panel("irregular")
+        tiny = dataclasses.replace(README_G2, sigma=1e-200)
+        with pytest.raises(DegenerateStepError):
+            loglik_g2pp(tiny, CURVE, panel)
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo discounts
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record the inputs and output of every merged-kernel call that
+    mc_zero_price makes."""
+    calls = []
+
+    def spy(decay, drift, chol, x0, steps, seed, n_paths):
+        out = _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths)
+        calls.append((list(x0), steps, seed, n_paths, out))
+        return out
+
+    monkeypatch.setattr(montecarlo, "_trapezoid_discounts", spy)
+    return calls
+
+
+def _reference_for(model, params, x0, steps, seed, n_paths, t0):
+    if model == "vasicek":
+        a, b, sigma = params
+        return _ref_trapezoid_discounts_ou(a, b, sigma, x0[0], steps, seed, n_paths)
+    if model == "g2pp":
+        state0 = G2State(x=x0[0], y=x0[1], t=t0)
+        return _ref_trapezoid_discounts_g2(params, state0, steps, seed, n_paths)
+    a = params.a if model == "hullwhite" else 0.0
+    return _ref_trapezoid_discounts_brownian_conv(a, params.sigma, x0[0], steps, seed, n_paths)
+
+
+CASES = {
+    # a raw triple with zero volatility: every path is the mean curve
+    "vasicek-sigma0": ("vasicek", (0.8, 0.05, 0.0), 0.03, 2.0),
+    "holee": ("holee", HoLeeParams(sigma=0.01), ShortRateState(r=0.045, t=0.5), 3.0),
+    "hullwhite": (
+        "hullwhite", HullWhiteParams(a=0.4, sigma=0.015), ShortRateState(r=0.05, t=0.0), 2.5,
+    ),
+    "g2pp-rho-0.99": (
+        "g2pp", G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99),
+        G2State(x=0.01, y=-0.02, t=0.25), 1.5,
+    ),
+}
+
+
+class TestDiscountsAgainstReference:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_mc_zero_price_discounts_bit_identical(self, case, blocks, kernel_calls, monkeypatch):
+        model, params, state0, T = CASES[case]
+        n_paths = 600
+        if blocks == "several":
+            # 256-path blocks: three normals blocks per call
+            monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
+        config = SimConfig(n_paths=n_paths, step=0.02, seed=9)
+        mc_zero_price(model, params, state0, T, config, curve=CURVE)
+        ((x0, steps, seed, count, got),) = kernel_calls
+        assert (seed, count) == (9, n_paths)
+        t0 = getattr(state0, "t", 0.0)
+        want = _reference_for(model, params, x0, steps, seed, count, t0)
+        np.testing.assert_array_equal(got, want)
+        if case == "vasicek-sigma0":
+            assert np.all(got == got[0])
+
+    def test_shortened_last_step(self):
+        steps = np.full(60, 0.02)
+        steps[-1] = 0.0071
+        seed, n = 4, 300
+        a, b, sigma, r0 = 1.7, 0.09, 0.37, 0.02
+        decay, sd = _ou_steps(a, sigma, steps)
+        got = _trapezoid_discounts([decay], [b * (1.0 - decay)], [[sd]], [r0], steps, seed, n)
+        want = _ref_trapezoid_discounts_ou(a, b, sigma, r0, steps, seed, n)
+        np.testing.assert_array_equal(got, want)
+        for a_conv in (0.0, 0.4):
+            decay, sd = _ou_steps(a_conv, 0.02, steps)
+            got = _trapezoid_discounts([decay], None, [[sd]], [0.001], steps, seed, n)
+            want = _ref_trapezoid_discounts_brownian_conv(a_conv, 0.02, 0.001, steps, seed, n)
+            np.testing.assert_array_equal(got, want)
+        g2 = CASES["g2pp-rho-0.99"][1]
+        state0 = G2State(x=0.01, y=-0.02, t=0.0)
+        decay, chol = _g2pp_steps(g2, state0, steps)
+        got = _trapezoid_discounts(decay, None, chol, [0.01, -0.02], steps, seed, n)
+        want = _ref_trapezoid_discounts_g2(g2, state0, steps, seed, n)
+        np.testing.assert_array_equal(got, want)

@@ -258,6 +258,15 @@ class TestMcZeroPrice:
         with pytest.raises(ValueError):
             mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
 
+    def test_params_of_the_other_forward_curve_model_rejected(self):
+        config = SimConfig(n_paths=100, step=1 / 252, seed=0)
+        curve = flat_curve(0.04, span=30.0)
+        state = ShortRateState(r=0.04, t=0.0)
+        with pytest.raises(TypeError, match="holee model needs HoLeeParams"):
+            mc_zero_price("holee", HullWhiteParams(a=0.5, sigma=0.01), state, 2.0, config, curve)
+        with pytest.raises(TypeError, match="hullwhite model needs HullWhiteParams"):
+            mc_zero_price("hullwhite", HoLeeParams(sigma=0.01), state, 2.0, config, curve)
+
 
 class TestSynthPanel:
     def weekly(self, n):
