@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
+from . import libm
 from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import DATA_ERRORS, AmbiguityError, OptimizationError, OrderingError
@@ -118,7 +119,8 @@ class CalibrationSeries:
         return out
 
 
-def _model_price(model: str, params, xs: CrossSection, T: float) -> float:
+def _model_price(model: str, params, xs: CrossSection, T):
+    """Model price of a zero maturing at T (a float or an array of them)."""
     if model == "holee":
         return holee_price(params, xs.curve, xs.short_rate, xs.t, T)
     if model == "hullwhite":
@@ -133,6 +135,12 @@ def ls_objective(model: str, params, xs: CrossSection, weights=None) -> float:
     residual by its quote's time to maturity, or pass one positive weight
     per quote.  The default (None) is the plain unweighted objective, which
     is also what ``calibrate`` minimizes.
+
+    The whole cross-section is priced by one broadcast call, and the
+    weighted squares are added left to right, quote by quote, so the value
+    equals a per-quote loop bit for bit.  When a model price or a residual
+    term is not finite the per-quote loop itself runs instead, so an
+    overflow raises where and what the scalar arithmetic raises.
     """
     t = xs.t
     if t == 0.0:
@@ -152,10 +160,16 @@ def ls_objective(model: str, params, xs: CrossSection, weights=None) -> float:
             raise ValueError("need exactly one weight per quote")
         if np.any(w <= 0):
             raise ValueError("weights must be positive")
-    err = 0.0
-    for (tau, price), wi in zip(xs.quotes, w):
-        model_p = _model_price(model, params, xs, t + tau)
-        err += wi * (price - model_p) ** 2
+    taus, prices = np.array(xs.quotes).T
+    model_p = _model_price(model, params, xs, t + taus)
+    # libm.square: pow(x, 2) as a float's ** computes it, inf on overflow
+    with np.errstate(over="ignore"):
+        err = np.cumsum(w * libm.square(prices - model_p))[-1]
+    if not math.isfinite(err):
+        err = 0.0
+        for (tau, price), wi in zip(xs.quotes, w):
+            model_p = _model_price(model, params, xs, t + tau)
+            err += wi * (price - model_p) ** 2
     return err / float(np.sum(w))
 
 

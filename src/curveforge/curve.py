@@ -63,18 +63,18 @@ class DiscountCurve:
     def log_discount(self, t):
         """log P(0, t); scalar in, scalar out (arrays broadcast)."""
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if (t_arr < 0).any():
             raise OrderingError("discount requested at negative maturity")
-        inside = np.minimum(t_arr, self.span)
-        out = np.interp(inside, self._knots, self._logdfs)
-        over = t_arr > self.span
-        if np.any(over):
+        span = self.span
+        out = np.interp(np.minimum(t_arr, span), self._knots, self._logdfs)
+        over = t_arr > span
+        if over.any():
             if not self.flat_extrapolation:
                 raise ExtrapolationError(
-                    f"maturity beyond curve span {self.span:.6g} "
+                    f"maturity beyond curve span {span:.6g} "
                     "(enable flat extrapolation to allow)"
                 )
-            out = out - self._fwds[-1] * np.where(over, t_arr - self.span, 0.0)
+            out = out - self._fwds[-1] * np.where(over, t_arr - span, 0.0)
         return out if t_arr.ndim else float(out)
 
     def discount(self, t):
@@ -89,16 +89,16 @@ class DiscountCurve:
         flat-extrapolation flag governs.
         """
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
+        if (t_arr < 0).any():
             raise OrderingError("forward requested at negative maturity")
-        if np.any(t_arr > self.span) and not self.flat_extrapolation:
+        span = self.span
+        if (t_arr > span).any() and not self.flat_extrapolation:
             raise ExtrapolationError(
-                f"forward beyond curve span {self.span:.6g} "
+                f"forward beyond curve span {span:.6g} "
                 "(enable flat extrapolation to allow)"
             )
         idx = np.searchsorted(self._knots, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, len(self._fwds) - 1)
-        out = self._fwds[idx]
+        out = self._fwds[np.minimum(np.maximum(idx, 0), len(self._fwds) - 1)]
         return out if t_arr.ndim else float(out)
 
 

@@ -47,6 +47,11 @@ class PriceRangeError(CurveforgeError, ValueError):
     that prices a bond above par."""
 
 
+class PanelShapeError(CurveforgeError, ValueError):
+    """A price panel has the wrong number of instruments for its model, or
+    too few observations to hold one transition."""
+
+
 class OptimizationError(CurveforgeError, RuntimeError):
     """Every optimizer restart failed.  Carries the best partial result
     seen, if any, in ``partial``."""

@@ -33,6 +33,7 @@ from .errors import (
     DegenerateStepError,
     OptimizationError,
     OrderingError,
+    PanelShapeError,
     PriceRangeError,
 )
 from .shortrate import (
@@ -189,7 +190,14 @@ class _PanelData:
 
     @classmethod
     def of(cls, panel: PricePanel, factors: int, price_scale: float = 1.0):
-        names = [name for name, _ in panel.instruments[:factors]]
+        if len(panel.instruments) != factors:
+            raise PanelShapeError(
+                f"the {factors}-factor likelihood needs exactly {factors} "
+                f"instrument(s), got {len(panel.instruments)}"
+            )
+        if len(panel.observations) < 2:
+            raise PanelShapeError("need at least two observations")
+        names = [name for name, _ in panel.instruments]
         prices = [panel.prices(name) for name in names]
         gaps = panel.gaps
         product = prices[0][1:]
@@ -278,12 +286,7 @@ def _loglik(model: _MLModel, params, curve, data: _PanelData):
 
 def _panel_loglik(model: str, params, curve, panel: PricePanel, price_scale: float):
     spec = _ML_MODELS[model]
-    k = spec.factors
-    if len(panel.instruments) != k:
-        raise ValueError(f"the {k}-factor likelihood needs exactly {k} instrument(s)")
-    if len(panel.observations) < 2:
-        raise ValueError("need at least two observations")
-    return _loglik(spec, params, curve, _PanelData.of(panel, k, price_scale))[0]
+    return _loglik(spec, params, curve, _PanelData.of(panel, spec.factors, price_scale))[0]
 
 
 def loglik_vasicek(
@@ -399,9 +402,9 @@ def fit_ml(
         raise ValueError(f"unknown model {model!r}")
     if spec.needs_curve and curve is None:
         raise ValueError(f"the {model} fit needs the market curve")
+    data = _PanelData.of(panel, spec.factors)
     guess = spec.moment_guess(panel)
     from_theta = spec.from_theta
-    data = _PanelData.of(panel, spec.factors)
 
     def negloglik(theta):
         if np.max(np.abs(theta)) > _THETA_BOX:

@@ -2,16 +2,24 @@
 (benchmarks/tracer.py).  A refactor that moves or drops one of them breaks
 every traced benchmark run; these tests catch that in seconds."""
 
+import contextlib
+import datetime as dt
 import importlib
+import io
 from pathlib import Path
 
 import curveforge
+import curveforge.cli
 import curveforge.estimation
+from curveforge import fileio
+from curveforge.curve import flat_curve
+from curveforge.daycount import year_fraction
+from curveforge.hjm import HoLeeParams, holee_price
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
-def test_tracer_installs_and_uninstalls(monkeypatch):
+def new_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     # workloads.Evaluations replaces estimation.minimize for good; put the
     # original back after the test
@@ -21,6 +29,11 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 
     tracer = tracer_mod.Tracer()
     tracer.install(workloads.Evaluations())
+    return tracer
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch):
+    tracer = new_tracer(monkeypatch)
     wrapped = list(tracer._restore)
     try:
         assert wrapped
@@ -35,3 +48,36 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
 def test_every_exported_name_resolves():
     missing = [name for name in curveforge.__all__ if not hasattr(curveforge, name)]
     assert missing == []
+
+
+def test_traced_calibrate_counts_objective_price_and_curve_calls(monkeypatch, tmp_path):
+    """The calibrate workload's traced counters must move: ls_objective is
+    reached through calibration's module global, the prices through
+    calibration's holee_price, and the lookups through DiscountCurve."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    sections = []
+    for weeks in (60, 61):
+        date = asof + dt.timedelta(weeks=weeks)
+        t = year_fraction(asof, date)
+        quotes = [(tau, holee_price(HoLeeParams(sigma=0.02), curve, 0.05, t, t + tau))
+                  for tau in (0.25, 1.0, 5.0, 10.0)]
+        sections.append((date, quotes))
+    fileio.write_cross_sections(tmp_path / "sections.csv", sections)
+
+    tracer = new_tracer(monkeypatch)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            curveforge.cli.main(
+                ["--output-dir", str(tmp_path), "calibrate", "--model", "holee",
+                 "--cross-section", str(tmp_path / "sections.csv"),
+                 "--curve", str(tmp_path / "curve.csv")],
+                standalone_mode=False,
+            )
+    finally:
+        tracer.uninstall()
+    for name in ("cli.main", "calibration.calibrate", "calibration.ls_objective",
+                 "hjm.holee_price", "curve.log_discount", "curve.forward"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.calls["hjm.holee_price"] == tracer.calls["calibration.ls_objective"]

@@ -183,6 +183,24 @@ class TestFitMl:
         )
         assert result.exit_code == 2
 
+    def test_two_instrument_panel_for_one_factor_model_is_domain_error(
+        self, runner, tmp_path
+    ):
+        schedule = [ASOF + dt.timedelta(weeks=k) for k in range(30)]
+        panel = synth_panel(
+            "vasicek", VAS, schedule,
+            [("Z1", dt.date(2044, 1, 4)), ("Z2", dt.date(2054, 1, 4))], seed=6,
+        )
+        fileio.write_panel(tmp_path / "two.csv", panel)
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "fit-ml",
+             "--model", "vasicek", "--panel", str(tmp_path / "two.csv")],
+        )
+        assert result.exit_code == 1
+        assert "exactly 1 instrument(s), got 2" in result.output
+        assert not (tmp_path / "fit_params.txt").exists()
+
 
 class TestCalibrate:
     def test_holee_series(self, runner, inputs, tmp_path):

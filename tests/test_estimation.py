@@ -7,7 +7,13 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 from curveforge.curve import flat_curve
-from curveforge.errors import BoundaryError, DegenerateStepError, OrderingError
+from curveforge.errors import (
+    BoundaryError,
+    CurveforgeError,
+    DegenerateStepError,
+    OrderingError,
+    PanelShapeError,
+)
 from curveforge.estimation import (
     _ML_MODELS,
     FitConfig,
@@ -480,6 +486,32 @@ class TestFitMl:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             FitConfig(restarts=0)
+
+    def test_instrument_count_must_match_the_factor_count(
+        self, vas_panel_weekly, g2_panel, steep_curve
+    ):
+        two = synth_panel(
+            "vasicek", VAS, weekly_schedule(30),
+            [("Z1", dt.date(2044, 1, 4)), ("Z2", dt.date(2054, 1, 4))], seed=6,
+        )
+        three = PricePanel(
+            observations=[(d, {**q, "XXL": 0.9 * q["XL"]}) for d, q in g2_panel.observations],
+            instruments=g2_panel.instruments + [("XXL", dt.date(2061, 1, 4))],
+        )
+        calls = [
+            (lambda: fit_ml("vasicek", two), "exactly 1 instrument(s), got 2"),
+            (lambda: loglik_vasicek(VAS, two), "exactly 1 instrument(s), got 2"),
+            (lambda: fit_ml("g2pp", three, curve=steep_curve), "exactly 2 instrument(s), got 3"),
+            (lambda: loglik_g2pp(G2, steep_curve, three), "exactly 2 instrument(s), got 3"),
+            (lambda: fit_ml("g2pp", vas_panel_weekly, curve=steep_curve),
+             "exactly 2 instrument(s), got 1"),
+        ]
+        for call, text in calls:
+            with pytest.raises(PanelShapeError) as info:
+                call()
+            assert isinstance(info.value, CurveforgeError)
+            assert isinstance(info.value, ValueError)
+            assert text in str(info.value)
 
     def test_states_series_carries_dates(self, vas_panel_weekly):
         fit = fit_ml("vasicek", vas_panel_weekly, config=FitConfig(restarts=1))
