@@ -47,6 +47,8 @@ _DEFAULT_PARAMS = {
     "hullwhite": HullWhiteParams(a=0.0813, sigma=0.0215),
 }
 _DEFAULT_CURVE_RATE = 0.04
+# a simulation seed keys a uint64 Philox stream
+_SIM_SEED = click.IntRange(0, 2**64 - 1)
 RUN_LOG_NAME = "run_log.jsonl"
 
 
@@ -187,8 +189,8 @@ def bootstrap(ctx, bonds, quotes, clean, flat_extrapolation):
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--negotiated-only", is_flag=True,
               help="Drop dates not flagged as negotiated before fitting.")
-@click.option("--restarts", type=int, default=16, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=16, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.pass_context
 @domain_errors
 def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
@@ -419,10 +421,11 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--maturity", type=float, default=3.0, show_default=True)
-@click.option("--paths", "n_paths", type=int, default=100_000, show_default=True)
-@click.option("--step", type=float, default=1.0 / 252.0,
-              help="Simulation step in years [default: 1/252].")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--paths", "n_paths", type=click.IntRange(min=2), default=100_000,
+              show_default=True)
+@click.option("--step", type=click.FloatRange(min=0.0, min_open=True),
+              default=1.0 / 252.0, help="Simulation step in years [default: 1/252].")
+@click.option("--seed", type=_SIM_SEED, default=0, show_default=True)
 @click.pass_context
 @domain_errors
 def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
@@ -484,7 +487,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 @click.option("--gap-days", type=int, default=7, show_default=True)
 @click.option("--maturity", "maturities", type=float, multiple=True,
               help="Instrument maturity in years from start (repeatable).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=_SIM_SEED, default=0, show_default=True)
 @click.pass_context
 @domain_errors
 def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,

@@ -37,7 +37,9 @@ from .shortrate import (
 )
 
 MIN_STEPS_PER_HORIZON = 50
-_BLOCK_ELEMENTS = 2**24  # ~16M doubles per normals block keeps memory modest
+# 2^24 doubles (128 MiB) per normals block; normal_block inverts its uniforms
+# in place, so one block is resident per call
+_BLOCK_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True)

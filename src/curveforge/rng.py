@@ -2,9 +2,11 @@
 
 Streams are counter-based (Philox) and keyed per path: path i of a run with
 master seed s draws from the stream keyed (s, i), so its draws never depend
-on how many paths are requested or in which order blocks execute.  Normals
-come from the inverse CDF applied to uniforms, which is bit-stable across
-platforms, unlike rejection samplers.
+on how many paths are requested or in which order blocks execute.  A
+Philox stream is a function of its key and counter alone, so a block of
+paths re-keys one bit generator per row instead of building one per path.
+Normals come from the inverse CDF applied to uniforms, which is bit-stable
+across platforms, unlike rejection samplers.
 """
 
 from __future__ import annotations
@@ -28,17 +30,26 @@ def standard_normals(gen: Generator, n: int) -> np.ndarray:
     """n standard normals via the inverse CDF."""
     u = gen.random(n)
     np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)
 
 
 def normal_block(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.ndarray:
     """(n_paths, n_draws) normals; row i belongs to path first_path + i.
 
-    Rows are generated from their own keyed streams, so the block
-    decomposition is invisible in the output.
+    Each row is drawn from its own keyed stream, so the block decomposition
+    is invisible in the output.  One bit generator serves the whole block:
+    before each row it gets that row's key and a fresh state (counter 0,
+    empty buffer), which is exactly the state a new Philox(key) starts in.
+    The uniforms are inverted in place, so only the returned block is held.
     """
+    gen = path_generator(seed, first_path)
+    bitgen = gen.bit_generator
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     u = np.empty((n_paths, n_draws))
     for i in range(n_paths):
-        u[i] = path_generator(seed, first_path + i).random(n_draws)
+        key[1] = first_path + i
+        bitgen.state = fresh
+        gen.random(out=u[i])
     np.maximum(u, _U_FLOOR, out=u)
-    return ndtri(u)
+    return ndtri(u, out=u)

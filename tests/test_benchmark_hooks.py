@@ -6,7 +6,10 @@ import contextlib
 import datetime as dt
 import importlib
 import io
+import math
 from pathlib import Path
+
+import pytest
 
 import curveforge
 import curveforge.cli
@@ -81,3 +84,26 @@ def test_traced_calibrate_counts_objective_price_and_curve_calls(monkeypatch, tm
                  "hjm.holee_price", "curve.log_discount", "curve.forward"):
         assert tracer.calls[name] > 0, name
     assert tracer.calls["hjm.holee_price"] == tracer.calls["calibration.ls_objective"]
+
+
+@pytest.mark.parametrize("model, factors", [("vasicek", 1), ("g2pp", 2)])
+def test_traced_oracle_counts_every_normal(monkeypatch, tmp_path, model, factors):
+    """The oracle workload's rng counters must move: mc_zero_price draws its
+    normals through montecarlo's normal_block, one per path, step and
+    factor."""
+    n_paths, maturity, step = 600, 3.0, 1.0 / 252.0
+    tracer = new_tracer(monkeypatch)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            curveforge.cli.main(
+                ["--output-dir", str(tmp_path), "oracle", "--model", model,
+                 "--paths", str(n_paths)],
+                standalone_mode=False,
+            )
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["montecarlo.mc_zero_price"] == 1
+    assert tracer.calls["rng.normal_block"] > 0
+    n_steps = math.ceil(maturity / step)
+    assert tracer.count["montecarlo.path_steps"] == n_paths * n_steps
+    assert tracer.count["rng.normals"] == n_paths * n_steps * factors

@@ -401,6 +401,57 @@ class TestSynth:
         assert result.exit_code == 2
 
 
+class TestArgumentRanges:
+    """Out-of-range numbers are usage errors (exit 2) that name the option,
+    caught before any work starts."""
+
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["oracle", "--model", "vasicek", "--paths", "1"], "--paths"),
+            (["oracle", "--model", "vasicek", "--step", "0"], "--step"),
+            (["oracle", "--model", "vasicek", "--step", "-0.01"], "--step"),
+            (["oracle", "--model", "vasicek", "--seed", "-1"], "--seed"),
+            # one past the largest uint64 Philox key word
+            (["oracle", "--model", "vasicek", "--seed", str(2**64)], "--seed"),
+            (["synth", "--model", "vasicek", "--seed", "-1"], "--seed"),
+            (["synth", "--model", "vasicek", "--seed", str(2**64)], "--seed"),
+            (["fit-ml", "--model", "vasicek", "--restarts", "0"], "--restarts"),
+            (["fit-ml", "--model", "vasicek", "--seed", "-2"], "--seed"),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, runner, inputs, tmp_path, args, option):
+        if args[0] == "fit-ml":
+            args = [*args, "--panel", str(inputs / "panel.csv")]
+        result = runner.invoke(main, ["--output-dir", str(tmp_path), *args])
+        assert result.exit_code == 2, result.output
+        assert option in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    def test_config_value_is_range_checked(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_paths=1\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(cfg), "--output-dir", str(tmp_path), "oracle",
+             "--model", "vasicek"],
+        )
+        assert result.exit_code == 2
+        assert "--paths" in result.output
+
+    def test_largest_seed_runs(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "oracle", "--model", "vasicek",
+             "--maturity", "1.0", "--paths", "10", "--step", "0.02",
+             "--seed", str(2**64 - 1)],
+        )
+        assert result.exit_code == 0, result.output
+        (entry,) = read_log(tmp_path)
+        assert entry["seed"] == 2**64 - 1
+
+
 class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, runner, inputs, tmp_path):
         cfg = tmp_path / "run.cfg"
