@@ -140,19 +140,23 @@ def check_monotone(prices: list[tuple[float, float]]) -> ArbitrageReport:
     """Audit an ordered (maturity, price) list for price inversions.
 
     Reports every pair — adjacent or not — where the longer maturity is
-    priced strictly above the shorter one.  The report is empty exactly
-    when prices are non-increasing in maturity.
+    priced strictly above the shorter one, in row-major (shorter, longer)
+    order.  One comparison of all prices against all prices finds the
+    pairs.  The report is empty exactly when prices are non-increasing in
+    maturity.
     """
-    taus = [tau for tau, _ in prices]
-    if any(hi <= lo for lo, hi in zip(taus, taus[1:])):
+    table = np.asarray(prices, dtype=float).reshape(-1, 2)
+    taus, values = table[:, 0], table[:, 1]
+    if np.any(taus[1:] <= taus[:-1]):
         raise OrderingError("maturities must be strictly increasing")
-    if any(p <= 0 for _, p in prices):
+    if np.any(values <= 0):
         raise ValueError("prices must be positive")
+    lo, hi = np.nonzero(np.triu(values[None, :] > values[:, None], 1))
+    # the pairs share the n maturity and price floats rather than copying them
+    tau, price = taus.tolist(), values.tolist()
     violations = [
-        (prices[i][0], prices[j][0], prices[i][1], prices[j][1])
-        for i in range(len(prices))
-        for j in range(i + 1, len(prices))
-        if prices[j][1] > prices[i][1]
+        (tau[i], tau[j], price[i], price[j])
+        for i, j in zip(lo.tolist(), hi.tolist())
     ]
     return ArbitrageReport(violations=violations)
 
@@ -170,37 +174,41 @@ def scan_derivative_signs(
     Audits the model prices at the scanned maturities for inversions and
     bisects each bracketing interval of the derivative to locate the
     crossing; both results land in one report.  The scan prices and
-    differentiates all maturities in one call each; bisection is scalar.
+    differentiates all maturities in one call each, and every bisection
+    step differentiates the midpoints of all open brackets in one call, so
+    an audit makes at most 1 + _BISECT_STEPS derivative calls.  A grid
+    point where the derivative is exactly zero is a crossing itself.
     """
     if tau_hi <= tau_lo:
         raise OrderingError("scan interval is empty")
     taus = np.linspace(tau_lo, tau_hi, n_points)
     maturities = state.t + taus
     derivs = g2pp_dPdT(params, curve, state, maturities)
-    crossings = []
-    for i in range(len(maturities) - 1):
-        d0, d1 = derivs[i], derivs[i + 1]
-        if d0 == 0.0:
-            crossings.append(float(maturities[i]))
-            continue
-        if d0 * d1 < 0.0:
-            lo, hi, dlo = maturities[i], maturities[i + 1], d0
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (lo + hi)
-                dm = g2pp_dPdT(params, curve, state, mid)
-                if dm == 0.0:
-                    lo = hi = mid
-                    break
-                if (dm > 0) == (dlo > 0):
-                    lo, dlo = mid, dm
-                else:
-                    hi = mid
-            crossings.append(0.5 * (lo + hi))
+    d0, d1 = derivs[:-1], derivs[1:]
+    bracket = np.flatnonzero(d0 * d1 < 0.0)
+    lo, hi, dlo = maturities[bracket], maturities[bracket + 1], d0[bracket]
+    active = np.ones(bracket.size, dtype=bool)
+    for _ in range(_BISECT_STEPS):
+        if not active.any():
+            break
+        rows = np.flatnonzero(active)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        dm = g2pp_dPdT(params, curve, state, mid)
+        # an exact zero closes its bracket at the midpoint
+        zero = dm == 0.0
+        same = ~zero & ((dm > 0) == (dlo[rows] > 0))
+        lo[rows[zero | same]] = mid[zero | same]
+        dlo[rows[same]] = dm[same]
+        hi[rows[~same]] = mid[~same]
+        active[rows[zero]] = False
+    crossings = maturities[:-1].copy()
+    crossings[bracket] = 0.5 * (lo + hi)
+    found = d0 == 0.0
+    found[bracket] = True
     prices = g2pp_price(params, curve, state, maturities)
-    monotone = check_monotone(list(zip(taus.tolist(), prices.tolist())))
-    return ArbitrageReport(
-        violations=monotone.violations, derivative_sign_changes=crossings
-    )
+    report = check_monotone(np.column_stack((taus, prices)))
+    report.derivative_sign_changes = crossings[found].tolist()
+    return report
 
 
 def find_increasing_price_state(

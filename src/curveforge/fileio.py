@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
 import os
 import tempfile
@@ -368,16 +369,13 @@ def ingest_bond_quotes(
 
 
 def write_surface(path: str | os.PathLike, surface: PriceSurface) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(("date",) + tuple(_tenor_label(t) for t in surface.maturities))
-    for i, date in enumerate(surface.dates):
+    lines = [",".join(("date",) + tuple(_tenor_label(t) for t in surface.maturities))]
+    for date, row in zip(surface.dates, surface.values.tolist()):
         label = date.isoformat() if isinstance(date, dt.date) else _fmt(date)
-        cells = [
-            "" if not math.isfinite(v) else _fmt(v) for v in surface.values[i]
-        ]
-        writer.writerow([label] + cells)
-    atomic_write_text(path, out.getvalue())
+        cells = [repr(v) if math.isfinite(v) else "" for v in row]
+        lines.append(",".join([label, *cells]))
+    # csv.writer ends every row with \r\n
+    atomic_write_text(path, "\r\n".join(lines) + "\r\n")
 
 
 def ingest_surface(path: str | os.PathLike) -> PriceSurface:
@@ -409,13 +407,31 @@ def ingest_surface(path: str | os.PathLike) -> PriceSurface:
     )
 
 
+def _join_violations(report: ArbitrageReport, seps: tuple[str, ...]) -> str:
+    """Every violation as seps[0] T_low seps[1] T_high seps[2] P_low
+    seps[3] P_high seps[4], the fields written with _fmt, rows joined.
+
+    Every field is one of a few floats (an audit of n maturities has at
+    most 2n), so each distinct float is formatted once and the rows are
+    gathered by index.  Floats are told apart by bit pattern: -0.0 and 0.0
+    keep their own repr.
+    """
+    n = len(report.violations)
+    values = np.fromiter(
+        itertools.chain.from_iterable(report.violations), dtype=float
+    ).reshape(n, 4)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    parts = np.empty((n, 9), dtype=object)
+    parts[:, 0::2] = np.array(seps, dtype=object)
+    parts[:, 1::2] = text[index.reshape(n, 4)]
+    return "".join(parts.ravel().tolist())
+
+
 def write_arbitrage(path: str | os.PathLike, report: ArbitrageReport) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(ARBITRAGE_COLUMNS)
-    for t_lo, t_hi, p_lo, p_hi in report.violations:
-        writer.writerow([_fmt(t_lo), _fmt(t_hi), _fmt(p_lo), _fmt(p_hi)])
-    atomic_write_text(path, out.getvalue())
+    header = ",".join(ARBITRAGE_COLUMNS) + "\r\n"
+    rows = _join_violations(report, ("", ",", ",", ",", "\r\n"))
+    atomic_write_text(path, header + rows)
 
 
 def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
@@ -436,17 +452,12 @@ def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
 
 def render_arbitrage_text(report: ArbitrageReport) -> str:
     """Human-readable, line-oriented rendering of an arbitrage report."""
-    lines = []
-    for t_lo, t_hi, p_lo, p_hi in report.violations:
-        lines.append(
-            f"VIOLATION maturity {_fmt(t_lo)} -> {_fmt(t_hi)}: "
-            f"price rises {_fmt(p_lo)} -> {_fmt(p_hi)}"
-        )
+    text = _join_violations(
+        report, ("VIOLATION maturity ", " -> ", ": price rises ", " -> ", "\n")
+    )
     for T in report.derivative_sign_changes:
-        lines.append(f"DERIVATIVE SIGN CHANGE at T={_fmt(T)}")
-    if not lines:
-        lines.append("CLEAN no static-arbitrage violations found")
-    return "\n".join(lines) + "\n"
+        text += f"DERIVATIVE SIGN CHANGE at T={_fmt(T)}\n"
+    return text or "CLEAN no static-arbitrage violations found\n"
 
 
 # ---------------------------------------------------------------------------

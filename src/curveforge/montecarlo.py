@@ -58,7 +58,7 @@ class SimConfig:
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.horizon is not None and self.step > self.horizon:
-            raise ValueError(
+            raise ResolutionError(
                 f"step {self.step} exceeds horizon {self.horizon}"
             )
         if self.seed < 0:

@@ -9,6 +9,7 @@ import io
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import curveforge
@@ -17,7 +18,14 @@ import curveforge.estimation
 from curveforge import fileio
 from curveforge.curve import flat_curve
 from curveforge.daycount import year_fraction
+from curveforge.diagnostics import (
+    _BISECT_STEPS,
+    MATURITY_GRID,
+    find_increasing_price_state,
+)
+from curveforge.estimation import StateSeries
 from curveforge.hjm import HoLeeParams, holee_price
+from curveforge.shortrate import G2Params, G2State
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -107,3 +115,72 @@ def test_traced_oracle_counts_every_normal(monkeypatch, tmp_path, model, factors
     n_steps = math.ceil(maturity / step)
     assert tracer.count["montecarlo.path_steps"] == n_paths * n_steps
     assert tracer.count["rng.normals"] == n_paths * n_steps * factors
+
+
+def traced_command(monkeypatch, argv):
+    """Run one CLI command in-process under a fresh tracer; return it."""
+    tracer = new_tracer(monkeypatch)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            curveforge.cli.main(argv, standalone_mode=False)
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_traced_surface_and_audits_count_writes_and_derivative_calls(
+    monkeypatch, tmp_path
+):
+    """The surface workload's counters: one surface write per surface, two
+    writes per audit (the CSV and the text), and one derivative call for
+    the scan plus at most one per bisection step.  The CLI reaches every
+    writer through the fileio module, so replacing a module attribute sees
+    the call."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=50.0, n_pillars=50, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    fileio.params_to_file(tmp_path / "g2pp.params", "g2pp",
+                          G2Params(a=0.3, b=0.6, sigma=0.03, eta=0.02, rho=0.4))
+    weeks = 30
+    states = StateSeries(
+        times=np.arange(weeks) / 52.0,
+        values=np.column_stack((np.linspace(-0.01, 0.01, weeks), np.zeros(weeks))),
+        dates=[asof + dt.timedelta(weeks=k) for k in range(weeks)],
+    )
+    fileio.write_states(tmp_path / "states.csv", states)
+    tracer = traced_command(
+        monkeypatch,
+        ["--output-dir", str(tmp_path), "surface", "--model", "g2pp",
+         "--params", str(tmp_path / "g2pp.params"),
+         "--states", str(tmp_path / "states.csv"),
+         "--curve", str(tmp_path / "curve.csv")],
+    )
+    assert tracer.calls["fileio.write_surface"] == 1
+    assert tracer.count["fileio.write_calls"] == 1
+    assert tracer.count["diagnostics.cells"] == weeks * len(MATURITY_GRID)
+
+    rendered = []
+    render = fileio.render_arbitrage_text
+
+    def counted_render(report):
+        rendered.append(report)
+        return render(report)
+
+    monkeypatch.setattr(fileio, "render_arbitrage_text", counted_render)
+    inverting, _, _ = find_increasing_price_state(
+        curveforge.cli._DEFAULT_PARAMS["g2pp"], curve)
+    for j, state in enumerate((G2State(0.0, 0.0, 0.0), inverting)):
+        fileio.state_to_file(tmp_path / f"audit{j}.state", state)
+        tracer = traced_command(
+            monkeypatch,
+            ["--output-dir", str(tmp_path), "check-arbitrage", "--model", "g2pp",
+             "--state", str(tmp_path / f"audit{j}.state"),
+             "--curve", str(tmp_path / "curve.csv")],
+        )
+        assert tracer.calls["fileio.write_arbitrage"] == 1
+        assert tracer.count["fileio.write_calls"] == 2
+        assert len(rendered) == j + 1
+        assert 1 <= tracer.calls["diagnostics.g2pp_dPdT"] <= 1 + _BISECT_STEPS
+    # the inverting state has brackets to bisect, all in one call per step
+    assert rendered[-1].derivative_sign_changes
+    assert tracer.calls["diagnostics.g2pp_dPdT"] > 1

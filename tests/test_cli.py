@@ -351,6 +351,17 @@ class TestOracle:
         assert result.exit_code == 0
         assert (outdir / "oracle.txt").read_bytes() != base[0]
 
+    def test_step_beyond_maturity_is_domain_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "oracle", "--model", "vasicek",
+             "--step", "5", "--paths", "10"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: step 5.0 exceeds horizon 3.0" in result.output
+        assert not (tmp_path / "run_log.jsonl").exists()
+
 
 class TestSynth:
     def test_panel_roundtrip(self, runner, tmp_path):
