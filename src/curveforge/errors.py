@@ -48,8 +48,9 @@ class PriceRangeError(CurveforgeError, ValueError):
 
 
 class PanelShapeError(CurveforgeError, ValueError):
-    """A price panel has the wrong number of instruments for its model, or
-    too few observations to hold one transition."""
+    """A price panel has the wrong number of instruments for its model, too
+    few observations to hold one transition, no observations at all, or no
+    negotiated flags to filter on."""
 
 
 class OptimizationError(CurveforgeError, RuntimeError):

@@ -41,7 +41,7 @@ from .shortrate import (
     VasicekParams,
     affine_invert,
     factor_det,
-    g2pp_affine,
+    g2pp_variance_expm1,
     vasicek_affine,
 )
 
@@ -71,7 +71,7 @@ class PricePanel:
 
     def __post_init__(self):
         if not self.observations:
-            raise ValueError("panel has no observations")
+            raise PanelShapeError("panel has no observations")
         ids = [name for name, _ in self.instruments]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate instrument ids")
@@ -106,7 +106,12 @@ class PricePanel:
 
     @property
     def gaps(self) -> np.ndarray:
-        """Year fractions between consecutive observations."""
+        """Year fractions between consecutive observations.
+
+        These are float differences of the ACT/365 ``times``, so equal day
+        gaps need not give equal floats: a weekly panel's 7-day gaps come
+        out as several values a few ulps apart.
+        """
         return np.diff(self.times)
 
     def prices(self, instrument: str) -> np.ndarray:
@@ -127,8 +132,10 @@ class PricePanel:
     def filter_negotiated(self) -> "PricePanel":
         """Sub-panel of dates flagged as negotiated (traded) quotes."""
         if self.negotiated is None:
-            raise ValueError("panel carries no negotiated flags")
+            raise PanelShapeError("panel carries no negotiated flags")
         obs = [o for o, keep in zip(self.observations, self.negotiated) if keep]
+        if not obs:
+            raise PanelShapeError("no date of the panel is flagged as negotiated")
         return PricePanel(observations=obs, instruments=list(self.instruments))
 
 
@@ -180,16 +187,38 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class _PanelData:
-    """The parameter-free arrays of a panel observed through k instruments."""
+    """The parameter-free arrays of a panel observed through k instruments,
+    computed once per fit.
+
+    Gaps are float differences of ACT/365 times, so the equal 7-day gaps of
+    a weekly panel come out as a handful of distinct floats, not one (the
+    259 gaps of a 260-date weekly panel take 10 values).  The transition
+    moments are therefore taken once per distinct gap and gathered:
+    ``gaps[gap_index]`` are the consecutive gaps.  A model priced off a
+    curve also gets the panel's curve terms: ``market[j]`` is
+    log D(t + tau_j) - log D(t), and ``horizons`` the distinct values of
+    the stacked horizons [t, tau_1..k, t + tau_1..k], with
+    ``horizons[horizon_index]`` giving those rows back.
+    """
 
     times: np.ndarray
-    gaps: np.ndarray  # one entry when every gap is equal
+    gaps: np.ndarray  # the distinct gaps, ascending
+    gap_index: np.ndarray
     taus: list[np.ndarray]
     log_prices: list[np.ndarray]  # log(price / price_scale)
     price_product: np.ndarray  # product of the observed prices after date 0
+    market: list[np.ndarray] | None = None
+    horizons: np.ndarray | None = None
+    horizon_index: np.ndarray | None = None
 
     @classmethod
-    def of(cls, panel: PricePanel, factors: int, price_scale: float = 1.0):
+    def of(
+        cls,
+        panel: PricePanel,
+        factors: int,
+        price_scale: float = 1.0,
+        curve: DiscountCurve | None = None,
+    ):
         if len(panel.instruments) != factors:
             raise PanelShapeError(
                 f"the {factors}-factor likelihood needs exactly {factors} "
@@ -199,16 +228,30 @@ class _PanelData:
             raise PanelShapeError("need at least two observations")
         names = [name for name, _ in panel.instruments]
         prices = [panel.prices(name) for name in names]
-        gaps = panel.gaps
+        times = panel.times
+        taus = [panel.taus(name) for name in names]
+        gaps, gap_index = np.unique(np.diff(times), return_inverse=True)
         product = prices[0][1:]
         for p in prices[1:]:
             product = product * p[1:]
+        market = horizons = horizon_index = None
+        if curve is not None:
+            log_t = curve.log_discount(times)
+            maturities = [times + tau for tau in taus]
+            market = [curve.log_discount(T) - log_t for T in maturities]
+            stacked = np.stack([times, *taus, *maturities])
+            horizons, horizon_index = np.unique(stacked.ravel(), return_inverse=True)
+            horizon_index = horizon_index.reshape(stacked.shape)
         return cls(
-            times=panel.times,
-            gaps=gaps[:1] if np.all(gaps == gaps[0]) else gaps,
-            taus=[panel.taus(name) for name in names],
+            times=times,
+            gaps=gaps,
+            gap_index=gap_index,
+            taus=taus,
             log_prices=[np.log(p) - math.log(price_scale) for p in prices],
             price_product=product,
+            market=market,
+            horizons=horizons,
+            horizon_index=horizon_index,
         )
 
 
@@ -254,39 +297,68 @@ class _MLModel:
     needs_curve: bool
     from_theta: Callable[[np.ndarray], object]
     moment_guess: Callable[[PricePanel], np.ndarray]
-    # (params, curve, times, taus) -> intercepts alpha[j], loadings beta[j][i]
+    # (params, panel data) -> intercepts alpha[j], loadings beta[j][i]
     affine: Callable
     # (params, gaps) -> decay[i], drift[i] or None, covariance[i][j]
     gap_moments: Callable
 
 
-def _states(model: _MLModel, params, curve, data: _PanelData):
+def _panel_data(spec: _MLModel, panel: PricePanel, curve, price_scale: float = 1.0):
+    """The panel's parameter-free terms, with its curve terms when the model
+    is priced off a curve (a curve too short for the panel fails here)."""
+    return _PanelData.of(
+        panel, spec.factors, price_scale, curve if spec.needs_curve else None
+    )
+
+
+def _g2pp_panel_affine(p: G2Params, data: _PanelData):
+    """alpha_j and beta_j = [B_a(tau_j), B_b(tau_j)] of both instruments at
+    every date, from one variance call over the distinct horizons.
+
+    alpha_j = market_j + 0.5 (V(tau_j) - V(t + tau_j) + V(t)): V(t, T)
+    depends on T - t only, and every V is V(0, .) of one horizon.
+    """
+    v, ea, eb = g2pp_variance_expm1(p, data.horizons)
+    rows = data.horizon_index
+    k = len(data.taus)
+    v_t = v[rows[0]]
+    alpha, beta = [], []
+    for j, market in enumerate(data.market):
+        tau, T = rows[1 + j], rows[1 + k + j]
+        alpha.append(market + 0.5 * (v[tau] - v[T] + v_t))
+        beta.append([-ea[tau] / p.a, -eb[tau] / p.b])
+    return alpha, beta
+
+
+def _states(model: _MLModel, params, data: _PanelData):
     """Exact factor series X[i] and det beta at every date."""
-    alpha, beta = model.affine(params, curve, data.times, data.taus)
+    alpha, beta = model.affine(params, data)
     return affine_invert(alpha, beta, data.log_prices)
 
 
-def _loglik(model: _MLModel, params, curve, data: _PanelData):
+def _loglik(model: _MLModel, params, data: _PanelData):
     """Exact log-likelihood of the panel and its factor series.
 
     The first date is conditioned on; every later date adds the Gaussian
     transition density of the states over its gap minus the log-Jacobian
-    log(P_1 ... P_k |det beta|) of the price map.
+    log(P_1 ... P_k |det beta|) of the price map.  The transition moments
+    are computed on the distinct gaps and gathered date by date.
     """
-    X, det = _states(model, params, curve, data)
+    X, det = _states(model, params, data)
     decay, drift, cov = model.gap_moments(params, data.gaps)
+    at = data.gap_index
     resid = []
     for i, x in enumerate(X):
-        mean = x[:-1] * decay[i]
-        resid.append(x[1:] - (mean if drift is None else mean + drift[i]))
-    density = _gaussian_logpdf(resid, cov)
+        mean = x[:-1] * decay[i][at]
+        resid.append(x[1:] - (mean if drift is None else mean + drift[i][at]))
+    density = _gaussian_logpdf(resid, [[c[at] for c in row] for row in cov])
     jacobian = np.log(data.price_product * np.abs(det[1:]))
     return float(np.sum(density) - np.sum(jacobian)), X
 
 
 def _panel_loglik(model: str, params, curve, panel: PricePanel, price_scale: float):
     spec = _ML_MODELS[model]
-    return _loglik(spec, params, curve, _PanelData.of(panel, spec.factors, price_scale))[0]
+    return _loglik(spec, params, _panel_data(spec, panel, curve, price_scale))[0]
 
 
 def loglik_vasicek(
@@ -402,7 +474,7 @@ def fit_ml(
         raise ValueError(f"unknown model {model!r}")
     if spec.needs_curve and curve is None:
         raise ValueError(f"the {model} fit needs the market curve")
-    data = _PanelData.of(panel, spec.factors)
+    data = _panel_data(spec, panel, curve)
     guess = spec.moment_guess(panel)
     from_theta = spec.from_theta
 
@@ -411,7 +483,7 @@ def fit_ml(
             return np.inf
         p = from_theta(theta)
         try:
-            ll, _ = _loglik(spec, p, curve, data)
+            ll, _ = _loglik(spec, p, data)
         except (ValueError, FloatingPointError, OverflowError):
             return np.inf
         return -ll if math.isfinite(ll) else np.inf
@@ -452,7 +524,7 @@ def fit_ml(
     boundary = bool(np.max(np.abs(theta_best)) > _THETA_BOX - _BOUNDARY_MARGIN)
     params = from_theta(theta_best)
 
-    X, _ = _states(spec, params, curve, data)
+    X, _ = _states(spec, params, data)
     states = StateSeries(
         times=data.times,
         values=X[0] if len(X) == 1 else np.column_stack(X),
@@ -474,7 +546,7 @@ _ML_MODELS = {
         needs_curve=False,
         from_theta=_vasicek_from_theta,
         moment_guess=_moment_guess_vasicek,
-        affine=lambda p, curve, times, taus: vasicek_affine(p, taus),
+        affine=lambda p, data: vasicek_affine(p, data.taus),
         gap_moments=_vasicek_gap_moments,
     ),
     "g2pp": _MLModel(
@@ -482,7 +554,7 @@ _ML_MODELS = {
         needs_curve=True,
         from_theta=_g2pp_from_theta,
         moment_guess=_moment_guess_g2pp,
-        affine=g2pp_affine,
+        affine=_g2pp_panel_affine,
         gap_moments=_g2pp_gap_moments,
     ),
 }

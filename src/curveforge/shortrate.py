@@ -181,8 +181,19 @@ def g2pp_variance(params: G2Params, t, T):
     T_arr = np.asarray(T, dtype=float)
     if np.any(T_arr < t_arr):
         raise OrderingError("maturity precedes valuation time")
+    out, _, _ = g2pp_variance_expm1(params, T_arr - t_arr)
+    return out if out.ndim else float(out)
+
+
+def g2pp_variance_expm1(params: G2Params, tau: np.ndarray):
+    """V(0, tau) over an array of horizons tau >= 0, with the
+    expm1(-a tau) and expm1(-b tau) it is built from.
+
+    The loadings at the same horizons are -expm1(-a tau) / a and
+    -expm1(-b tau) / b, bit for bit what ``decay_loading`` computes, so a
+    caller that needs both pays for each exponential once.
+    """
     a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
-    tau = T_arr - t_arr
 
     ea = np.expm1(-a * tau)          # exp(-a tau) - 1
     e2a = np.expm1(-2.0 * a * tau)
@@ -196,8 +207,7 @@ def g2pp_variance(params: G2Params, t, T):
         2.0 * rho * sigma * eta / (a * b)
         * (tau + ea / a + eb / b - eab / (a + b))
     )
-    out = term_x + term_y + term_xy
-    return out if out.ndim else float(out)
+    return term_x + term_y + term_xy, ea, eb
 
 
 def g2pp_log_price(

@@ -25,6 +25,7 @@ from curveforge.diagnostics import (
 )
 from curveforge.estimation import StateSeries
 from curveforge.hjm import HoLeeParams, holee_price
+from curveforge.montecarlo import synth_panel
 from curveforge.shortrate import G2Params, G2State
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
@@ -184,3 +185,34 @@ def test_traced_surface_and_audits_count_writes_and_derivative_calls(
     # the inverting state has brackets to bisect, all in one call per step
     assert rendered[-1].derivative_sign_changes
     assert tracer.calls["diagnostics.g2pp_dPdT"] > 1
+
+
+def test_traced_fit_looks_the_curve_up_once_per_fit(monkeypatch, tmp_path):
+    """The fit workload's curve counters must move, and only per fit: the
+    two-factor likelihood takes its curve terms (log D at the dates and at
+    both maturities) once per panel, so the lookups do not grow with the
+    number of likelihood evaluations."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    panel = synth_panel(
+        "g2pp", G2Params(a=0.3, b=0.6, sigma=0.03, eta=0.02, rho=0.4),
+        [asof + dt.timedelta(weeks=k) for k in range(20)],
+        [("12Y", dt.date(2025, 1, 6)), ("20Y", dt.date(2033, 1, 3))],
+        curve=curve, seed=0,
+    )
+    fileio.write_panel(tmp_path / "panel.csv", panel)
+    seen = []
+    for restarts in (1, 2):
+        tracer = traced_command(
+            monkeypatch,
+            ["--output-dir", str(tmp_path), "fit-ml", "--model", "g2pp",
+             "--panel", str(tmp_path / "panel.csv"),
+             "--curve", str(tmp_path / "curve.csv"), "--restarts", str(restarts)],
+        )
+        assert tracer.calls["estimation.fit_ml"] == 1
+        seen.append((tracer.count["estimation.nfev"], tracer._layer_calls("curve")))
+    (nfev_1, curve_1), (nfev_2, curve_2) = seen
+    assert 0 < nfev_1 < nfev_2
+    # one lookup at the observation dates and one per maturity
+    assert curve_1 == curve_2 == 3

@@ -201,6 +201,49 @@ class TestFitMl:
         assert "exactly 1 instrument(s), got 2" in result.output
         assert not (tmp_path / "fit_params.txt").exists()
 
+    def test_curve_shorter_than_the_panel_fails_at_once(self, runner, tmp_path):
+        # the panel's bonds mature 12 and 20 years out; the curve stops at 10
+        schedule = [ASOF + dt.timedelta(weeks=k) for k in range(30)]
+        instruments = [("B12", dt.date(2025, 1, 6)), ("B20", dt.date(2033, 1, 3))]
+        params = G2Params(a=0.3, b=0.6, sigma=0.03, eta=0.02, rho=0.4)
+        long_curve = flat_curve(0.04, span=30.0, asof=ASOF)
+        panel = synth_panel("g2pp", params, schedule, instruments, curve=long_curve, seed=2)
+        fileio.write_panel(tmp_path / "g2.csv", panel)
+        fileio.write_curve(tmp_path / "short.csv", flat_curve(0.04, span=10.0, asof=ASOF))
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "fit-ml", "--model", "g2pp",
+             "--panel", str(tmp_path / "g2.csv"), "--curve", str(tmp_path / "short.csv"),
+             "--restarts", "2"],
+        )
+        assert result.exit_code == 1
+        assert "beyond curve span 10" in result.output
+        assert not (tmp_path / "fit_params.txt").exists()
+
+    def test_negotiated_only_without_flags_is_domain_error(self, runner, inputs, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "fit-ml", "--model", "vasicek",
+             "--panel", str(inputs / "panel.csv"), "--negotiated-only"],
+        )
+        assert result.exit_code == 1
+        assert "Error: panel carries no negotiated flags" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_negotiated_only_with_no_flagged_date_is_domain_error(self, runner, tmp_path):
+        schedule = [ASOF + dt.timedelta(weeks=k) for k in range(10)]
+        panel = synth_panel("vasicek", VAS, schedule, [("Z", dt.date(2056, 1, 4))], seed=3)
+        panel.negotiated = [False] * len(schedule)
+        fileio.write_panel(tmp_path / "unflagged.csv", panel)
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "fit-ml", "--model", "vasicek",
+             "--panel", str(tmp_path / "unflagged.csv"), "--negotiated-only"],
+        )
+        assert result.exit_code == 1
+        assert "Error: no date of the panel is flagged as negotiated" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 class TestCalibrate:
     def test_holee_series(self, runner, inputs, tmp_path):

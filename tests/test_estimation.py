@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+import curveforge.estimation
 from curveforge.curve import flat_curve
 from curveforge.errors import (
     BoundaryError,
     CurveforgeError,
     DegenerateStepError,
+    ExtrapolationError,
     OrderingError,
     PanelShapeError,
 )
@@ -202,11 +204,12 @@ class TestLoglikVasicek:
         # weekly gaps, once through one shared transition and once gap by gap
         gaps = vas_panel_weekly.gaps
         data = _PanelData.of(vas_panel_weekly, 1)
-        fast_data = dataclasses.replace(data, gaps=gaps[:1])
-        slow_data = dataclasses.replace(data, gaps=gaps)
+        shared = np.zeros(gaps.size, dtype=int)
+        fast_data = dataclasses.replace(data, gaps=gaps[:1], gap_index=shared)
+        slow_data = dataclasses.replace(data, gaps=gaps, gap_index=np.arange(gaps.size))
         model = _ML_MODELS["vasicek"]
-        fast, (r_fast,) = _loglik(model, VAS, None, fast_data)
-        slow, (r_slow,) = _loglik(model, VAS, None, slow_data)
+        fast, (r_fast,) = _loglik(model, VAS, fast_data)
+        slow, (r_slow,) = _loglik(model, VAS, slow_data)
         assert fast == pytest.approx(slow, rel=1e-13)
         np.testing.assert_array_equal(r_fast, r_slow)
 
@@ -240,7 +243,7 @@ class TestLoglikVasicek:
         from curveforge.montecarlo import simulate_ou
 
         (r,), _ = _states(
-            _ML_MODELS["vasicek"], VAS, None, _PanelData.of(vas_panel_weekly, 1)
+            _ML_MODELS["vasicek"], VAS, _PanelData.of(vas_panel_weekly, 1)
         )
         path = simulate_ou(
             VAS.a, VAS.b, VAS.sigma, VAS.b, vas_panel_weekly.times,
@@ -265,7 +268,6 @@ class TestLoglikVasicek:
             _loglik(
                 _ML_MODELS["vasicek"],
                 VasicekParams(a=1.0, b=0.05, sigma=1e-200),
-                None,
                 _PanelData.of(vas_panel_weekly, 1),
             )
 
@@ -517,3 +519,24 @@ class TestFitMl:
         fit = fit_ml("vasicek", vas_panel_weekly, config=FitConfig(restarts=1))
         assert fit.states.dates == vas_panel_weekly.dates
         assert isinstance(fit.states, StateSeries)
+
+    def test_curve_shorter_than_the_panel_fails_before_any_restart(
+        self, g2_panel, monkeypatch
+    ):
+        # the panel's bonds mature about 31 and 41 years out
+        def no_restart(*args, **kwargs):
+            raise AssertionError("fit_ml started a restart")
+
+        monkeypatch.setattr(curveforge.estimation, "minimize", no_restart)
+        short = flat_curve(0.08, span=25.0)
+        with pytest.raises(ExtrapolationError, match="beyond curve span 25"):
+            fit_ml("g2pp", g2_panel, curve=short)
+        with pytest.raises(ExtrapolationError, match="beyond curve span 25"):
+            loglik_g2pp(G2, short, g2_panel)
+        # a one-factor fit does not read the curve, so a short one is harmless
+        monkeypatch.undo()
+        vas = synth_panel(
+            "vasicek", VAS, weekly_schedule(30), [("Z", dt.date(2044, 1, 4))], seed=6
+        )
+        fit = fit_ml("vasicek", vas, curve=short, config=FitConfig(restarts=1))
+        assert math.isfinite(fit.loglik)

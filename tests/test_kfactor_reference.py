@@ -304,8 +304,8 @@ class TestLikelihoodAgainstReference:
                 gaps_kind == "uniform", 1.0 / scale,
             )
             assert loglik_g2pp(params, CURVE, panel, price_scale=1.0 / scale) == want
-            data = _PanelData.of(panel, 2, 1.0 / scale)
-            (gx, gy), _ = _states(_ML_MODELS["g2pp"], params, CURVE, data)
+            data = _PanelData.of(panel, 2, 1.0 / scale, CURVE)
+            (gx, gy), _ = _states(_ML_MODELS["g2pp"], params, data)
             np.testing.assert_array_equal(gx, x)
             np.testing.assert_array_equal(gy, y)
 
@@ -325,20 +325,21 @@ class TestLikelihoodAgainstReference:
             got = loglik_vasicek(p, panel, price_scale=1.0 / scale)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
             data = _PanelData.of(panel, 1, 1.0 / scale)
-            (got_r,), _ = _states(_ML_MODELS["vasicek"], p, None, data)
+            (got_r,), _ = _states(_ML_MODELS["vasicek"], p, data)
             np.testing.assert_array_equal(got_r, r)
 
     def test_one_transition_for_equal_gaps(self):
         assert _PanelData.of(_g2_panel("uniform"), 2).gaps.size == 1
         irregular = _g2_panel("irregular")
-        np.testing.assert_array_equal(_PanelData.of(irregular, 2).gaps, irregular.gaps)
+        data = _PanelData.of(irregular, 2)
+        np.testing.assert_array_equal(data.gaps[data.gap_index], irregular.gaps)
 
     def test_scalar_inversions_match_panel_states(self):
         from curveforge.shortrate import g2pp_invert_states, vasicek_invert_state
 
         panel = _g2_panel("irregular")
         (n1, _), (n2, _) = panel.instruments
-        (x, y), _ = _states(_ML_MODELS["g2pp"], README_G2, CURVE, _PanelData.of(panel, 2))
+        (x, y), _ = _states(_ML_MODELS["g2pp"], README_G2, _PanelData.of(panel, 2, curve=CURVE))
         for k, t in enumerate(panel.times.tolist()):
             tau1, tau2 = panel.taus(n1)[k], panel.taus(n2)[k]
             state = g2pp_invert_states(
@@ -348,7 +349,7 @@ class TestLikelihoodAgainstReference:
             assert state.x == pytest.approx(x[k], abs=1e-12)
             assert state.y == pytest.approx(y[k], abs=1e-12)
         vas = _vas_panel("irregular")
-        (r,), _ = _states(_ML_MODELS["vasicek"], FAST_VAS, None, _PanelData.of(vas, 1))
+        (r,), _ = _states(_ML_MODELS["vasicek"], FAST_VAS, _PanelData.of(vas, 1))
         for k, tau in enumerate(vas.taus("Z").tolist()):
             got = vasicek_invert_state(FAST_VAS, vas.prices("Z")[k], 0.0, tau)
             assert got == pytest.approx(r[k], abs=1e-12)
