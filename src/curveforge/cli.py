@@ -32,6 +32,7 @@ import numpy as np
 from . import fileio
 from .calibration import CrossSection, calibrate_series
 from .curve import DiscountCurve, build_initial_curve, flat_curve
+from .daycount import parse_date
 from .diagnostics import build_surface, check_monotone, scan_derivative_signs
 from .errors import CurveforgeError
 from .estimation import FitConfig, fit_ml
@@ -50,6 +51,18 @@ _DEFAULT_CURVE_RATE = 0.04
 # a simulation seed keys a uint64 Philox stream
 _SIM_SEED = click.IntRange(0, 2**64 - 1)
 RUN_LOG_NAME = "run_log.jsonl"
+
+
+class _Date(click.ParamType):
+    """An ISO ``YYYY-MM-DD`` date; anything else is a usage error."""
+
+    name = "date"
+
+    def convert(self, value, param, ctx):
+        try:
+            return parse_date(value)
+        except ValueError as exc:
+            self.fail(f"{value!r} is not a YYYY-MM-DD date: {exc}", param, ctx)
 
 
 def domain_errors(fn):
@@ -482,7 +495,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--state", "state_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--start", type=str, default="2010-01-04", show_default=True)
+@click.option("--start", type=_Date(), default="2010-01-04", show_default=True)
 @click.option("--n-obs", type=int, default=260, show_default=True)
 @click.option("--gap-days", type=int, default=7, show_default=True)
 @click.option("--maturity", "maturities", type=float, multiple=True,
@@ -500,12 +513,9 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
         raise click.UsageError("--n-obs must be at least 2")
     if gap_days < 1:
         raise click.UsageError("--gap-days must be at least 1")
-    start_date = dt.date.fromisoformat(start)
-    schedule = [
-        start_date + dt.timedelta(days=i * gap_days) for i in range(n_obs)
-    ]
+    schedule = [start + dt.timedelta(days=i * gap_days) for i in range(n_obs)]
     instruments = [
-        (f"Z{i + 1}", start_date + dt.timedelta(days=round(tau * 365.0)))
+        (f"Z{i + 1}", start + dt.timedelta(days=round(tau * 365.0)))
         for i, tau in enumerate(maturities)
     ]
     curve_data = fileio.ingest_curve(curve) if curve else None
@@ -524,7 +534,7 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
         ctx.obj["output_dir"],
         "synth",
         {"model": model, "params": params_path, "curve": curve,
-         "state": state_path, "start": start, "n_obs": n_obs,
+         "state": state_path, "start": start.isoformat(), "n_obs": n_obs,
          "gap_days": gap_days, "maturities": list(maturities), "seed": seed},
         seed,
         {"observations": len(panel.observations),

@@ -6,10 +6,16 @@ decimal-point numerics, locale-independent.  Floats are written with
 atomic: content goes to a temp file in the target directory and is renamed
 into place, so a crashed run never leaves a partial file at the final path.
 
+One reader parses every CSV schema: leading '# key=value' lines are
+metadata, blank records are skipped and a quoted field may span lines.  One
+IngestionError lists every offending line.  Params and state files accept
+only the fields of their class (and ``model`` in a params file).
+
 Schemas
 -------
 panel:          date,instrument_id,price,maturity[,negotiated]
-curve:          tau,discount_factor   (optional '# key=value' header lines)
+curve:          tau,discount_factor   (optional '# asof=YYYY-MM-DD' and
+                '# flat_extrapolation=true' lines)
 cross-section:  date,maturity_years,zero_price
 bonds:          id,face,coupon_rate,frequency,maturity[,first_coupon]
 bond quotes:    id,settlement,price
@@ -18,12 +24,14 @@ arbitrage:      tau_low,tau_high,p_low,p_high
 calibration:    date,param_name,value,objective,converged  (long format; a
                 failed date is one row with param_name=error, the message
                 in value, objective empty)
+states:         [date,]time,r  or  [date,]time,x,y
 params/state/config: key=value lines, '#' comments
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import io
 import itertools
@@ -39,7 +47,7 @@ from .curve import DiscountCurve
 from .daycount import parse_date
 from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface
 from .errors import IngestionError
-from .estimation import PricePanel
+from .estimation import PricePanel, StateSeries
 from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
 from .models import PARAM_TYPES, param_fields
 from .shortrate import G2State
@@ -51,6 +59,7 @@ BOND_COLUMNS = ("id", "face", "coupon_rate", "frequency", "maturity")
 QUOTE_COLUMNS = ("id", "settlement", "price")
 ARBITRAGE_COLUMNS = ("tau_low", "tau_high", "p_low", "p_high")
 CALIBRATION_COLUMNS = ("date", "param_name", "value", "objective", "converged")
+STATE_COLUMNS = (("time", "x", "y"), ("time", "r"))
 
 
 def _fmt(x: float) -> str:
@@ -83,46 +92,95 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def _read_rows(path: str | os.PathLike, columns: tuple[str, ...], optional=()):
-    """Parse a CSV file, yielding (line_number, row_dict) pairs.
+def _read_table(
+    path: str | os.PathLike, what: str, schema, group=None, allow_empty=False
+):
+    """Read a CSV file in one pass; return (meta, header, results).
 
-    Validates the header against ``columns`` plus any ``optional`` trailing
-    columns.  Leading '# key=value' lines are returned as metadata.
+    Leading '#' lines are metadata, key -> (line, value).  ``schema`` takes
+    the stripped header and returns the row function or raises ValueError.
+    Blank records are skipped; the others need one cell per column and go
+    to ``row(*stripped cells)``.  ``group(key, rests)`` then runs, if given,
+    on the results gathered by their first element, under the line of the
+    first.  Every ValueError is kept under the line where its record starts
+    and all are raised in one IngestionError; so is a file without data
+    records, unless ``allow_empty``.
     """
     with open(path, newline="") as handle:
-        raw_lines = handle.read().splitlines()
-    meta: dict[str, str] = {}
-    body_start = 0
-    for line in raw_lines:
-        if not line.startswith("#"):
-            break
-        body_start += 1
-        stripped = line.lstrip("#").strip()
-        if "=" in stripped:
-            key, _, value = stripped.partition("=")
-            meta[key.strip()] = value.strip()
-    body = raw_lines[body_start:]
-    if not body:
-        raise IngestionError("file has no header row", line=body_start + 1)
-    header = next(csv.reader([body[0]]))
-    header = [h.strip() for h in header]
-    allowed = list(columns) + [c for c in optional if c in header]
-    if header != allowed:
-        raise IngestionError(
-            f"header {header!r} does not match schema {allowed!r}",
-            line=body_start + 1,
-        )
-    rows = []
-    for offset, line in enumerate(body[1:], start=body_start + 2):
-        if not line.strip():
-            continue
-        cells = next(csv.reader([line]))
-        if len(cells) != len(header):
-            raise IngestionError(
-                f"expected {len(header)} cells, found {len(cells)}", line=offset
-            )
-        rows.append((offset, dict(zip(header, (c.strip() for c in cells)))))
-    return meta, header, rows
+        lines = handle.readlines()  # split at \r, \n and \r\n only, as csv does
+    meta: dict[str, tuple[int, str]] = {}
+    start = 0
+    while start < len(lines) and lines[start].startswith("#"):
+        key, eq, value = lines[start].lstrip("#").strip().partition("=")
+        start += 1
+        if eq:
+            meta[key.strip()] = (start, value.strip())
+    records = csv.reader(lines[start:])
+    problems: list[tuple[int, str]] = []
+    done: list[tuple[int, object]] = []
+
+    def attempt(lineno, fn, args):
+        try:
+            done.append((lineno, fn(*args)))
+        except ValueError as exc:
+            problems.append((lineno, str(exc)))
+
+    next_line = start + 1
+    try:
+        cells = next(records, None)
+        if cells is None:
+            raise IngestionError("file has no header row", line=next_line)
+        header = [cell.strip() for cell in cells]
+        try:
+            row = schema(header)
+        except ValueError as exc:
+            raise IngestionError(str(exc), line=next_line) from None
+        next_line = start + records.line_num + 1
+        for cells in records:
+            lineno, next_line = next_line, start + records.line_num + 1
+            if not cells or len(cells) == 1 and cells[0].isspace():
+                continue
+            if len(cells) != len(header):
+                raise IngestionError(
+                    f"expected {len(header)} cells, found {len(cells)}", line=lineno
+                )
+            attempt(lineno, row, map(str.strip, cells))
+    except csv.Error as exc:
+        raise IngestionError(str(exc), line=next_line) from exc
+    if group is not None:
+        gathered: dict[object, tuple[int, list]] = {}
+        for lineno, (key, *rest) in done:
+            gathered.setdefault(key, (lineno, []))[1].append(rest)
+        done.clear()
+        for key, (lineno, rests) in gathered.items():
+            attempt(lineno, group, (key, rests))
+    if problems:
+        raise IngestionError(f"{what} file rejected", lines=problems)
+    if not done and not allow_empty:
+        raise IngestionError(f"{what} file has no data rows")
+    return meta, header, [result for _, result in done]
+
+
+def _columns(columns: tuple[str, ...], row, optional=()):
+    """Schema for a header of ``columns`` followed by any of the
+    ``optional`` trailing columns, each record read by ``row``."""
+
+    def schema(header):
+        allowed = list(columns) + [c for c in optional if c in header]
+        if header != allowed:
+            raise ValueError(f"header {header!r} does not match schema {allowed!r}")
+        return row
+
+    return schema
+
+
+def _build(cls, **fields):
+    """``cls(**fields)``, a ValueError from its checks raised as an
+    IngestionError."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise IngestionError(str(exc)) from exc
 
 
 def _parse_float(text: str, what: str) -> float:
@@ -154,48 +212,39 @@ def ingest_panel(path: str | os.PathLike) -> PricePanel:
     All malformed rows are collected and reported together, each with its
     line number, rather than stopping at the first.
     """
-    _, header, rows = _read_rows(path, PANEL_COLUMNS, optional=("negotiated",))
-    has_flag = "negotiated" in header
-    problems: list[tuple[int, str]] = []
     maturities: dict[str, dt.date] = {}
     by_date: dict[dt.date, dict[str, float]] = {}
     flags: dict[dt.date, bool] = {}
-    for lineno, row in rows:
-        try:
-            date = parse_date(row["date"])
-            name = row["instrument_id"]
-            if not name:
-                raise ValueError("empty instrument_id")
-            price = _parse_float(row["price"], "price")
-            if not 0.0 < price <= 1.0:
-                raise ValueError(f"price {price} outside (0, 1]")
-            maturity = parse_date(row["maturity"])
-            if maturity <= date:
-                raise ValueError(f"maturity {maturity} not after quote date {date}")
-            if name in maturities and maturities[name] != maturity:
-                raise ValueError(
-                    f"instrument {name!r} maturity {maturity} conflicts with "
-                    f"earlier {maturities[name]}"
-                )
-            if name in by_date.get(date, {}):
-                raise ValueError(f"duplicate quote for {name!r} on {date}")
-            if has_flag:
-                flag = _parse_flag(row["negotiated"])
-                if date in flags and flags[date] != flag:
-                    raise ValueError(f"conflicting negotiated flags on {date}")
-                flags[date] = flag
-            maturities.setdefault(name, maturity)
-            by_date.setdefault(date, {})[name] = price
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("panel file rejected", lines=problems)
-    if not by_date:
-        raise IngestionError("panel file has no data rows")
+
+    def row(date, name, price, maturity, *negotiated):
+        date = parse_date(date)
+        if not name:
+            raise ValueError("empty instrument_id")
+        price = _parse_float(price, "price")
+        if not 0.0 < price <= 1.0:
+            raise ValueError(f"price {price} outside (0, 1]")
+        maturity = parse_date(maturity)
+        if maturity <= date:
+            raise ValueError(f"maturity {maturity} not after quote date {date}")
+        if name in maturities and maturities[name] != maturity:
+            raise ValueError(
+                f"instrument {name!r} maturity {maturity} conflicts with "
+                f"earlier {maturities[name]}"
+            )
+        if name in by_date.get(date, {}):
+            raise ValueError(f"duplicate quote for {name!r} on {date}")
+        if negotiated:
+            flag = _parse_flag(negotiated[0])
+            if flags.setdefault(date, flag) != flag:
+                raise ValueError(f"conflicting negotiated flags on {date}")
+        maturities.setdefault(name, maturity)
+        by_date.setdefault(date, {})[name] = price
+
+    _read_table(path, "panel", _columns(PANEL_COLUMNS, row, ("negotiated",)))
     dates = sorted(by_date)
     observations = [(d, by_date[d]) for d in dates]
     instruments = sorted(maturities.items())
-    negotiated = [flags[d] for d in dates] if has_flag else None
+    negotiated = [flags[d] for d in dates] if flags else None
     return PricePanel(
         observations=observations, instruments=instruments, negotiated=negotiated
     )
@@ -227,27 +276,22 @@ def write_panel(path: str | os.PathLike, panel: PricePanel) -> None:
 # discount curves
 
 
+def _pillar(tau, discount_factor):
+    return _parse_float(tau, "tau"), _parse_float(discount_factor, "discount factor")
+
+
 def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
-    meta, _, rows = _read_rows(path, CURVE_COLUMNS)
-    problems: list[tuple[int, str]] = []
-    pillars: list[tuple[float, float]] = []
-    for lineno, row in rows:
-        try:
-            tau = _parse_float(row["tau"], "tau")
-            df = _parse_float(row["discount_factor"], "discount factor")
-            pillars.append((tau, df))
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("curve file rejected", lines=problems)
-    asof = parse_date(meta["asof"]) if "asof" in meta else None
-    flat = _parse_flag(meta["flat_extrapolation"]) if "flat_extrapolation" in meta else False
-    try:
-        return DiscountCurve(
-            pillars=tuple(pillars), flat_extrapolation=flat, asof=asof
-        )
-    except ValueError as exc:
-        raise IngestionError(str(exc)) from exc
+    schema = _columns(CURVE_COLUMNS, _pillar)
+    meta, _, pillars = _read_table(path, "curve", schema, allow_empty=True)
+    settings = {}
+    for key, parse in (("asof", parse_date), ("flat_extrapolation", _parse_flag)):
+        if key in meta:
+            lineno, text = meta[key]
+            try:
+                settings[key] = parse(text)
+            except ValueError as exc:
+                raise IngestionError(f"{key}: {exc}", line=lineno) from exc
+    return _build(DiscountCurve, pillars=tuple(pillars), **settings)
 
 
 def write_curve(path: str | os.PathLike, curve: DiscountCurve) -> None:
@@ -271,27 +315,21 @@ def ingest_cross_sections(
     path: str | os.PathLike,
 ) -> list[tuple[dt.date, list[tuple[float, float]]]]:
     """Read dated zero quotes, grouped by date in ascending order."""
-    _, _, rows = _read_rows(path, SECTION_COLUMNS)
-    problems: list[tuple[int, str]] = []
     by_date: dict[dt.date, list[tuple[float, float]]] = {}
-    for lineno, row in rows:
-        try:
-            date = parse_date(row["date"])
-            tau = _parse_float(row["maturity_years"], "maturity")
-            if tau <= 0:
-                raise ValueError(f"maturity {tau} not positive")
-            price = _parse_float(row["zero_price"], "price")
-            if not 0.0 < price <= 1.0:
-                raise ValueError(f"price {price} outside (0, 1]")
-            if any(existing == tau for existing, _ in by_date.get(date, [])):
-                raise ValueError(f"duplicate maturity {tau} on {date}")
-            by_date.setdefault(date, []).append((tau, price))
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("cross-section file rejected", lines=problems)
-    if not by_date:
-        raise IngestionError("cross-section file has no data rows")
+
+    def row(date, maturity_years, zero_price):
+        date = parse_date(date)
+        tau = _parse_float(maturity_years, "maturity")
+        if tau <= 0:
+            raise ValueError(f"maturity {tau} not positive")
+        price = _parse_float(zero_price, "price")
+        if not 0.0 < price <= 1.0:
+            raise ValueError(f"price {price} outside (0, 1]")
+        if any(existing == tau for existing, _ in by_date.get(date, [])):
+            raise ValueError(f"duplicate maturity {tau} on {date}")
+        by_date.setdefault(date, []).append((tau, price))
+
+    _read_table(path, "cross-section", _columns(SECTION_COLUMNS, row))
     return [(d, sorted(by_date[d])) for d in sorted(by_date)]
 
 
@@ -313,55 +351,43 @@ def write_cross_sections(
 
 
 def ingest_bonds(path: str | os.PathLike) -> list[CouponBond]:
-    _, header, rows = _read_rows(path, BOND_COLUMNS, optional=("first_coupon",))
-    has_anchor = "first_coupon" in header
-    problems: list[tuple[int, str]] = []
-    bonds: list[CouponBond] = []
     seen: set[str] = set()
-    for lineno, row in rows:
-        try:
-            bond_id = row["id"]
-            if not bond_id:
-                raise ValueError("empty bond id")
-            if bond_id in seen:
-                raise ValueError(f"duplicate bond id {bond_id!r}")
-            anchor = None
-            if has_anchor and row["first_coupon"]:
-                anchor = parse_date(row["first_coupon"])
-            bond = CouponBond(
-                bond_id=bond_id,
-                face=_parse_float(row["face"], "face"),
-                coupon_rate=_parse_float(row["coupon_rate"], "coupon rate"),
-                frequency=int(row["frequency"]),
-                maturity=parse_date(row["maturity"]),
-                schedule_anchor=anchor,
-            )
-            seen.add(bond_id)
-            bonds.append(bond)
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("bond file rejected", lines=problems)
-    return bonds
+
+    def row(bond_id, face, coupon_rate, frequency, maturity, *first_coupon):
+        if not bond_id:
+            raise ValueError("empty bond id")
+        if bond_id in seen:
+            raise ValueError(f"duplicate bond id {bond_id!r}")
+        anchor = None
+        if first_coupon and first_coupon[0]:
+            anchor = parse_date(first_coupon[0])
+        bond = CouponBond(
+            bond_id=bond_id,
+            face=_parse_float(face, "face"),
+            coupon_rate=_parse_float(coupon_rate, "coupon rate"),
+            frequency=int(frequency),
+            maturity=parse_date(maturity),
+            schedule_anchor=anchor,
+        )
+        seen.add(bond_id)
+        return bond
+
+    schema = _columns(BOND_COLUMNS, row, optional=("first_coupon",))
+    return _read_table(path, "bond", schema, allow_empty=True)[2]
+
+
+def _quote(bond_id, settlement, price):
+    price = _parse_float(price, "price")
+    if price <= 0:
+        raise ValueError(f"price {price} not positive")
+    return bond_id, parse_date(settlement), price
 
 
 def ingest_bond_quotes(
     path: str | os.PathLike,
 ) -> list[tuple[str, dt.date, float]]:
-    _, _, rows = _read_rows(path, QUOTE_COLUMNS)
-    problems: list[tuple[int, str]] = []
-    quotes: list[tuple[str, dt.date, float]] = []
-    for lineno, row in rows:
-        try:
-            price = _parse_float(row["price"], "price")
-            if price <= 0:
-                raise ValueError(f"price {price} not positive")
-            quotes.append((row["id"], parse_date(row["settlement"]), price))
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("quote file rejected", lines=problems)
-    return quotes
+    schema = _columns(QUOTE_COLUMNS, _quote)
+    return _read_table(path, "quote", schema, allow_empty=True)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -378,32 +404,24 @@ def write_surface(path: str | os.PathLike, surface: PriceSurface) -> None:
     atomic_write_text(path, "\r\n".join(lines) + "\r\n")
 
 
+def _surface_row(date, *cells):
+    try:
+        date = parse_date(date)
+    except ValueError:
+        date = _parse_float(date, "date")
+    return date, [
+        math.nan if cell == "" else _parse_float(cell, label)
+        for cell, label in zip(cells, SURFACE_COLUMNS[1:])
+    ]
+
+
 def ingest_surface(path: str | os.PathLike) -> PriceSurface:
-    _, header, rows = _read_rows(path, SURFACE_COLUMNS)
-    problems: list[tuple[int, str]] = []
-    dates: list[dt.date] | list[float] = []
-    values = []
-    for lineno, row in rows:
-        try:
-            raw = row["date"]
-            try:
-                date = parse_date(raw)
-            except ValueError:
-                date = _parse_float(raw, "date")
-            cells = [
-                math.nan if row[c] == "" else _parse_float(row[c], c)
-                for c in SURFACE_COLUMNS[1:]
-            ]
-            dates.append(date)
-            values.append(cells)
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("surface file rejected", lines=problems)
-    if not values:
-        raise IngestionError("surface file has no data rows")
-    return PriceSurface(
-        dates=dates, maturities=MATURITY_GRID, values=np.array(values)
+    _, _, rows = _read_table(path, "surface", _columns(SURFACE_COLUMNS, _surface_row))
+    return _build(
+        PriceSurface,
+        dates=[date for date, _ in rows],
+        maturities=MATURITY_GRID,
+        values=np.array([cells for _, cells in rows]),
     )
 
 
@@ -434,20 +452,14 @@ def write_arbitrage(path: str | os.PathLike, report: ArbitrageReport) -> None:
     atomic_write_text(path, header + rows)
 
 
+def _violation(*cells):
+    return tuple(_parse_float(c, name) for c, name in zip(cells, ARBITRAGE_COLUMNS))
+
+
 def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
-    _, _, rows = _read_rows(path, ARBITRAGE_COLUMNS)
-    problems: list[tuple[int, str]] = []
-    violations = []
-    for lineno, row in rows:
-        try:
-            violations.append(
-                tuple(_parse_float(row[c], c) for c in ARBITRAGE_COLUMNS)
-            )
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("arbitrage file rejected", lines=problems)
-    return ArbitrageReport(violations=violations)
+    schema = _columns(ARBITRAGE_COLUMNS, _violation)
+    _, _, violations = _read_table(path, "arbitrage", schema, allow_empty=True)
+    return _build(ArbitrageReport, violations=violations)
 
 
 def render_arbitrage_text(report: ArbitrageReport) -> str:
@@ -489,68 +501,47 @@ def write_calibration(path: str | os.PathLike, series: CalibrationSeries) -> Non
     atomic_write_text(path, out.getvalue())
 
 
+def _calibration_row(date, *rest):
+    return (parse_date(date), *rest)
+
+
+def _calibration_record(date: dt.date, rows) -> CalibrationRecord:
+    """One date's rows, each [param_name, value, objective, converged]."""
+    names = [name for name, *_ in rows]
+    if names == ["error"]:
+        return CalibrationRecord(
+            asof=date,
+            params=None,
+            objective=None,
+            converged=False,
+            error=rows[0][1] or None,
+        )
+    values = {name: _parse_float(value, name) for name, value, *_ in rows}
+    if set(names) == {"sigma"}:
+        params = HoLeeParams(sigma=values["sigma"])
+    elif set(names) == {"a", "sigma"}:
+        params = HullWhiteParams(a=values["a"], sigma=values["sigma"])
+    else:
+        raise ValueError(
+            f"parameter names {sorted(set(names))} match no calibratable model"
+        )
+    outcomes = {(objective, converged) for *_, objective, converged in rows}
+    if len(outcomes) != 1:
+        raise ValueError(f"inconsistent objective/converged on {date}")
+    ((objective, converged),) = outcomes
+    objective = _parse_float(objective, "objective")
+    converged = _parse_flag(converged)
+    if len(values) != len(names):
+        raise ValueError(f"duplicate parameter rows on {date}")
+    return CalibrationRecord(
+        asof=date, params=params, objective=objective, converged=converged
+    )
+
+
 def ingest_calibration(path: str | os.PathLike) -> CalibrationSeries:
     """Read a calibration series written by write_calibration."""
-    _, _, rows = _read_rows(path, CALIBRATION_COLUMNS)
-    problems: list[tuple[int, str]] = []
-    grouped: dict[dt.date, list[tuple[int, dict[str, str]]]] = {}
-    order: list[dt.date] = []
-    for lineno, row in rows:
-        try:
-            date = parse_date(row["date"])
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-            continue
-        if date not in grouped:
-            order.append(date)
-        grouped.setdefault(date, []).append((lineno, row))
-    records: list[CalibrationRecord] = []
-    for date in order:
-        date_rows = grouped[date]
-        names = [row["param_name"] for _, row in date_rows]
-        if names == ["error"]:
-            records.append(
-                CalibrationRecord(
-                    asof=date,
-                    params=None,
-                    objective=None,
-                    converged=False,
-                    error=date_rows[0][1]["value"] or None,
-                )
-            )
-            continue
-        try:
-            values = {
-                row["param_name"]: _parse_float(row["value"], row["param_name"])
-                for _, row in date_rows
-            }
-            if set(names) == {"sigma"}:
-                params = HoLeeParams(sigma=values["sigma"])
-            elif set(names) == {"a", "sigma"}:
-                params = HullWhiteParams(a=values["a"], sigma=values["sigma"])
-            else:
-                raise ValueError(
-                    f"parameter names {sorted(set(names))} match no "
-                    "calibratable model"
-                )
-            objectives = {row["objective"] for _, row in date_rows}
-            flags = {row["converged"] for _, row in date_rows}
-            if len(objectives) != 1 or len(flags) != 1:
-                raise ValueError(f"inconsistent objective/converged on {date}")
-            records.append(
-                CalibrationRecord(
-                    asof=date,
-                    params=params,
-                    objective=_parse_float(objectives.pop(), "objective"),
-                    converged=_parse_flag(flags.pop()),
-                )
-            )
-        except ValueError as exc:
-            problems.append((date_rows[0][0], str(exc)))
-    if problems:
-        raise IngestionError("calibration file rejected", lines=problems)
-    if not records:
-        raise IngestionError("calibration file has no data rows")
+    schema = _columns(CALIBRATION_COLUMNS, _calibration_row)
+    _, _, records = _read_table(path, "calibration", schema, group=_calibration_record)
     return CalibrationSeries(records=records)
 
 
@@ -579,50 +570,30 @@ def write_states(path: str | os.PathLike, states) -> None:
     atomic_write_text(path, out.getvalue())
 
 
+def _state_schema(header):
+    """Row function for a state header: an optional date column, then one
+    of STATE_COLUMNS.  A row reads as (date or None, time, r or [x, y])."""
+    has_dates = header[:1] == ["date"]
+    names = tuple(header[1:] if has_dates else header)
+    if names not in STATE_COLUMNS:
+        raise ValueError(f"header {header!r} matches neither state schema")
+
+    def row(*cells):
+        date = parse_date(cells[0]) if has_dates else None
+        time, *factors = map(_parse_float, cells[1:] if has_dates else cells, names)
+        return date, time, factors if len(factors) == 2 else factors[0]
+
+    return row
+
+
 def ingest_states(path: str | os.PathLike):
     """Read a state series written by write_states."""
-    from .estimation import StateSeries
-
-    with open(path, newline="") as handle:
-        first = handle.readline()
-    header = [h.strip() for h in next(csv.reader([first]))]
-    has_dates = header and header[0] == "date"
-    base = tuple(header[1:] if has_dates else header)
-    if base == ("time", "x", "y"):
-        two_factor = True
-    elif base == ("time", "r"):
-        two_factor = False
-    else:
-        raise IngestionError(
-            f"header {header!r} matches neither state schema", line=1
-        )
-    columns = (("date",) if has_dates else ()) + base
-    _, _, rows = _read_rows(path, columns)
-    problems: list[tuple[int, str]] = []
-    dates: list[dt.date] = []
-    times: list[float] = []
-    values: list = []
-    for lineno, row in rows:
-        try:
-            if has_dates:
-                dates.append(parse_date(row["date"]))
-            times.append(_parse_float(row["time"], "time"))
-            if two_factor:
-                values.append(
-                    [_parse_float(row["x"], "x"), _parse_float(row["y"], "y")]
-                )
-            else:
-                values.append(_parse_float(row["r"], "r"))
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise IngestionError("state file rejected", lines=problems)
-    if not times:
-        raise IngestionError("state file has no data rows")
+    _, header, rows = _read_table(path, "state", _state_schema)
+    dates, times, values = zip(*rows)
     return StateSeries(
         times=np.array(times),
         values=np.array(values),
-        dates=dates if has_dates else None,
+        dates=list(dates) if header[0] == "date" else None,
     )
 
 
@@ -630,10 +601,12 @@ def ingest_states(path: str | os.PathLike):
 # key=value files: parameters, states, configuration
 
 
-def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
+def _keyvalue_lines(path: str | os.PathLike) -> dict[str, tuple[int, str]]:
+    """key -> (line, value) of a key=value file; blank and '#' lines are
+    skipped, and malformed or repeated keys are rejected together."""
     with open(path) as handle:
         raw = handle.read().splitlines()
-    out: dict[str, str] = {}
+    out: dict[str, tuple[int, str]] = {}
     problems: list[tuple[int, str]] = []
     for lineno, line in enumerate(raw, start=1):
         stripped = line.strip()
@@ -647,10 +620,14 @@ def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
         if key in out:
             problems.append((lineno, f"duplicate key {key!r}"))
             continue
-        out[key] = value.strip()
+        out[key] = (lineno, value.strip())
     if problems:
         raise IngestionError("key=value file rejected", lines=problems)
     return out
+
+
+def read_keyvalues(path: str | os.PathLike) -> dict[str, str]:
+    return {key: value for key, (_, value) in _keyvalue_lines(path).items()}
 
 
 def write_keyvalues(path: str | os.PathLike, mapping: dict[str, object]) -> None:
@@ -666,21 +643,51 @@ def write_keyvalues(path: str | os.PathLike, mapping: dict[str, object]) -> None
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_record(path: str | os.PathLike, what: str, cls, missing_text, **fixed):
+    """``cls`` from a key=value file holding its fields as finite floats.
+
+    A field with a default may be left out; ``missing_text(names)`` words
+    the error for the others.  A ``fixed`` key may appear, with its given
+    value only.  Any other key, and every unparseable value, is rejected
+    under its line, all in one IngestionError.
+    """
+    entries = _keyvalue_lines(path)
+    for key, expected in fixed.items():
+        if key in entries and entries[key][1] != expected:
+            raise IngestionError(
+                f"file declares {key} {entries[key][1]!r}, expected {expected!r}"
+            )
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    required = [k for k, d in defaults.items() if d is dataclasses.MISSING]
+    missing = [k for k in required if k not in entries]
+    if missing:
+        raise IngestionError(missing_text(missing))
+    values: dict[str, float] = {}
+    problems: list[tuple[int, str]] = []
+    for key, (lineno, text) in entries.items():
+        try:
+            if key in defaults:
+                values[key] = _parse_float(text, key)
+            elif key not in fixed:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            problems.append((lineno, str(exc)))
+    if problems:
+        raise IngestionError(f"{what} file rejected", lines=problems)
+    return cls(**values)
+
+
 def params_from_file(path: str | os.PathLike, model: str):
     """Load a parameter set for ``model`` from a key=value file."""
     if model not in PARAM_TYPES:
         raise ValueError(f"unknown model {model!r}")
-    mapping = read_keyvalues(path)
-    if "model" in mapping and mapping["model"] != model:
-        raise IngestionError(
-            f"file declares model {mapping['model']!r}, expected {model!r}"
-        )
-    fields = param_fields(model)
-    missing = [f for f in fields if f not in mapping]
-    if missing:
-        raise IngestionError(f"missing parameter keys {missing} for {model}")
-    kwargs = {f: _parse_float(mapping[f], f) for f in fields}
-    return PARAM_TYPES[model](**kwargs)
+    return _read_record(
+        path,
+        "params",
+        PARAM_TYPES[model],
+        lambda keys: f"missing parameter keys {keys} for {model}",
+        model=model,
+    )
 
 
 def params_to_file(path: str | os.PathLike, model: str, params) -> None:
@@ -692,21 +699,13 @@ def params_to_file(path: str | os.PathLike, model: str, params) -> None:
 
 def state_from_file(path: str | os.PathLike, model: str):
     """Load a pricing state: (x, y, t) for the two-factor model, (r, t)
-    otherwise."""
-    mapping = read_keyvalues(path)
-    t = _parse_float(mapping.get("t", "0"), "t")
-    if model == "g2pp":
-        for key in ("x", "y"):
-            if key not in mapping:
-                raise IngestionError(f"missing state key {key!r}")
-        return G2State(
-            x=_parse_float(mapping["x"], "x"),
-            y=_parse_float(mapping["y"], "y"),
-            t=t,
-        )
-    if "r" not in mapping:
-        raise IngestionError("missing state key 'r'")
-    return ShortRateState(r=_parse_float(mapping["r"], "r"), t=t)
+    otherwise; t defaults to 0."""
+    return _read_record(
+        path,
+        "state",
+        G2State if model == "g2pp" else ShortRateState,
+        lambda keys: f"missing state key {keys[0]!r}",
+    )
 
 
 def state_to_file(path: str | os.PathLike, state) -> None:

@@ -297,6 +297,61 @@ class TestPrice:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("# asof=2012-02-30", "line 1: asof: day is out of range for month"),
+            ("# flat_extrapolation=maybe",
+             "line 1: flat_extrapolation: unparseable flag 'maybe'"),
+        ],
+    )
+    def test_bad_curve_metadata_is_domain_error(
+        self, runner, inputs, tmp_path, meta, message
+    ):
+        curve = tmp_path / "curve.csv"
+        curve.write_text(f"{meta}\ntau,discount_factor\n1.0,0.96\n10.0,0.7\n")
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "price",
+             "--model", "holee", "--params", str(inputs / "holee.params"),
+             "--state", str(inputs / "short.state"), "--maturity", "3.0",
+             "--curve", str(curve)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert not (tmp_path / "price.txt").exists()
+
+    @pytest.mark.parametrize(
+        "params, state, message",
+        [
+            ("a=1.7051\nb=0.0937\nsigma=x\n", "r=0.05\n",
+             "params file rejected (line 3: unparseable sigma 'x')"),
+            ("a=1.7051\nb=0.0937\nsigma=0.3721\n", "r=0.05\nt=abc\n",
+             "state file rejected (line 2: unparseable t 'abc')"),
+            # a mistyped key used to price silently at t = 0
+            ("a=1.7051\nb=0.0937\nsigma=0.3721\n", "r=0.05\ntime=0.5\n",
+             "state file rejected (line 2: unknown key 'time')"),
+            ("model=vasicek\na=1.7\nb=0.09\nsigma=0.37\nkappa=2\n", "r=0.05\n",
+             "params file rejected (line 5: unknown key 'kappa')"),
+        ],
+    )
+    def test_bad_keyvalue_files_are_domain_errors(
+        self, runner, tmp_path, params, state, message
+    ):
+        (tmp_path / "p.params").write_text(params)
+        (tmp_path / "s.state").write_text(state)
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "price", "--model", "vasicek",
+             "--params", str(tmp_path / "p.params"),
+             "--state", str(tmp_path / "s.state"), "--maturity", "1.0"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {message}" in result.output
+        assert not (tmp_path / "price.txt").exists()
+
 
 class TestSurface:
     def test_g2pp_surface_has_fourteen_maturity_columns(
@@ -453,6 +508,32 @@ class TestSynth:
              "--model", "vasicek", "--n-obs", "1"],
         )
         assert result.exit_code == 2
+
+    def test_bad_start_date_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "synth",
+             "--model", "vasicek", "--start", "2012-02-30"],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--start" in result.output
+        assert "day is out of range for month" in result.output
+        assert not (tmp_path / "panel.csv").exists()
+
+    def test_start_date_sets_the_schedule(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "synth", "--model", "vasicek",
+             "--n-obs", "3", "--start", "2012-02-29", "--seed", "1"],
+        )
+        assert result.exit_code == 0, result.output
+        panel = fileio.ingest_panel(tmp_path / "panel.csv")
+        assert [d for d, _ in panel.observations] == [
+            dt.date(2012, 2, 29), dt.date(2012, 3, 7), dt.date(2012, 3, 14)
+        ]
+        (entry,) = read_log(tmp_path)
+        assert entry["config"]["start"] == "2012-02-29"
 
 
 class TestArgumentRanges:

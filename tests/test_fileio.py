@@ -148,8 +148,9 @@ class TestCurveRoundTrip:
         path.write_text(
             "# flat_extrapolation=maybe\ntau,discount_factor\n1.0,0.96\n"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(IngestionError) as excinfo:
             fileio.ingest_curve(path)
+        assert excinfo.value.line == 1
 
 
 class TestCrossSectionRoundTrip:
@@ -368,6 +369,22 @@ class TestCalibrationRoundTrip:
         fileio.write_calibration(path, series)
         back = fileio.ingest_calibration(path)
         assert back.records[1].error == series.records[1].error
+
+    def test_error_message_with_line_breaks_roundtrips(self, tmp_path):
+        # csv.writer quotes the field, and a quoted field may span lines
+        series = self.make_series()
+        series.records[1].error = (
+            'all starts failed:\n "maxiter"\r\nreached\rtwice\u2028\x85\x0cin a row'
+        )
+        back = roundtrip_bytes(
+            tmp_path,
+            fileio.write_calibration,
+            fileio.ingest_calibration,
+            series,
+            "calibration.csv",
+        )
+        assert back.records[1].error == series.records[1].error
+        assert back.records[2].params == series.records[2].params
 
     def test_unknown_parameter_set_rejected(self, tmp_path):
         path = tmp_path / "calibration.csv"
