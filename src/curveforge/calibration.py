@@ -20,7 +20,8 @@ from . import libm
 from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import DATA_ERRORS, AmbiguityError, OptimizationError, OrderingError
-from .hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
+from .hjm import HoLeeParams, HullWhiteParams, curve_terms, holee_price, hullwhite_price
+from .shortrate import decay_loading
 
 A_BOUNDS = (1e-4, 5.0)
 SIGMA_BOUNDS = (1e-5, 2.0)
@@ -119,6 +120,17 @@ class CalibrationSeries:
         return out
 
 
+def _identified_offset(xs: CrossSection) -> float:
+    """The section's offset t, refused when it is 0."""
+    t = xs.t
+    if t == 0.0:
+        raise OrderingError(
+            "cross-section coincides with the curve date: the model prices "
+            "reproduce the curve for any volatility, so nothing is identified"
+        )
+    return t
+
+
 def _model_price(model: str, params, xs: CrossSection, T):
     """Model price of a zero maturing at T (a float or an array of them)."""
     if model == "holee":
@@ -142,12 +154,7 @@ def ls_objective(model: str, params, xs: CrossSection, weights=None) -> float:
     term is not finite the per-quote loop itself runs instead, so an
     overflow raises where and what the scalar arithmetic raises.
     """
-    t = xs.t
-    if t == 0.0:
-        raise OrderingError(
-            "cross-section coincides with the curve date: the model prices "
-            "reproduce the curve for any volatility, so nothing is identified"
-        )
+    t = _identified_offset(xs)
     if weights is None:
         w = np.ones(len(xs.quotes))
     elif isinstance(weights, str):
@@ -173,8 +180,54 @@ def ls_objective(model: str, params, xs: CrossSection, weights=None) -> float:
     return err / float(np.sum(w))
 
 
+def section_objective(model: str, xs: CrossSection):
+    """The unweighted ``ls_objective`` of one cross-section as a function of
+    the volatility parameters alone: f(sigma) for holee, f(a, sigma) for
+    hullwhite.
+
+    The curve terms, which no parameter moves, are computed here once, as
+    the arrays the broadcast pricing computes them.  Each evaluation is
+    then one loop over the quotes in Python floats that repeats the
+    per-quote path's operations in its order (math.exp, ** 2, a left to
+    right sum), so the value equals ``ls_objective`` bit for bit, and an
+    overflow raises what the per-quote path raises, at the same quote.
+    """
+    t = _identified_offset(xs)
+    if model not in ("holee", "hullwhite"):
+        raise ValueError(f"unknown model {model!r}")
+    taus, prices = np.array(xs.quotes).T
+    tau, market, fwd = curve_terms(xs.curve, t, t + taus)
+    r, n = float(xs.short_rate), float(len(taus))
+
+    if model == "holee":
+        terms = list(zip(
+            market.tolist(), (tau * fwd).tolist(), libm.square(tau).tolist(),
+            (tau * r).tolist(), prices.tolist(),
+        ))
+
+        def holee(sigma: float) -> float:
+            k = 0.5 * sigma**2 * t
+            err = 0.0
+            for m, tau_f, tau_sq, tau_r, price in terms:
+                err += (price - math.exp(m + (tau_f - k * tau_sq - tau_r))) ** 2
+            return err / n
+
+        return holee
+
+    terms = list(zip(market.tolist(), prices.tolist()))
+
+    def hullwhite(a: float, sigma: float) -> float:
+        variance = sigma**2 * (-math.expm1(-2.0 * a * t)) / (4.0 * a)
+        err = 0.0
+        for b, (m, price) in zip(decay_loading(a, tau).tolist(), terms):
+            err += (price - math.exp(m + (b * fwd - variance * b**2 - b * r))) ** 2
+        return err / n
+
+    return hullwhite
+
+
 def _golden_section(fun, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
+    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -188,8 +241,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float = _GOLDEN_TOL):
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
+    return 0.5 * (a + b)
 
 
 def calibrate(
@@ -198,23 +250,32 @@ def calibrate(
     """Fit the volatility parameters to one cross-section.
 
     Constant-vol model: golden-section search on log sigma over
-    [1e-5, 2].  Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
+    [1e-5, 2]; it counts as converged only when its result beats both ends
+    of that range, so a search that stalls on a bound is flagged.
+    Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
     deterministic starts spread over the admissible box a in [1e-4, 5],
     sigma in [1e-5, 2].  Non-convergence is flagged, not raised; the best
     point found is still returned.
+
+    The searches evaluate ``section_objective``; the objective returned
+    for the chosen parameters is ``ls_objective``'s, the same value.
     """
     if model == "holee":
-        def fun(u: float) -> float:
-            return ls_objective(model, HoLeeParams(sigma=math.exp(u)), xs)
-
-        u, value = _golden_section(fun, math.log(SIGMA_BOUNDS[0]), math.log(SIGMA_BOUNDS[1]))
+        objective = section_objective(model, xs)
+        lo, hi = SIGMA_BOUNDS
+        u = _golden_section(lambda u: objective(math.exp(u)), math.log(lo), math.log(hi))
+        params = HoLeeParams(sigma=math.exp(u))
+        value = ls_objective(model, params, xs)
         return CalibrationResult(
-            params=HoLeeParams(sigma=math.exp(u)), objective=value, converged=True
+            params=params,
+            objective=value,
+            converged=value < objective(lo) and value < objective(hi),
         )
 
     if model == "hullwhite":
         if len(xs.quotes) < 2:
             raise ValueError("damped-vol calibration needs at least two quotes")
+        objective = section_objective(model, xs)
         log_a_lo, log_a_hi = math.log(A_BOUNDS[0]), math.log(A_BOUNDS[1])
         log_s_lo, log_s_hi = math.log(SIGMA_BOUNDS[0]), math.log(SIGMA_BOUNDS[1])
 
@@ -222,8 +283,7 @@ def calibrate(
             la, ls = theta
             if not (log_a_lo <= la <= log_a_hi and log_s_lo <= ls <= log_s_hi):
                 return np.inf
-            params = HullWhiteParams(a=math.exp(la), sigma=math.exp(ls))
-            return ls_objective(model, params, xs)
+            return objective(math.exp(la), math.exp(ls))
 
         starts = [
             (math.log(a0), math.log(s0))
@@ -252,7 +312,9 @@ def calibrate(
             raise OptimizationError("all calibration starts failed")
         params = HullWhiteParams(a=math.exp(best.x[0]), sigma=math.exp(best.x[1]))
         return CalibrationResult(
-            params=params, objective=float(best.fun), converged=any_success
+            params=params,
+            objective=float(ls_objective(model, params, xs)),
+            converged=any_success,
         )
 
     raise ValueError(f"unknown model {model!r}")

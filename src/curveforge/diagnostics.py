@@ -46,6 +46,15 @@ _SIGN_SCAN_POINTS = 241
 _BISECT_STEPS = 40
 
 
+def check_violation(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> None:
+    """Raise ValueError unless T_low < T_high and P_low < P_high."""
+    if not (t_lo < t_hi and p_lo < p_hi):
+        raise ValueError(
+            f"malformed violation ({t_lo}, {t_hi}, {p_lo}, {p_hi}): "
+            "requires T_low < T_high and P_low < P_high"
+        )
+
+
 @dataclass
 class ArbitrageReport:
     """Outcome of a static-arbitrage audit.
@@ -60,12 +69,8 @@ class ArbitrageReport:
     derivative_sign_changes: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        for t_lo, t_hi, p_lo, p_hi in self.violations:
-            if not (t_lo < t_hi and p_lo < p_hi):
-                raise ValueError(
-                    f"malformed violation ({t_lo}, {t_hi}, {p_lo}, {p_hi}): "
-                    "requires T_low < T_high and P_low < P_high"
-                )
+        for violation in self.violations:
+            check_violation(*violation)
 
     @property
     def clean(self) -> bool:

@@ -45,7 +45,7 @@ from .bonds import CouponBond
 from .calibration import CalibrationRecord, CalibrationSeries
 from .curve import DiscountCurve
 from .daycount import parse_date
-from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface
+from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface, check_violation
 from .errors import IngestionError
 from .estimation import PricePanel, StateSeries
 from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
@@ -276,12 +276,18 @@ def write_panel(path: str | os.PathLike, panel: PricePanel) -> None:
 # discount curves
 
 
-def _pillar(tau, discount_factor):
-    return _parse_float(tau, "tau"), _parse_float(discount_factor, "discount factor")
-
-
 def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
-    schema = _columns(CURVE_COLUMNS, _pillar)
+    previous = -math.inf
+
+    def pillar(tau, discount_factor):
+        nonlocal previous
+        tau = _parse_float(tau, "tau")
+        if tau < previous:
+            raise ValueError(f"tau {tau} below the previous pillar's {previous}")
+        previous = tau
+        return tau, _parse_float(discount_factor, "discount factor")
+
+    schema = _columns(CURVE_COLUMNS, pillar)
     meta, _, pillars = _read_table(path, "curve", schema, allow_empty=True)
     settings = {}
     for key, parse in (("asof", parse_date), ("flat_extrapolation", _parse_flag)):
@@ -404,15 +410,21 @@ def write_surface(path: str | os.PathLike, surface: PriceSurface) -> None:
     atomic_write_text(path, "\r\n".join(lines) + "\r\n")
 
 
+def _surface_price(cell: str, label: str) -> float:
+    if cell == "":
+        return math.nan
+    price = _parse_float(cell, label)
+    if not 0.0 < price <= 1.0:
+        raise ValueError(f"{label} {price} outside (0, 1]")
+    return price
+
+
 def _surface_row(date, *cells):
     try:
         date = parse_date(date)
     except ValueError:
         date = _parse_float(date, "date")
-    return date, [
-        math.nan if cell == "" else _parse_float(cell, label)
-        for cell, label in zip(cells, SURFACE_COLUMNS[1:])
-    ]
+    return date, list(map(_surface_price, cells, SURFACE_COLUMNS[1:]))
 
 
 def ingest_surface(path: str | os.PathLike) -> PriceSurface:
@@ -453,7 +465,9 @@ def write_arbitrage(path: str | os.PathLike, report: ArbitrageReport) -> None:
 
 
 def _violation(*cells):
-    return tuple(_parse_float(c, name) for c, name in zip(cells, ARBITRAGE_COLUMNS))
+    violation = tuple(_parse_float(c, name) for c, name in zip(cells, ARBITRAGE_COLUMNS))
+    check_violation(*violation)
+    return violation
 
 
 def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:

@@ -79,6 +79,22 @@ def hjm_drift(params: HoLeeParams | HullWhiteParams, s: float, t: float) -> floa
     raise TypeError(f"unsupported volatility parameters: {type(params).__name__}")
 
 
+def curve_terms(curve: DiscountCurve, t, T):
+    """The parts of a price P(t, T) that no volatility parameter moves.
+
+    Returns tau = T - t, the market log ratio log P(0, T) - log P(0, t) and
+    the forward f(0, t), after checking 0 <= t <= T.  Broadcasts like the
+    prices.
+    """
+    if libm.anywhere(t < 0):
+        raise OrderingError(f"valuation time must be >= 0, got {t}")
+    if libm.anywhere(T < t):
+        raise OrderingError(f"maturity {T} precedes valuation time {t}")
+    tau = T - t
+    market = curve.log_discount(T) - curve.log_discount(t)
+    return tau, market, curve.forward(t)
+
+
 def holee_price(
     params: HoLeeParams, curve: DiscountCurve, r: float, t: float, T: float
 ) -> float:
@@ -89,13 +105,7 @@ def holee_price(
     scalar in, scalar out.  On arrays a price whose exponent overflows reads
     inf instead of raising.
     """
-    if libm.anywhere(t < 0):
-        raise OrderingError(f"valuation time must be >= 0, got {t}")
-    if libm.anywhere(T < t):
-        raise OrderingError(f"maturity {T} precedes valuation time {t}")
-    tau = T - t
-    market = curve.log_discount(T) - curve.log_discount(t)
-    fwd = curve.forward(t)
+    tau, market, fwd = curve_terms(curve, t, T)
     exponent = tau * fwd - 0.5 * params.sigma**2 * t * libm.square(tau) - tau * r
     return libm.exp(market + exponent)
 
@@ -110,15 +120,9 @@ def hullwhite_price(
     scalar out.  On arrays a price whose exponent overflows reads inf
     instead of raising.
     """
-    if libm.anywhere(t < 0):
-        raise OrderingError(f"valuation time must be >= 0, got {t}")
-    if libm.anywhere(T < t):
-        raise OrderingError(f"maturity {T} precedes valuation time {t}")
+    tau, market, fwd = curve_terms(curve, t, T)
     a, sigma = params.a, params.sigma
-    tau = T - t
     B = decay_loading(a, tau)
-    market = curve.log_discount(T) - curve.log_discount(t)
-    fwd = curve.forward(t)
     variance = sigma**2 * (-libm.expm1(-2.0 * a * t)) / (4.0 * a)
     exponent = B * fwd - variance * libm.square(B) - B * r
     return libm.exp(market + exponent)

@@ -40,6 +40,11 @@ MIN_STEPS_PER_HORIZON = 50
 # 2^24 doubles (128 MiB) per normals block; normal_block inverts its uniforms
 # in place, so one block is resident per call
 _BLOCK_ELEMENTS = 2**24
+# fewest paths in a block, whatever the draws per path
+_MIN_BLOCK_PATHS = 256
+# the most normals one block may hold: the memory cap, apart from the block
+# size above, which only sets how paths are split
+_MAX_BLOCK_ELEMENTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -158,8 +163,20 @@ def simulate_g2(params: G2Params, state0: G2State, grid, rng):
 # ---------------------------------------------------------------------------
 
 
+def _check_block_size(n_paths: int, n_draws: int) -> None:
+    """Refuse a simulation whose first block of normals (``_blocked`` puts
+    at least min(n_paths, _MIN_BLOCK_PATHS) paths in one) would hold more
+    than _MAX_BLOCK_ELEMENTS draws, before anything is allocated."""
+    paths = min(n_paths, _MIN_BLOCK_PATHS)
+    if paths * n_draws > _MAX_BLOCK_ELEMENTS:
+        raise ResolutionError(
+            f"{paths} paths x {n_draws} draws per path exceed one block of "
+            f"{_MAX_BLOCK_ELEMENTS} normals; use fewer steps or a shorter maturity"
+        )
+
+
 def _blocked(n_paths: int, n_draws: int):
-    block = max(256, min(n_paths, _BLOCK_ELEMENTS // max(n_draws, 1)))
+    block = max(_MIN_BLOCK_PATHS, min(n_paths, _BLOCK_ELEMENTS // max(n_draws, 1)))
     start = 0
     while start < n_paths:
         yield start, min(block, n_paths - start)
@@ -273,6 +290,7 @@ def mc_zero_price(
             f"need at least {MIN_STEPS_PER_HORIZON} steps"
         )
     n_steps = int(math.ceil(horizon / config.step))
+    _check_block_size(config.n_paths, (2 if model == "g2pp" else 1) * n_steps)
     times = np.linspace(t0, T, n_steps + 1)
     steps = np.diff(times)
 

@@ -95,6 +95,37 @@ def test_traced_calibrate_counts_objective_price_and_curve_calls(monkeypatch, tm
     assert tracer.calls["hjm.holee_price"] == tracer.calls["calibration.ls_objective"]
 
 
+def test_traced_calibrate_looks_each_curve_up_once_per_search(monkeypatch, tmp_path):
+    """The Ho-Lee search evaluates each section's prepared objective, which
+    looks its curve up once (log D at the maturities and at the date, the
+    forward at the date); the reference evaluation of the chosen sigma
+    looks it up once more.  So the lookups and the ls_objective calls grow
+    with the dates, not with the search's evaluations."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    dates = [asof + dt.timedelta(weeks=weeks) for weeks in (60, 61)]
+    sections = []
+    for date in dates:
+        t = year_fraction(asof, date)
+        quotes = [(tau, holee_price(HoLeeParams(sigma=0.02), curve, 0.05, t, t + tau))
+                  for tau in (0.25, 1.0, 5.0, 10.0)]
+        sections.append((date, quotes))
+    fileio.write_cross_sections(tmp_path / "sections.csv", sections)
+    tracer = traced_command(
+        monkeypatch,
+        ["--output-dir", str(tmp_path), "calibrate", "--model", "holee",
+         "--cross-section", str(tmp_path / "sections.csv"),
+         "--curve", str(tmp_path / "curve.csv")],
+    )
+    assert tracer.calls["calibration.calibrate"] == len(dates)
+    assert tracer.calls["calibration.ls_objective"] == len(dates)
+    assert tracer.calls["hjm.holee_price"] == len(dates)
+    assert tracer.calls["curve.log_discount"] == 2 * 2 * len(dates)
+    assert tracer.calls["curve.forward"] == 2 * len(dates)
+    assert tracer.count["calibration.nfev"] == len(dates)
+
+
 @pytest.mark.parametrize("model, factors", [("vasicek", 1), ("g2pp", 2)])
 def test_traced_oracle_counts_every_normal(monkeypatch, tmp_path, model, factors):
     """The oracle workload's rng counters must move: mc_zero_price draws its

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curveforge.calibration import (
+    SIGMA_BOUNDS,
     CalibrationRecord,
     CalibrationSeries,
     CrossSection,
@@ -202,6 +203,20 @@ class TestCalibrate:
         assert result.converged
         assert abs(result.params.sigma - HL_SIGMA) < 1e-5
         assert result.objective < 1e-16
+
+    @pytest.mark.parametrize("sigma, taus, bound", [
+        (1e-7, MATURITY_GRID, 0),
+        (2.5, (0.5, 1.0, 2.0, 3.0), 1),
+    ])
+    def test_holee_on_a_sigma_bound_is_not_converged(self, curve, sigma, taus, bound):
+        # the generating sigma lies outside SIGMA_BOUNDS, so the search
+        # stops at the nearer end, no better than that end itself
+        xs = make_section(
+            "holee", HoLeeParams(sigma=sigma), curve, dt.date(2013, 7, 7), 0.05, taus
+        )
+        result = calibrate("holee", xs)
+        assert result.params.sigma == pytest.approx(SIGMA_BOUNDS[bound], rel=1e-8)
+        assert not result.converged
 
     def test_hullwhite_recovery(self, curve):
         # short rate off the curve level so the reversion speed has leverage

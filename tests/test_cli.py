@@ -461,6 +461,19 @@ class TestOracle:
         assert not (tmp_path / "run_log.jsonl").exists()
 
 
+    def test_more_normals_than_one_block_is_domain_error(self, runner, tmp_path):
+        # 256 paths x 65,772 daily steps: just over 2**24 normals
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "oracle", "--model", "vasicek",
+             "--maturity", "261", "--paths", "256"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: 256 paths x 65772 draws per path exceed one block" in result.output
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+
 class TestSynth:
     def test_panel_roundtrip(self, runner, tmp_path):
         result = runner.invoke(

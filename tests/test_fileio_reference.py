@@ -382,7 +382,7 @@ MALFORMED_MESSAGES = {
     'curve_empty_file': 'line 1: file has no header row',
     'curve_header_only': 'a discount curve needs at least one pillar',
     'curve_duplicate_tau': 'pillar maturities must be strictly increasing',
-    'curve_out_of_order': 'pillar maturities must be strictly increasing',
+    'curve_out_of_order': "curve file rejected (line 3: tau 1.0 below the previous pillar's 2.0)",
     'curve_price_range': 'pillar discount factors must lie in (0, 1]',
     'sections_bad': "cross-section file rejected (line 2: unparseable maturity 'x'; line 3: non-finite maturity 'nan'; line 4: maturity -1.0 not positive; line 5: non-finite price 'inf'; line 6: price 0.0 outside (0, 1]; line 8: duplicate maturity 2.0 on 2013-01-07; line 9: month must be in 1..12)",
     'sections_short': 'line 3: expected 3 cells, found 2',
@@ -498,8 +498,8 @@ CHANGED_OUTCOMES = {
     'state_unknown_key': "state file rejected (line 2: unknown key 'time')",
     'state_model_key': "state file rejected (line 1: unknown key 'model')",
     'calibration_duplicate_param': 'calibration file rejected (line 2: duplicate parameter rows on 2013-01-07)',
-    'arbitrage_reversed': 'malformed violation (2.0, 1.0, 0.9, 0.95): requires T_low < T_high and P_low < P_high',
-    'surface_above_par': 'surface prices must lie in (0, 1]',
+    'arbitrage_reversed': 'arbitrage file rejected (line 2: malformed violation (2.0, 1.0, 0.9, 0.95): requires T_low < T_high and P_low < P_high)',
+    'surface_above_par': 'surface file rejected (line 2: P_1m 1.5 outside (0, 1])',
     'panel_unbalanced_quote': "panel file rejected (line 2: Invalid isoformat string: '2020-01-01\\n2013-01-14,Z,0.94,2020-01-01')",
     'states_metadata_lines': 'digest 8822f0b32bb55a8fce85ef69716c04ea9b33bb86bd87733e6c24d3cdd1280479',
     'states_empty_file': 'line 1: file has no header row',

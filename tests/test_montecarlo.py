@@ -11,12 +11,15 @@ from curveforge.errors import (
     SingularInversionError,
 )
 from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState, holee_price, hullwhite_price
+from curveforge import montecarlo
 from curveforge.montecarlo import (
+    _MAX_BLOCK_ELEMENTS,
     McEstimate,
     SimConfig,
     mc_zero_price,
     simulate_correlated_ou,
     simulate_g2,
+    _check_block_size,
     simulate_ou,
     synth_panel,
 )
@@ -182,6 +185,35 @@ class TestSimulateG2:
 
 
 class TestMcZeroPrice:
+    def test_block_bound_arithmetic(self):
+        # a block holds at least min(n_paths, 256) paths; only the product
+        # with the draws per path is checked, nothing is allocated
+        assert _MAX_BLOCK_ELEMENTS == 2**24
+        for n_paths, n_draws in ((256, 2**16), (10**6, 2**16), (10, 2**24 // 10),
+                                 (100_000, 1512)):
+            _check_block_size(n_paths, n_draws)
+        # the last is oracle --maturity 1e6 --paths 10: 252M steps
+        for n_paths, n_draws in ((256, 2**16 + 1), (10**6, 2**16 + 1),
+                                 (10, 2**24 // 10 + 1), (10, 252_000_000)):
+            with pytest.raises(ResolutionError, match="exceed one block"):
+                _check_block_size(n_paths, n_draws)
+
+    @pytest.mark.parametrize("model, maturity", [("vasicek", 261.0), ("g2pp", 131.0)])
+    def test_over_the_block_bound_refused_before_any_draw(self, monkeypatch, model,
+                                                         maturity):
+        # 256 paths x 65,772 steps, or x 33,012 steps of two factors: just
+        # over 2**24 normals in the first block
+        def no_draws(*args):
+            raise AssertionError("normals drawn")
+
+        monkeypatch.setattr(montecarlo, "normal_block", no_draws)
+        params, state = (VAS, ShortRateState(r=0.05)) if model == "vasicek" else (
+            G2, G2State(0.0, 0.0))
+        config = SimConfig(n_paths=256, horizon=maturity)
+        with pytest.raises(ResolutionError, match="exceed one block"):
+            mc_zero_price(model, params, state, maturity, config,
+                          curve=flat_curve(0.04, span=140.0, n_pillars=140))
+
     def test_sigma_zero_vasicek_is_deterministic(self):
         # degenerate volatility via the raw-triple escape hatch
         config = SimConfig(n_paths=2, step=1 / 252, seed=0, horizon=2.0)

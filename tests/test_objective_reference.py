@@ -1,11 +1,14 @@
-"""The broadcast calibration objective and the curve lookups against frozen
-copies of their per-quote and np.any/np.clip forms.
+"""The calibration objectives, ``calibrate`` and the curve lookups against
+frozen copies of their earlier forms.
 
 ``ls_objective`` prices a cross-section with one broadcast call and adds the
 weighted squares left to right; the per-quote loop below is the reference it
-must equal bit for bit, with the same result type.  ``RefCurve`` keeps the
-earlier ``log_discount`` and ``forward`` so that the reference does not lean
-on the curve code under test.
+must equal bit for bit, with the same result type.  ``section_objective``
+must in turn equal ``ls_objective`` bit for bit, and ``calibrate``, which
+searches with it, must find what the earlier ``calibrate`` found by
+evaluating ``ls_objective`` at every step.  ``RefCurve`` keeps the earlier
+``log_discount`` and ``forward`` so that the reference does not lean on the
+curve code under test.
 """
 
 import datetime as dt
@@ -13,17 +16,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from curveforge.calibration import (
+    A_BOUNDS,
+    SIGMA_BOUNDS,
     CrossSection,
     _model_price,
+    calibrate,
     calibrate_series,
     ls_objective,
+    section_objective,
 )
 from curveforge.curve import DiscountCurve
 from curveforge.daycount import year_fraction
 from curveforge.errors import ExtrapolationError, OrderingError
-from curveforge.hjm import HoLeeParams, HullWhiteParams
+from curveforge.hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
 
 ASOF0 = dt.date(2013, 1, 7)
 TENORS = (1 / 12, 2 / 12, 3 / 12, 6 / 12, 9 / 12, 1.0, 2.0, 3.0, 5.0, 7.0,
@@ -201,6 +209,151 @@ def test_overflow_error_text_reaches_the_calibration_record(model):
     assert series.records[0].params is None
     assert series.records[0].error == str(want)
     assert series.records[1].params is not None
+
+
+# -- the per-section objective and calibrate -----------------------------------
+
+
+def evaluate(objective, params):
+    return objective(*vars(params).values())
+
+
+@pytest.mark.parametrize("model", ["holee", "hullwhite"])
+def test_section_objective_equals_ls_objective(model):
+    rng = np.random.default_rng(20 + (model == "hullwhite"))
+    for i in range(1500):
+        xs, _ = section_pair(rng, random_pillars(rng), flat=rng.random() < 0.5,
+                             short_given=i % 2 == 0)
+        objective = section_objective(model, xs)
+        for _ in range(4):
+            params = random_params(rng, model)
+            got = evaluate(objective, params)
+            assert type(got) is float
+            assert got == ls_objective(model, params, xs), (xs, params)
+
+
+def failing_sections():
+    """Sections on which the objective raises: on the curve date, before
+    it, beyond the curve's span, and the two overflows."""
+    (bad_quote, bad_rate), _ = overflowing_sections()
+    curve = bad_quote.curve
+    at_curve_date = CrossSection(asof=ASOF0, quotes=[(1.0, 0.96)], curve=curve)
+    later_curve = DiscountCurve(curve.pillars, asof=ASOF0 + dt.timedelta(weeks=2))
+    before = CrossSection(asof=ASOF0 + dt.timedelta(weeks=1), quotes=[(1.0, 0.96)],
+                          curve=later_curve)
+    beyond = CrossSection(asof=ASOF0 + dt.timedelta(weeks=60),
+                          quotes=[(1.0, 0.96), (39.5, 0.2)], curve=curve)
+    return [at_curve_date, before, beyond, bad_quote, bad_rate]
+
+
+@pytest.mark.parametrize("model", ["holee", "hullwhite"])
+@pytest.mark.parametrize("which", range(5))
+def test_section_objective_raises_what_ls_objective_raises(model, which):
+    xs = failing_sections()[which]
+    params = HoLeeParams(sigma=0.01) if model == "holee" else HullWhiteParams(0.1, 0.01)
+    want = lookup_error(lambda xs: ls_objective(model, params, xs), xs)
+    got = lookup_error(lambda xs: evaluate(section_objective(model, xs), params), xs)
+    assert isinstance(want, (OrderingError, ExtrapolationError, OverflowError))
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+def _golden_section_then_value(fun, lo, hi, tol=1e-12):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fun(c), fun(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fun(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fun(d)
+    x = 0.5 * (a + b)
+    return x, fun(x)
+
+
+def ref_calibrate(model, xs, maxiter=4000):
+    """The earlier calibrate: ls_objective at every evaluation, and a
+    constant-vol search that always reports convergence.  Returns
+    (params, objective, converged)."""
+    if model == "holee":
+        def fun(u):
+            return ls_objective(model, HoLeeParams(sigma=math.exp(u)), xs)
+
+        u, value = _golden_section_then_value(
+            fun, math.log(SIGMA_BOUNDS[0]), math.log(SIGMA_BOUNDS[1]))
+        return HoLeeParams(sigma=math.exp(u)), value, True
+    log_a_lo, log_a_hi = math.log(A_BOUNDS[0]), math.log(A_BOUNDS[1])
+    log_s_lo, log_s_hi = math.log(SIGMA_BOUNDS[0]), math.log(SIGMA_BOUNDS[1])
+
+    def fun(theta):
+        la, ls = theta
+        if not (log_a_lo <= la <= log_a_hi and log_s_lo <= ls <= log_s_hi):
+            return np.inf
+        return ls_objective(model, HullWhiteParams(a=math.exp(la), sigma=math.exp(ls)), xs)
+
+    best, any_success = None, False
+    for a0 in (0.01, 0.08, 0.5, 2.0):
+        for s0 in (0.01, 0.3):
+            res = minimize(fun, np.array((math.log(a0), math.log(s0))),
+                           method="Nelder-Mead",
+                           options={"maxiter": maxiter, "xatol": 1e-10,
+                                    "fatol": 1e-22, "adaptive": False})
+            if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
+                best = res
+            any_success |= bool(res.success and math.isfinite(res.fun))
+    params = HullWhiteParams(a=math.exp(best.x[0]), sigma=math.exp(best.x[1]))
+    return params, float(best.fun), any_success
+
+
+def model_section(rng, model):
+    """A random section priced by the model itself (random curve, date,
+    tenors and parameters) plus a little noise, so that most fits are
+    interior and some sit on a bound."""
+    xs, _ = section_pair(rng, random_pillars(rng), flat=False)
+    # sigma below the box now and then, above it never: the prices would
+    # underflow
+    sigma = math.exp(rng.uniform(math.log(1e-7), math.log(0.3)))
+    truth = (HoLeeParams(sigma=sigma) if model == "holee"
+             else HullWhiteParams(a=math.exp(rng.uniform(math.log(1e-4), math.log(5.0))),
+                                  sigma=sigma))
+    pricer = holee_price if model == "holee" else hullwhite_price
+    quotes = [(tau, pricer(truth, xs.curve, xs.short_rate, xs.t, xs.t + tau)
+               * (1.0 + float(rng.normal(0.0, 1e-6))))
+              for tau, _ in xs.quotes]
+    if model == "hullwhite" and len(quotes) < 2:
+        quotes.append((30.0, pricer(truth, xs.curve, xs.short_rate, xs.t, xs.t + 30.0)))
+    return CrossSection(asof=xs.asof, quotes=quotes, curve=xs.curve,
+                        short_rate=xs.short_rate)
+
+
+@pytest.mark.parametrize("model, n, maxiter", [("holee", 120, 4000),
+                                               ("hullwhite", 6, 150),
+                                               ("hullwhite", 1, 4000)])
+def test_calibrate_finds_what_the_earlier_calibrate_found(model, n, maxiter):
+    rng = np.random.default_rng(30 + 7 * (model == "hullwhite") + maxiter)
+    on_bound = 0
+    for _ in range(n):
+        xs = model_section(rng, model)
+        params, value, converged = ref_calibrate(model, xs, maxiter)
+        got = calibrate(model, xs, maxiter)
+        assert got.params == params
+        assert got.objective == value
+        assert type(got.objective) is type(value)
+        if model == "holee" and not got.converged:
+            # the bound rule: the search did no better than an end
+            on_bound += 1
+            assert value >= min(ls_objective(model, HoLeeParams(sigma=s), xs)
+                                for s in SIGMA_BOUNDS)
+        else:
+            assert got.converged == converged
+    if model == "holee":
+        assert 0 < on_bound < n
 
 
 # -- curve lookups -------------------------------------------------------------
