@@ -5,6 +5,10 @@ minimizes the unweighted mean squared error between quoted and model prices
 (price residuals, not yield residuals).  The initial curve is normally held
 fixed across a whole calibration window; a per-date-curve mode exists for
 rolling-anchor studies.
+
+Ho-Lee has one parameter and is fitted by a golden-section search; only
+Hull-White runs ``scipy.optimize.minimize``, which is imported on its first
+call (``minimize`` below), so loading this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import libm
 from .curve import DiscountCurve
@@ -28,6 +31,13 @@ SIGMA_BOUNDS = (1e-5, 2.0)
 SHORT_RATE_TENOR = 0.25
 _GOLDEN_TOL = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass

@@ -14,6 +14,9 @@ likelihood and of ``fit_ml`` is shared.
 Estimated parameters are taken straight from the historical series and used
 unchanged for pricing: no market-price-of-risk adjustment is applied, so
 time-series dynamics and pricing dynamics are deliberately identified.
+
+The restarts run ``scipy.optimize.minimize`` (Nelder-Mead), imported on the
+first fit (``minimize`` below), so loading this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .curve import DiscountCurve
 from .daycount import year_fraction
@@ -49,6 +51,13 @@ LOG2PI = math.log(2.0 * math.pi)
 RHO_CLIP = 0.9999
 _THETA_BOX = 18.0          # |transformed parameter| beyond this is rejected
 _BOUNDARY_MARGIN = 1.0     # final coordinates this close to the box are flagged
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -282,10 +282,17 @@ def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
     def pillar(tau, discount_factor):
         nonlocal previous
         tau = _parse_float(tau, "tau")
+        if tau <= 0:
+            raise ValueError(f"tau {tau} not positive")
         if tau < previous:
             raise ValueError(f"tau {tau} below the previous pillar's {previous}")
+        if tau == previous:
+            raise ValueError(f"tau {tau} repeats the previous pillar")
         previous = tau
-        return tau, _parse_float(discount_factor, "discount factor")
+        discount_factor = _parse_float(discount_factor, "discount factor")
+        if not 0.0 < discount_factor <= 1.0:
+            raise ValueError(f"discount factor {discount_factor} outside (0, 1]")
+        return tau, discount_factor
 
     schema = _columns(CURVE_COLUMNS, pillar)
     meta, _, pillars = _read_table(path, "curve", schema, allow_empty=True)

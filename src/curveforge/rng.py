@@ -6,16 +6,24 @@ on how many paths are requested or in which order blocks execute.  A
 Philox stream is a function of its key and counter alone, so a block of
 paths re-keys one bit generator per row instead of building one per path.
 Normals come from the inverse CDF applied to uniforms, which is bit-stable
-across platforms, unlike rejection samplers.
+across platforms, unlike rejection samplers.  The inverse CDF is scipy's
+``ndtri``; scipy is imported on the first draw, not with this module, so
+commands that never simulate do not load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 _U_FLOOR = 1e-300  # random() can return exactly 0.0; ndtri(0) is -inf
+
+
+def ndtri(u, out=None):
+    """``scipy.special.ndtri``, imported on first use; writes into ``out``."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(u, out=out)
 
 
 def path_generator(seed: int, path_index: int = 0) -> Generator:

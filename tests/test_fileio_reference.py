@@ -292,6 +292,7 @@ MALFORMED = [
     ("curve_duplicate_tau", "ingest_curve", (), "tau,discount_factor\n1.0,0.96\n1.0,0.95\n"),
     ("curve_out_of_order", "ingest_curve", (), "tau,discount_factor\n2.0,0.9\n1.0,0.96\n"),
     ("curve_price_range", "ingest_curve", (), "tau,discount_factor\n1.0,1.5\n"),
+    ("curve_nonpositive_tau", "ingest_curve", (), "tau,discount_factor\n0.0,1.0\n-1.0,0.9\n"),
     ("sections_bad", "ingest_cross_sections", (), "date,maturity_years,zero_price\n"
         "2013-01-07,x,0.95\n2013-01-07,nan,0.95\n2013-01-07,-1,0.95\n"
         "2013-01-07,1.0,inf\n2013-01-07,1.0,0\n2013-01-07,2.0,0.9\n"
@@ -381,9 +382,10 @@ MALFORMED_MESSAGES = {
     'curve_header_mismatch': "line 2: header ['tau;discount_factor'] does not match schema ['tau', 'discount_factor']",
     'curve_empty_file': 'line 1: file has no header row',
     'curve_header_only': 'a discount curve needs at least one pillar',
-    'curve_duplicate_tau': 'pillar maturities must be strictly increasing',
+    'curve_duplicate_tau': 'curve file rejected (line 3: tau 1.0 repeats the previous pillar)',
     'curve_out_of_order': "curve file rejected (line 3: tau 1.0 below the previous pillar's 2.0)",
-    'curve_price_range': 'pillar discount factors must lie in (0, 1]',
+    'curve_price_range': 'curve file rejected (line 2: discount factor 1.5 outside (0, 1])',
+    'curve_nonpositive_tau': 'curve file rejected (line 2: tau 0.0 not positive; line 3: tau -1.0 not positive)',
     'sections_bad': "cross-section file rejected (line 2: unparseable maturity 'x'; line 3: non-finite maturity 'nan'; line 4: maturity -1.0 not positive; line 5: non-finite price 'inf'; line 6: price 0.0 outside (0, 1]; line 8: duplicate maturity 2.0 on 2013-01-07; line 9: month must be in 1..12)",
     'sections_short': 'line 3: expected 3 cells, found 2',
     'sections_long': 'line 2: expected 3 cells, found 4',
