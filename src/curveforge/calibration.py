@@ -261,7 +261,9 @@ def calibrate(
 
     Constant-vol model: golden-section search on log sigma over
     [1e-5, 2]; it counts as converged only when its result beats both ends
-    of that range, so a search that stalls on a bound is flagged.
+    of that range.  Otherwise the better end is returned, unconverged, so
+    a search that stalls on a bound is flagged and never returns a sigma
+    worse than that bound.
     Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
     deterministic starts spread over the admissible box a in [1e-4, 5],
     sigma in [1e-5, 2].  Non-convergence is flagged, not raised; the best
@@ -274,12 +276,14 @@ def calibrate(
         objective = section_objective(model, xs)
         lo, hi = SIGMA_BOUNDS
         u = _golden_section(lambda u: objective(math.exp(u)), math.log(lo), math.log(hi))
-        params = HoLeeParams(sigma=math.exp(u))
-        value = ls_objective(model, params, xs)
+        sigma = math.exp(u)
+        end_value, end = min((objective(lo), lo), (objective(hi), hi))
+        converged = objective(sigma) < end_value
+        params = HoLeeParams(sigma=sigma if converged else end)
         return CalibrationResult(
             params=params,
-            objective=value,
-            converged=value < objective(lo) and value < objective(hi),
+            objective=ls_objective(model, params, xs),
+            converged=converged,
         )
 
     if model == "hullwhite":

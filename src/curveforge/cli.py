@@ -496,8 +496,8 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 @click.option("--state", "state_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--start", type=_Date(), default="2010-01-04", show_default=True)
-@click.option("--n-obs", type=int, default=260, show_default=True)
-@click.option("--gap-days", type=int, default=7, show_default=True)
+@click.option("--n-obs", type=click.IntRange(min=2), default=260, show_default=True)
+@click.option("--gap-days", type=click.IntRange(min=1), default=7, show_default=True)
 @click.option("--maturity", "maturities", type=float, multiple=True,
               help="Instrument maturity in years from start (repeatable).")
 @click.option("--seed", type=_SIM_SEED, default=0, show_default=True)
@@ -509,10 +509,6 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
     params = _load_params(model, params_path)
     if not maturities:
         maturities = (30.0,) if model == "vasicek" else (30.0, 40.0)
-    if n_obs < 2:
-        raise click.UsageError("--n-obs must be at least 2")
-    if gap_days < 1:
-        raise click.UsageError("--gap-days must be at least 1")
     schedule = [start + dt.timedelta(days=i * gap_days) for i in range(n_obs)]
     instruments = [
         (f"Z{i + 1}", start + dt.timedelta(days=round(tau * 365.0)))
@@ -522,8 +518,6 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
     if model == "g2pp" and curve_data is None:
         curve_data = flat_curve(_DEFAULT_CURVE_RATE, span=80.0, n_pillars=80)
     state0 = fileio.state_from_file(state_path, model) if state_path else None
-    if model == "vasicek" and state0 is not None:
-        state0 = state0.r
     panel = synth_panel(
         model, params, schedule, instruments,
         curve=curve_data, state0=state0, seed=seed,

@@ -48,8 +48,8 @@ from .daycount import parse_date
 from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface, check_violation
 from .errors import IngestionError
 from .estimation import PricePanel, StateSeries
-from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
-from .models import PARAM_TYPES, param_fields
+from .hjm import HoLeeParams, HullWhiteParams
+from .models import PARAM_TYPES, STATE_TYPES, param_fields
 from .shortrate import G2State
 
 PANEL_COLUMNS = ("date", "instrument_id", "price", "maturity")
@@ -724,7 +724,7 @@ def state_from_file(path: str | os.PathLike, model: str):
     return _read_record(
         path,
         "state",
-        G2State if model == "g2pp" else ShortRateState,
+        STATE_TYPES[model],
         lambda keys: f"missing state key {keys[0]!r}",
     )
 

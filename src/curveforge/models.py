@@ -1,21 +1,30 @@
-"""The model names the package knows, and the parameter class of each.
+"""The model names the package knows, and the parameter and state classes
+of each.
 
-Parameter files, surfaces, the Monte-Carlo oracle and the CLI all read this
-one table; a model's parameter keys are the fields of its class, in order.
+Parameter files, surfaces, the Monte-Carlo oracle and the CLI all read
+these tables; a model's parameter keys are the fields of its class, in
+order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from .hjm import HoLeeParams, HullWhiteParams
-from .shortrate import G2Params, VasicekParams
+from .hjm import HoLeeParams, HullWhiteParams, ShortRateState
+from .shortrate import G2Params, G2State, VasicekParams
 
 PARAM_TYPES = {
     "vasicek": VasicekParams,
     "g2pp": G2Params,
     "holee": HoLeeParams,
     "hullwhite": HullWhiteParams,
+}
+
+STATE_TYPES = {
+    "vasicek": ShortRateState,
+    "g2pp": G2State,
+    "holee": ShortRateState,
+    "hullwhite": ShortRateState,
 }
 
 

@@ -1,14 +1,16 @@
 """Monte-Carlo pricing oracle and synthetic panel generation.
 
 State paths use the exact Gaussian transition over each grid step (no Euler
-bias), so the only discretization left is the trapezoidal rule for the
-integrated short rate in the discount factor.  Every model runs through one
-k-factor kernel: each step takes factor i to x_i decay_i (+ drift_i) plus
-its row of the lower Cholesky factor of the step covariance times the
-step's normals (k = 1 for vasicek and for the stochastic part of the
-forward-curve models, k = 2 for g2pp).  Per-path counter-based
-seeding makes every estimate reproducible bit for bit and independent of
-block decomposition; accumulation relies on numpy's pairwise summation.
+bias).  One k-factor step function, ``_exact_steps``, serves both uses: each
+step takes factor i to x_i decay_i (+ drift_i) plus its row of the lower
+Cholesky factor of the step covariance times the step's normals (k = 1 for
+vasicek and for the stochastic part of the forward-curve models, k = 2 for
+g2pp).  The oracle integrates the short rate along many paths by the
+trapezoidal rule, the only discretization left in its discount factor; a
+synthetic panel prices one path closed-form at each observation date.
+Per-path counter-based seeding makes every estimate reproducible bit for bit
+and independent of block decomposition; accumulation relies on numpy's
+pairwise summation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import OrderingError, ResolutionError, SingularInversionError
 from .hjm import ShortRateState
-from .models import PARAM_TYPES
+from .models import PARAM_TYPES, STATE_TYPES
 from .rng import normal_block, path_generator, standard_normals
 from .shortrate import (
     G2Params,
@@ -79,87 +81,8 @@ class McEstimate:
     n_paths: int
 
 
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must be a 1-d array with at least two points")
-    if grid[0] != 0.0:
-        raise OrderingError("grid must start at 0")
-    if np.any(np.diff(grid) <= 0):
-        raise OrderingError("grid must be strictly increasing")
-    return grid
-
-
-def simulate_ou(a, mean_level, sigma, x0, grid, rng) -> np.ndarray:
-    """One mean-reverting path sampled exactly on ``grid``.
-
-    dx = a (mean_level - x) dt + sigma dW; sigma = 0 gives the
-    deterministic mean curve.  Handles irregular grids.
-    """
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    grid = _check_grid(grid)
-    steps = np.diff(grid)
-    z = standard_normals(rng, steps.size)
-    path = np.empty(grid.size)
-    path[0] = x0
-    x = float(x0)
-    for k, h in enumerate(steps):
-        decay = math.exp(-a * h)
-        sd = sigma * math.sqrt(-math.expm1(-2.0 * a * h) / (2.0 * a))
-        x = x * decay + mean_level * (1.0 - decay) + sd * z[k]
-        path[k + 1] = x
-    return path
-
-
-def simulate_correlated_ou(a, b, sigma, eta, rho, x0, y0, grid, rng):
-    """Two zero-mean-reverting factor paths with correlated shocks.
-
-    Exact sampling from the joint Gaussian transition per step; sigma or
-    eta equal to zero degenerates that factor to deterministic decay.
-    """
-    if a <= 0 or b <= 0:
-        raise ValueError("reversion speeds must be positive")
-    if sigma < 0 or eta < 0:
-        raise ValueError("volatilities must be >= 0")
-    if not -1.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [-1, 1], got {rho}")
-    grid = _check_grid(grid)
-    steps = np.diff(grid)
-    z = standard_normals(rng, 2 * steps.size).reshape(steps.size, 2)
-    xs = np.empty(grid.size)
-    ys = np.empty(grid.size)
-    xs[0], ys[0] = x0, y0
-    x, y = float(x0), float(y0)
-    for k, h in enumerate(steps):
-        sx = sigma * math.sqrt(-math.expm1(-2.0 * a * h) / (2.0 * a))
-        sy = eta * math.sqrt(-math.expm1(-2.0 * b * h) / (2.0 * b))
-        # correlation of the integrated shocks over one exact step
-        if sx > 0 and sy > 0:
-            cov = rho * sigma * eta * (-math.expm1(-(a + b) * h)) / (a + b)
-            corr = cov / (sx * sy)
-        else:
-            corr = 0.0
-        corr_c = math.sqrt(max(1.0 - corr * corr, 0.0))
-        x = x * math.exp(-a * h) + sx * z[k, 0]
-        y = y * math.exp(-b * h) + sy * (corr * z[k, 0] + corr_c * z[k, 1])
-        xs[k + 1], ys[k + 1] = x, y
-    return xs, ys
-
-
-def simulate_g2(params: G2Params, state0: G2State, grid, rng):
-    """Factor paths for the two-factor model from ``state0`` along ``grid``
-    (grid times are offsets from state0.t)."""
-    return simulate_correlated_ou(
-        params.a, params.b, params.sigma, params.eta, params.rho,
-        state0.x, state0.y, grid, rng,
-    )
-
-
 # ---------------------------------------------------------------------------
-# discounted-payoff estimation
+# exact steps and discounted-payoff estimation
 # ---------------------------------------------------------------------------
 
 
@@ -191,6 +114,12 @@ def _ou_steps(a, sigma, steps):
     return np.ones_like(steps), sigma * np.sqrt(steps)
 
 
+def _vasicek_steps(params: VasicekParams, steps):
+    """Per-step decay, drift and shock sd of the exact vasicek transition."""
+    decay, sd = _ou_steps(params.a, params.sigma, steps)
+    return [decay], [params.b * (1.0 - decay)], [[sd]]
+
+
 def _g2pp_steps(params: G2Params, state0: G2State, steps):
     """Per-step factor decays and lower Cholesky rows of the two-factor
     shock covariance."""
@@ -199,31 +128,42 @@ def _g2pp_steps(params: G2Params, state0: G2State, steps):
     return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
 
 
-def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
-    """exp(-trapz of the factor sum) over exactly sampled k-factor paths.
+def _exact_steps(decay, drift, chol, x0, z):
+    """Yield the k factor values, one array over paths each, after every
+    exact step, from x0 and the normals z of shape (paths, steps, k).
 
     Over step s, factor i moves to x_i decay[i][s] (+ drift[i][s] unless
     drift is None) + sum_{j <= i} chol[i][j][s] z_j, where chol is the lower
     Cholesky factor of the step's shock covariance and z_j the path's
     normal j of that step.
     """
+    x = [np.full(z.shape[0], float(v)) for v in x0]
+    for s in range(z.shape[1]):
+        x_new = []
+        for i in range(len(x)):
+            v = x[i] * decay[i][s]
+            if drift is not None:
+                v = v + drift[i][s]
+            for j in range(i + 1):
+                v = v + chol[i][j][s] * z[:, s, j]
+            x_new.append(v)
+        x = x_new
+        yield x
+
+
+def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
+    """exp(-trapz of the factor sum) over exactly sampled k-factor paths
+    (``_exact_steps``), path i drawing the normals of stream (seed, i)."""
     k, n_steps = len(x0), steps.size
     out = np.empty(n_paths)
     for first, count in _blocked(n_paths, k * n_steps):
         z = normal_block(seed, first, count, k * n_steps).reshape(count, n_steps, k)
-        x = [np.full(count, float(v)) for v in x0]
+        level = sum(x0[1:], x0[0])
         integral = np.zeros(count)
-        for s in range(n_steps):
-            x_new = []
-            for i in range(k):
-                v = x[i] * decay[i][s]
-                if drift is not None:
-                    v = v + drift[i][s]
-                for j in range(i + 1):
-                    v = v + chol[i][j][s] * z[:, s, j]
-                x_new.append(v)
-            integral += 0.5 * steps[s] * (sum(x[1:], x[0]) + sum(x_new[1:], x_new[0]))
-            x = x_new
+        for h, x in zip(steps, _exact_steps(decay, drift, chol, x0, z)):
+            new_level = sum(x[1:], x[0])
+            integral += 0.5 * h * (level + new_level)
+            level = new_level
         out[first : first + count] = np.exp(-integral)
     return out
 
@@ -252,28 +192,13 @@ def mc_zero_price(
     simulated.  Raises ResolutionError when the step is coarser than a 50th
     of the horizon.
     """
-    if model == "vasicek":
-        # a raw (a, b, sigma) triple is accepted so degenerate volatility
-        # (sigma = 0) can be priced, matching the wider simulate_ou domain
-        if isinstance(params, VasicekParams):
-            vas_abc = (params.a, params.b, params.sigma)
-        elif np.shape(params) == (3,):
-            vas_abc = (float(params[0]), float(params[1]), float(params[2]))
-            if vas_abc[0] <= 0 or vas_abc[2] < 0:
-                raise ValueError("need a > 0 and sigma >= 0")
-        else:
-            raise TypeError("vasicek model needs VasicekParams or (a, b, sigma)")
-        r0 = state0.r if isinstance(state0, ShortRateState) else float(state0)
-        t0 = state0.t if isinstance(state0, ShortRateState) else 0.0
-    elif model in PARAM_TYPES:
-        state_type = G2State if model == "g2pp" else ShortRateState
-        if not isinstance(params, PARAM_TYPES[model]):
-            raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
-        if not isinstance(state0, state_type):
-            raise TypeError(f"{model} model needs a {state_type.__name__} starting state")
-        t0 = state0.t
-    else:
+    if model not in PARAM_TYPES:
         raise ValueError(f"unknown model {model!r}")
+    if not isinstance(params, PARAM_TYPES[model]):
+        raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
+    if not isinstance(state0, STATE_TYPES[model]):
+        raise TypeError(f"{model} model needs a {STATE_TYPES[model].__name__} starting state")
+    t0 = state0.t
 
     if T <= t0:
         raise OrderingError(f"maturity {T} must lie after the state time {t0}")
@@ -295,11 +220,8 @@ def mc_zero_price(
     steps = np.diff(times)
 
     if model == "vasicek":
-        a, mean_level, sigma = vas_abc
-        decay, sd = _ou_steps(a, sigma, steps)
         discounts = _trapezoid_discounts(
-            [decay], [mean_level * (1.0 - decay)], [[sd]], [r0],
-            steps, config.seed, config.n_paths,
+            *_vasicek_steps(params, steps), [state0.r], steps, config.seed, config.n_paths
         )
         return _estimate(discounts)
 
@@ -343,6 +265,14 @@ def mc_zero_price(
 # ---------------------------------------------------------------------------
 
 
+def _synth_path(decay, drift, chol, x0, seed):
+    """The one path a panel prices: the factor values x0, then those after
+    each exact step, driven by the normals of stream (seed, 0)."""
+    k, n_steps = len(x0), len(decay[0])
+    z = standard_normals(path_generator(seed, 0), k * n_steps).reshape(1, n_steps, k)
+    return [x0] + [[float(v[0]) for v in x] for x in _exact_steps(decay, drift, chol, x0, z)]
+
+
 def synth_panel(
     model: str,
     params,
@@ -377,35 +307,39 @@ def synth_panel(
         raise ValueError(f"unknown model {model!r}")
     if not isinstance(params, PARAM_TYPES[model]):
         raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
-    times = np.array([year_fraction(schedule[0], d) for d in schedule])
-    grid = times - times[0]
-    rng = path_generator(seed, 0)
-
-    observations = []
     if model == "vasicek":
         if len(instruments) < 1:
             raise ValueError("need at least one instrument")
-        r0 = params.b if state0 is None else float(state0)
-        path = simulate_ou(params.a, params.b, params.sigma, r0, grid, rng)
-        for k, date in enumerate(schedule):
-            quotes = {}
-            for name, mat in instruments:
-                tau = year_fraction(date, mat)
-                quotes[name] = vasicek_price(params, float(path[k]), 0.0, tau)
-            observations.append((date, quotes))
+        state0 = ShortRateState(r=params.b) if state0 is None else state0
     else:
         if curve is None:
             raise ValueError("g2pp model needs the market curve")
         if len(instruments) != 2:
             raise ValueError("the two-factor panel needs exactly two instruments")
-        s0 = G2State(0.0, 0.0, 0.0) if state0 is None else state0
-        xs, ys = simulate_g2(params, s0, grid, rng)
-        for k, date in enumerate(schedule):
-            state = G2State(float(xs[k]), float(ys[k]), float(grid[k]))
-            quotes = {}
-            for name, mat in instruments:
-                T = float(grid[k]) + year_fraction(date, mat)
-                quotes[name] = g2pp_price(params, curve, state, T)
+        state0 = G2State(0.0, 0.0) if state0 is None else state0
+    if not isinstance(state0, STATE_TYPES[model]):
+        raise TypeError(f"{model} model needs a {STATE_TYPES[model].__name__} starting state")
+
+    times = np.array([year_fraction(schedule[0], d) for d in schedule])
+    gaps = np.diff(times)
+    observations = []
+    if model == "vasicek":
+        path = _synth_path(*_vasicek_steps(params, gaps), [state0.r], seed)
+        for date, (r,) in zip(schedule, path):
+            quotes = {
+                name: vasicek_price(params, r, 0.0, year_fraction(date, mat))
+                for name, mat in instruments
+            }
+            observations.append((date, quotes))
+    else:
+        decay, chol = _g2pp_steps(params, state0, gaps)
+        path = _synth_path(decay, None, chol, [state0.x, state0.y], seed)
+        for t, date, (x, y) in zip(times.tolist(), schedule, path):
+            state = G2State(x, y, t)
+            quotes = {
+                name: g2pp_price(params, curve, state, t + year_fraction(date, mat))
+                for name, mat in instruments
+            }
             observations.append((date, quotes))
 
     return PricePanel(observations=observations, instruments=list(instruments))

@@ -217,6 +217,8 @@ class TestCalibrate:
         result = calibrate("holee", xs)
         assert result.params.sigma == pytest.approx(SIGMA_BOUNDS[bound], rel=1e-8)
         assert not result.converged
+        at_bound = HoLeeParams(sigma=SIGMA_BOUNDS[bound])
+        assert result.objective <= ls_objective("holee", at_bound, xs)
 
     def test_hullwhite_recovery(self, curve):
         # short rate off the curve level so the reversion speed has leverage

@@ -14,7 +14,7 @@ from curveforge.daycount import year_fraction
 from curveforge.estimation import StateSeries
 from curveforge.hjm import HoLeeParams, ShortRateState, holee_price
 from curveforge.montecarlo import synth_panel
-from curveforge.shortrate import G2Params, G2State, VasicekParams
+from curveforge.shortrate import G2Params, G2State, VasicekParams, g2pp_price, vasicek_price
 
 VAS = VasicekParams(a=1.7051, b=0.0937, sigma=0.3721)
 ASOF = dt.date(2013, 1, 7)
@@ -514,6 +514,33 @@ class TestSynth:
         panel = fileio.ingest_panel(tmp_path / "panel.csv")
         assert len(panel.instruments) == 2
 
+    @pytest.mark.parametrize("model, state", [
+        ("vasicek", ShortRateState(r=0.021)),
+        ("g2pp", G2State(x=0.004, y=-0.003)),
+    ])
+    def test_state_file_is_the_first_observation(self, runner, inputs, tmp_path,
+                                                model, state):
+        state_path = tmp_path / "start.state"
+        fileio.state_to_file(state_path, state)
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "synth", "--model", model,
+             "--params", str(inputs / f"{model}.params"), "--curve",
+             str(inputs / "curve.csv"), "--state", str(state_path),
+             "--start", ASOF.isoformat(), "--n-obs", "5", "--seed", "4"],
+        )
+        assert result.exit_code == 0, result.output
+        panel = fileio.ingest_panel(tmp_path / "panel.csv")
+        params = fileio.params_from_file(inputs / f"{model}.params", model)
+        curve = fileio.ingest_curve(inputs / "curve.csv")
+        date, quotes = panel.observations[0]
+        assert date == ASOF
+        for name, mat in panel.instruments:
+            tau = year_fraction(ASOF, mat)
+            closed = (vasicek_price(params, state.r, 0.0, tau) if model == "vasicek"
+                      else g2pp_price(params, curve, state, tau))
+            assert quotes[name] == closed
+
     def test_too_few_observations_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -564,6 +591,7 @@ class TestArgumentRanges:
             (["oracle", "--model", "vasicek", "--seed", str(2**64)], "--seed"),
             (["synth", "--model", "vasicek", "--seed", "-1"], "--seed"),
             (["synth", "--model", "vasicek", "--seed", str(2**64)], "--seed"),
+            (["synth", "--model", "vasicek", "--gap-days", "0"], "--gap-days"),
             (["fit-ml", "--model", "vasicek", "--restarts", "0"], "--restarts"),
             (["fit-ml", "--model", "vasicek", "--seed", "-2"], "--seed"),
         ],

@@ -239,17 +239,13 @@ class TestLoglikVasicek:
         assert shifted == pytest.approx(base - n_trans * math.log(c), rel=1e-12)
 
     def test_recovered_states_match_simulation(self, vas_panel_weekly):
-        from curveforge.rng import path_generator
-        from curveforge.montecarlo import simulate_ou
+        from curveforge.montecarlo import _synth_path, _vasicek_steps
 
         (r,), _ = _states(
             _ML_MODELS["vasicek"], VAS, _PanelData.of(vas_panel_weekly, 1)
         )
-        path = simulate_ou(
-            VAS.a, VAS.b, VAS.sigma, VAS.b, vas_panel_weekly.times,
-            path_generator(6, 0),
-        )
-        np.testing.assert_allclose(r, path, atol=1e-10)
+        path = _synth_path(*_vasicek_steps(VAS, vas_panel_weekly.gaps), [VAS.b], 6)
+        np.testing.assert_allclose(r, np.array(path)[:, 0], atol=1e-10)
 
     def test_input_validation(self, vas_panel_weekly, g2_panel, steep_curve):
         with pytest.raises(ValueError):

@@ -383,8 +383,9 @@ def kernel_calls(monkeypatch):
 
 def _reference_for(model, params, x0, steps, seed, n_paths, t0):
     if model == "vasicek":
-        a, b, sigma = params
-        return _ref_trapezoid_discounts_ou(a, b, sigma, x0[0], steps, seed, n_paths)
+        return _ref_trapezoid_discounts_ou(
+            params.a, params.b, params.sigma, x0[0], steps, seed, n_paths
+        )
     if model == "g2pp":
         state0 = G2State(x=x0[0], y=x0[1], t=t0)
         return _ref_trapezoid_discounts_g2(params, state0, steps, seed, n_paths)
@@ -393,8 +394,9 @@ def _reference_for(model, params, x0, steps, seed, n_paths, t0):
 
 
 CASES = {
-    # a raw triple with zero volatility: every path is the mean curve
-    "vasicek-sigma0": ("vasicek", (0.8, 0.05, 0.0), 0.03, 2.0),
+    "vasicek": (
+        "vasicek", VasicekParams(a=0.8, b=0.05, sigma=0.02), ShortRateState(r=0.03, t=0.5), 2.5,
+    ),
     "holee": ("holee", HoLeeParams(sigma=0.01), ShortRateState(r=0.045, t=0.5), 3.0),
     "hullwhite": (
         "hullwhite", HullWhiteParams(a=0.4, sigma=0.015), ShortRateState(r=0.05, t=0.0), 2.5,
@@ -419,11 +421,8 @@ class TestDiscountsAgainstReference:
         mc_zero_price(model, params, state0, T, config, curve=CURVE)
         ((x0, steps, seed, count, got),) = kernel_calls
         assert (seed, count) == (9, n_paths)
-        t0 = getattr(state0, "t", 0.0)
-        want = _reference_for(model, params, x0, steps, seed, count, t0)
+        want = _reference_for(model, params, x0, steps, seed, count, state0.t)
         np.testing.assert_array_equal(got, want)
-        if case == "vasicek-sigma0":
-            assert np.all(got == got[0])
 
     def test_shortened_last_step(self):
         steps = np.full(60, 0.02)

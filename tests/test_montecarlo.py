@@ -17,10 +17,11 @@ from curveforge.montecarlo import (
     McEstimate,
     SimConfig,
     mc_zero_price,
-    simulate_correlated_ou,
-    simulate_g2,
     _check_block_size,
-    simulate_ou,
+    _exact_steps,
+    _g2pp_steps,
+    _synth_path,
+    _vasicek_steps,
     synth_panel,
 )
 from curveforge.rng import normal_block, path_generator, standard_normals
@@ -77,27 +78,42 @@ class TestSimConfig:
         assert cfg.n_paths == 1
 
 
-class TestSimulateOu:
-    def test_sigma_zero_fixed_point(self):
-        grid = np.linspace(0.0, 2.0, 9)
-        path = simulate_ou(1.5, 0.07, 0.0, 0.07, grid, path_generator(0))
-        np.testing.assert_allclose(path, 0.07, rtol=0, atol=1e-16)
+def factor_paths(decay, drift, chol, x0, seed, n_paths):
+    """(paths, steps + 1, k) factor values from ``_exact_steps``, path i
+    driven by the normals of stream (seed, i)."""
+    k, n_steps = len(x0), len(decay[0])
+    z = normal_block(seed, 0, n_paths, k * n_steps).reshape(n_paths, n_steps, k)
+    start = [np.full(n_paths, float(v)) for v in x0]
+    steps = [start, *_exact_steps(decay, drift, chol, x0, z)]
+    return np.stack([np.stack(x, axis=-1) for x in steps], axis=1)
 
-    def test_sigma_zero_mean_curve(self):
-        grid = np.array([0.0, 0.5, 1.0, 3.0])
-        path = simulate_ou(0.8, 0.05, 0.0, 0.11, grid, path_generator(0))
-        expected = 0.05 + (0.11 - 0.05) * np.exp(-0.8 * grid)
-        np.testing.assert_allclose(path, expected, rtol=1e-12)
 
-    def test_horizon_moments_match_transition(self):
+class TestExactSteps:
+    def test_zero_shock_sd_is_pure_decay(self):
+        steps = np.diff(np.array([0.0, 0.5, 1.0, 3.0]))
+        decay, drift, _ = _vasicek_steps(VasicekParams(a=0.8, b=0.05, sigma=0.1), steps)
+        path = factor_paths(decay, drift, [[np.zeros(3)]], [0.11], 0, 4)[:, :, 0]
+        expected = 0.05 + (0.11 - 0.05) * np.exp(-0.8 * np.array([0.0, 0.5, 1.0, 3.0]))
+        np.testing.assert_allclose(path, np.broadcast_to(expected, path.shape), rtol=1e-12)
+        # a fixed point stays put
+        path = factor_paths(decay, drift, [[np.zeros(3)]], [0.05], 0, 1)
+        np.testing.assert_allclose(path, 0.05, rtol=0, atol=1e-16)
+
+    def test_zero_second_row_decays_deterministically(self):
+        grid = np.array([0.0, 0.4, 1.3, 2.0])
+        decay, chol = _g2pp_steps(G2, G2State(0.0, 0.0), np.diff(grid))
+        chol[1] = [np.zeros(3), np.zeros(3)]
+        paths = factor_paths(decay, None, chol, [0.05, -0.08], 1, 50)
+        np.testing.assert_allclose(
+            paths[:, :, 1], np.broadcast_to(-0.08 * np.exp(-G2.b * grid), (50, 4)), rtol=1e-12
+        )
+        assert np.std(paths[:, -1, 0]) > 0  # the x factor still diffuses
+
+    def test_vasicek_horizon_moments_match_transition(self):
         # multi-step exact sampling composes to the single-step transition law
         horizon, n_paths = 0.75, 20_000
-        grid = np.linspace(0.0, horizon, 33)
-        vals = np.empty(n_paths)
-        for i in range(n_paths):
-            vals[i] = simulate_ou(
-                VAS.a, VAS.b, VAS.sigma, 0.05, grid, path_generator(77, i)
-            )[-1]
+        steps = np.diff(np.linspace(0.0, horizon, 33))
+        vals = factor_paths(*_vasicek_steps(VAS, steps), [0.05], 77, n_paths)[:, -1, 0]
         mean, var = vasicek_transition(VAS, 0.05, horizon)
         assert abs(vals.mean() - mean) < 4 * vals.std(ddof=1) / math.sqrt(n_paths)
         se_var = vals.var(ddof=1) * math.sqrt(2.0 / (n_paths - 1))
@@ -105,56 +121,22 @@ class TestSimulateOu:
 
     def test_one_step_vs_two_halves_in_distribution(self):
         n_paths, h = 30_000, 0.6
-        one = np.empty(n_paths)
-        two = np.empty(n_paths)
-        for i in range(n_paths):
-            one[i] = simulate_ou(
-                VAS.a, VAS.b, VAS.sigma, 0.02, np.array([0.0, h]),
-                path_generator(5, i),
-            )[-1]
-            two[i] = simulate_ou(
-                VAS.a, VAS.b, VAS.sigma, 0.02, np.array([0.0, h / 2, h]),
-                path_generator(1005, i),
-            )[-1]
+        one = factor_paths(*_vasicek_steps(VAS, np.array([h])), [0.02], 5, n_paths)[:, -1, 0]
+        two = factor_paths(
+            *_vasicek_steps(VAS, np.array([h / 2, h / 2])), [0.02], 1005, n_paths
+        )[:, -1, 0]
         se = math.hypot(one.std(ddof=1), two.std(ddof=1)) / math.sqrt(n_paths)
         assert abs(one.mean() - two.mean()) < 4 * se
         se_var = one.var(ddof=1) * 2 * math.sqrt(2.0 / (n_paths - 1))
         assert abs(one.var(ddof=1) - two.var(ddof=1)) < 4 * se_var
 
-    def test_seeded_path_is_byte_identical(self):
-        grid = np.linspace(0.0, 1.0, 53)
-        p1 = simulate_ou(1.0, 0.05, 0.2, 0.03, grid, path_generator(42))
-        p2 = simulate_ou(1.0, 0.05, 0.2, 0.03, grid, path_generator(42))
-        assert p1.tobytes() == p2.tobytes()
-
-    def test_grid_validation(self):
-        rng = path_generator(0)
-        with pytest.raises(OrderingError):
-            simulate_ou(1.0, 0.05, 0.1, 0.03, np.array([0.5, 1.0]), rng)
-        with pytest.raises(OrderingError):
-            simulate_ou(1.0, 0.05, 0.1, 0.03, np.array([0.0, 1.0, 0.5]), rng)
-        with pytest.raises(ValueError):
-            simulate_ou(-1.0, 0.05, 0.1, 0.03, np.array([0.0, 1.0]), rng)
-
-
-class TestSimulateG2:
-    def test_eta_zero_decays_deterministically(self):
-        grid = np.array([0.0, 0.4, 1.3, 2.0])
-        xs, ys = simulate_correlated_ou(
-            0.2, 0.5, 0.1, 0.0, 0.0, 0.05, -0.08, grid, path_generator(1)
-        )
-        np.testing.assert_allclose(ys, -0.08 * np.exp(-0.5 * grid), rtol=1e-12)
-        assert np.std(xs) > 0  # the x factor still diffuses
-
-    def test_horizon_covariance_matches_transition(self):
+    def test_g2pp_horizon_covariance_matches_transition(self):
         horizon, n_paths = 0.5, 20_000
-        grid = np.linspace(0.0, horizon, 17)
-        xs = np.empty(n_paths)
-        ys = np.empty(n_paths)
-        for i in range(n_paths):
-            px, py = simulate_g2(G2, G2State(0.0, 0.0, 0.0), grid, path_generator(21, i))
-            xs[i], ys[i] = px[-1], py[-1]
-        _, cov = g2pp_transition(G2, G2State(0.0, 0.0, 0.0), horizon)
+        state0 = G2State(0.0, 0.0, 0.0)
+        decay, chol = _g2pp_steps(G2, state0, np.diff(np.linspace(0.0, horizon, 17)))
+        end = factor_paths(decay, None, chol, [0.0, 0.0], 21, n_paths)[:, -1, :]
+        xs, ys = end[:, 0], end[:, 1]
+        _, cov = g2pp_transition(G2, state0, horizon)
         assert abs(xs.mean()) < 4 * xs.std(ddof=1) / math.sqrt(n_paths)
         assert abs(ys.mean()) < 4 * ys.std(ddof=1) / math.sqrt(n_paths)
         sample = np.cov(np.vstack([xs, ys]), ddof=1)
@@ -165,23 +147,18 @@ class TestSimulateG2:
     def test_rho_zero_paths_uncorrelated(self):
         params = G2Params(a=0.3, b=0.7, sigma=0.2, eta=0.3, rho=0.0)
         n_paths = 8_000
-        grid = np.array([0.0, 1.0])
-        xs = np.empty(n_paths)
-        ys = np.empty(n_paths)
-        for i in range(n_paths):
-            px, py = simulate_g2(
-                params, G2State(0.0, 0.0, 0.0), grid, path_generator(9, i)
-            )
-            xs[i], ys[i] = px[-1], py[-1]
-        c = np.corrcoef(xs, ys)[0, 1]
+        decay, chol = _g2pp_steps(params, G2State(0.0, 0.0), np.array([1.0]))
+        end = factor_paths(decay, None, chol, [0.0, 0.0], 9, n_paths)[:, -1, :]
+        c = np.corrcoef(end[:, 0], end[:, 1])[0, 1]
         assert abs(c) < 4 / math.sqrt(n_paths)
 
-    def test_rho_bounds_checked(self):
-        with pytest.raises(ValueError):
-            simulate_correlated_ou(
-                0.2, 0.5, 0.1, 0.1, 1.5, 0.0, 0.0, np.array([0.0, 1.0]),
-                path_generator(0),
-            )
+    def test_seeded_path_is_byte_identical(self):
+        steps = np.diff(np.linspace(0.0, 1.0, 53))
+        inputs = _vasicek_steps(VasicekParams(a=1.0, b=0.05, sigma=0.2), steps)
+        p1 = _synth_path(*inputs, [0.03], 42)
+        p2 = _synth_path(*inputs, [0.03], 42)
+        assert np.array(p1).tobytes() == np.array(p2).tobytes()
+        assert np.array(p1).tobytes() != np.array(_synth_path(*inputs, [0.03], 43)).tobytes()
 
 
 class TestMcZeroPrice:
@@ -214,12 +191,21 @@ class TestMcZeroPrice:
             mc_zero_price(model, params, state, maturity, config,
                           curve=flat_curve(0.04, span=140.0, n_pillars=140))
 
-    def test_sigma_zero_vasicek_is_deterministic(self):
-        # degenerate volatility via the raw-triple escape hatch
+    def test_vasicek_tiny_vol_is_deterministic(self):
+        # started at its long-run level, every path stays there
+        params = VasicekParams(a=1.7051, b=0.0937, sigma=1e-12)
         config = SimConfig(n_paths=2, step=1 / 252, seed=0, horizon=2.0)
-        est = mc_zero_price("vasicek", (1.7051, 0.0937, 0.0), 0.0937, 2.0, config)
-        assert est.stderr == 0.0
+        est = mc_zero_price("vasicek", params, ShortRateState(r=0.0937), 2.0, config)
+        assert est.stderr < 1e-12
         assert est.value == pytest.approx(math.exp(-0.0937 * 2.0), rel=1e-12)
+
+    def test_vasicek_needs_its_params_and_state_classes(self):
+        config = SimConfig(n_paths=100, step=1 / 252, seed=0)
+        with pytest.raises(TypeError, match="vasicek model needs VasicekParams"):
+            mc_zero_price("vasicek", (1.7051, 0.0937, 0.0), ShortRateState(r=0.05), 2.0,
+                          config)
+        with pytest.raises(TypeError, match="needs a ShortRateState starting state"):
+            mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
 
     def test_vasicek_close_to_closed_form(self):
         config = SimConfig(n_paths=20_000, step=1 / 252, seed=4, horizon=3.0)
@@ -257,18 +243,19 @@ class TestMcZeroPrice:
 
     def test_deterministic_under_seed(self):
         config = SimConfig(n_paths=5_000, step=1 / 252, seed=11)
-        a = mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
-        b = mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
+        a = mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
+        b = mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
         assert a == b
         c = mc_zero_price(
-            "vasicek", VAS, 0.05, 2.0, SimConfig(n_paths=5_000, step=1 / 252, seed=12)
+            "vasicek", VAS, ShortRateState(r=0.05), 2.0,
+            SimConfig(n_paths=5_000, step=1 / 252, seed=12),
         )
         assert c.value != a.value
 
     def test_step_too_coarse(self):
         config = SimConfig(n_paths=100, step=0.25, seed=0)
         with pytest.raises(ResolutionError):
-            mc_zero_price("vasicek", VAS, 0.05, 1.0, config)
+            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 1.0, config)
 
     def test_maturity_must_follow_state_time(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
@@ -278,7 +265,7 @@ class TestMcZeroPrice:
     def test_horizon_cap_enforced(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0, horizon=1.0)
         with pytest.raises(OrderingError):
-            mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
+            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
 
     def test_curve_required_for_curve_models(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
@@ -288,7 +275,7 @@ class TestMcZeroPrice:
     def test_single_path_rejected(self):
         config = SimConfig(n_paths=1, step=1 / 252, seed=0)
         with pytest.raises(ValueError):
-            mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
+            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
 
     def test_params_of_the_other_forward_curve_model_rejected(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
@@ -321,12 +308,11 @@ class TestSynthPanel:
         instruments = [("Z", dt.date(2045, 1, 4))]
         panel = synth_panel("vasicek", VAS, schedule, instruments, seed=8)
         # re-simulate the same state path the generator used
-        grid = panel.times
-        path = simulate_ou(VAS.a, VAS.b, VAS.sigma, VAS.b, grid, path_generator(8, 0))
+        path = _synth_path(*_vasicek_steps(VAS, panel.gaps), [VAS.b], 8)
         for k, (date, quotes) in enumerate(panel.observations):
             tau = panel.taus("Z")[k]
             r = vasicek_invert_state(VAS, quotes["Z"], 0.0, float(tau))
-            assert r == pytest.approx(float(path[k]), abs=1e-12)
+            assert r == pytest.approx(path[k][0], abs=1e-12)
 
     def test_g2pp_panel_requires_two_instruments_and_curve(self):
         schedule = self.weekly(10)
@@ -338,6 +324,27 @@ class TestSynthPanel:
                 "g2pp", G2, schedule,
                 [("A", dt.date(2045, 1, 4)), ("B", dt.date(2050, 1, 4))],
             )
+
+    def test_starting_state_is_the_first_observation(self):
+        schedule = self.weekly(10)
+        instruments = [("Z", dt.date(2045, 1, 4))]
+        panel = synth_panel("vasicek", VAS, schedule, instruments,
+                            state0=ShortRateState(r=0.03), seed=2)
+        tau = panel.taus("Z")[0]
+        assert panel.observations[0][1]["Z"] == vasicek_price(VAS, 0.03, 0.0, float(tau))
+        with pytest.raises(TypeError, match="needs a ShortRateState starting state"):
+            synth_panel("vasicek", VAS, schedule, instruments, state0=0.03)
+        with pytest.raises(TypeError, match="needs a G2State starting state"):
+            synth_panel("g2pp", G2, schedule,
+                        [("A", dt.date(2045, 1, 4)), ("B", dt.date(2050, 1, 4))],
+                        curve=flat_curve(0.04, span=50.0), state0=ShortRateState(r=0.03))
+
+    def test_unordered_schedule_and_bad_rho_rejected(self):
+        schedule = self.weekly(5)
+        with pytest.raises(OrderingError):
+            synth_panel("vasicek", VAS, schedule[::-1], [("Z", dt.date(2045, 1, 4))])
+        with pytest.raises(ValueError, match="rho must lie in"):
+            G2Params(a=0.2, b=0.5, sigma=0.1, eta=0.1, rho=1.5)
 
     def test_duplicate_maturities_rejected_at_generation(self):
         schedule = self.weekly(10)

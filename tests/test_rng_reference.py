@@ -15,6 +15,7 @@ from scipy.special import ndtri
 
 from curveforge import montecarlo, rng
 from curveforge.curve import flat_curve
+from curveforge.hjm import ShortRateState
 from curveforge.montecarlo import SimConfig, mc_zero_price
 from curveforge.rng import normal_block, path_generator, standard_normals
 from curveforge.shortrate import G2Params, G2State, VasicekParams
@@ -110,7 +111,12 @@ def test_standard_normals_match_reference():
 @pytest.mark.parametrize(
     "model, params, state0, curve",
     [
-        ("vasicek", VasicekParams(a=1.7051, b=0.0937, sigma=0.3721), 0.05, None),
+        (
+            "vasicek",
+            VasicekParams(a=1.7051, b=0.0937, sigma=0.3721),
+            ShortRateState(r=0.05),
+            None,
+        ),
         (
             "g2pp",
             G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99),
