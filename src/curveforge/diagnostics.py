@@ -44,6 +44,9 @@ MATURITY_GRID = (
 
 _SIGN_SCAN_POINTS = 241
 _BISECT_STEPS = 40
+# bisection levels differentiated per g2pp_dPdT call: the 2^5 - 1 midpoints
+# a bracket may visit in its next five steps
+_BISECT_LEVELS = 5
 
 
 def check_violation(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> None:
@@ -179,9 +182,11 @@ def scan_derivative_signs(
     Audits the model prices at the scanned maturities for inversions and
     bisects each bracketing interval of the derivative to locate the
     crossing; both results land in one report.  The scan prices and
-    differentiates all maturities in one call each, and every bisection
-    step differentiates the midpoints of all open brackets in one call, so
-    an audit makes at most 1 + _BISECT_STEPS derivative calls.  A grid
+    differentiates all maturities in one call each.  The bisection then
+    differentiates, in one call for all open brackets, every midpoint the
+    next _BISECT_LEVELS steps may visit (``_midpoint_tree``) and walks the
+    steps on those values, so an audit makes at most
+    1 + ceil(_BISECT_STEPS / _BISECT_LEVELS) derivative calls.  A grid
     point where the derivative is exactly zero is a crossing itself.
     """
     if tau_hi <= tau_lo:
@@ -191,29 +196,65 @@ def scan_derivative_signs(
     derivs = g2pp_dPdT(params, curve, state, maturities)
     d0, d1 = derivs[:-1], derivs[1:]
     bracket = np.flatnonzero(d0 * d1 < 0.0)
-    lo, hi, dlo = maturities[bracket], maturities[bracket + 1], d0[bracket]
-    active = np.ones(bracket.size, dtype=bool)
-    for _ in range(_BISECT_STEPS):
-        if not active.any():
+    # [lo, hi, dP/dT at lo] of each bracket, as floats
+    brackets = [
+        list(b)
+        for b in zip(
+            maturities[bracket].tolist(), maturities[bracket + 1].tolist(), d0[bracket].tolist()
+        )
+    ]
+    open_ = brackets
+    for done in range(0, _BISECT_STEPS, _BISECT_LEVELS):
+        if not open_:
             break
-        rows = np.flatnonzero(active)
-        mid = 0.5 * (lo[rows] + hi[rows])
-        dm = g2pp_dPdT(params, curve, state, mid)
-        # an exact zero closes its bracket at the midpoint
-        zero = dm == 0.0
-        same = ~zero & ((dm > 0) == (dlo[rows] > 0))
-        lo[rows[zero | same]] = mid[zero | same]
-        dlo[rows[same]] = dm[same]
-        hi[rows[~same]] = mid[~same]
-        active[rows[zero]] = False
+        levels = min(_BISECT_LEVELS, _BISECT_STEPS - done)
+        trees = [_midpoint_tree(lo, hi, levels) for lo, hi, _ in open_]
+        derivs = g2pp_dPdT(params, curve, state, np.array(trees)).tolist()
+        open_ = [b for b, mids, dms in zip(open_, trees, derivs) if _walk(b, mids, dms, levels)]
     crossings = maturities[:-1].copy()
-    crossings[bracket] = 0.5 * (lo + hi)
+    crossings[bracket] = [0.5 * (lo + hi) for lo, hi, _ in brackets]
     found = d0 == 0.0
     found[bracket] = True
     prices = g2pp_price(params, curve, state, maturities)
     report = check_monotone(np.column_stack((taus, prices)))
     report.derivative_sign_changes = crossings[found].tolist()
     return report
+
+
+def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints the next ``levels`` bisection steps of [lo, hi] may
+    visit, in heap order: entry i halves its bracket, entry 2i + 1 halves
+    the lower half of it and entry 2i + 2 the upper half.  Each is
+    0.5 * (lo + hi) of its own bracket, as one step computes it."""
+    ends = [(lo, hi)]
+    mids = []
+    for i in range(2**levels - 1):
+        a, b = ends[i]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        ends += [(a, mid), (mid, b)]
+    return mids
+
+
+def _walk(bracket: list, mids: list[float], dms: list[float], levels: int) -> bool:
+    """Take ``levels`` bisection steps of ``bracket`` ([lo, hi, dP/dT at
+    lo], updated in place) on the derivatives ``dms`` at its midpoint tree
+    ``mids``; return whether the bracket is still open.  A midpoint with the
+    sign of lo replaces lo, an exact zero closes the bracket on itself, any
+    other replaces hi."""
+    i = 0
+    for _ in range(levels):
+        mid, dm = mids[i], dms[i]
+        if dm == 0.0:
+            bracket[:2] = mid, mid
+            return False
+        if (dm > 0) == (bracket[2] > 0):
+            bracket[0], bracket[2] = mid, dm
+            i = 2 * i + 2
+        else:
+            bracket[1] = mid
+            i = 2 * i + 1
+    return True
 
 
 def find_increasing_price_state(

@@ -8,9 +8,14 @@ vasicek and for the stochastic part of the forward-curve models, k = 2 for
 g2pp).  The oracle integrates the short rate along many paths by the
 trapezoidal rule, the only discretization left in its discount factor; a
 synthetic panel prices one path closed-form at each observation date.
-Per-path counter-based seeding makes every estimate reproducible bit for bit
-and independent of block decomposition; accumulation relies on numpy's
-pairwise summation.
+The oracle runs in tiles of at most _TILE_PATHS paths by as many steps as
+keep a tile within _BLOCK_ELEMENTS normals; each path tile carries its
+factor values, short-rate level and integral from one step chunk to the
+next, and a tile's normals are released before the next tile is drawn, so
+memory does not grow with the path count or the maturity.  Per-path
+counter-based seeding makes every estimate reproducible bit for bit and
+independent of the tiling; accumulation relies on numpy's pairwise
+summation.
 """
 
 from __future__ import annotations
@@ -39,13 +44,17 @@ from .shortrate import (
 )
 
 MIN_STEPS_PER_HORIZON = 50
-# 2^24 doubles (128 MiB) per normals block; normal_block inverts its uniforms
-# in place, so one block is resident per call
-_BLOCK_ELEMENTS = 2**24
-# fewest paths in a block, whatever the draws per path
+# normals per tile (one normal_block call): at most 2^22 doubles, 32 MiB,
+# unless the 4-step floor of a chunk exceeds it.  normal_block inverts its
+# uniforms in place and a tile is released before the next is drawn, so one
+# tile is resident at a time
+_BLOCK_ELEMENTS = 2**22
+# paths per tile; the steps per tile follow from _BLOCK_ELEMENTS
+_TILE_PATHS = 2048
+# _check_block_size counts at least this many paths in a block of normals
 _MIN_BLOCK_PATHS = 256
-# the most normals one block may hold: the memory cap, apart from the block
-# size above, which only sets how paths are split
+# the most normals such a block may hold: a limit on the draws per path (run
+# length), since the tiles keep memory bounded without it
 _MAX_BLOCK_ELEMENTS = 2**24
 
 
@@ -87,9 +96,9 @@ class McEstimate:
 
 
 def _check_block_size(n_paths: int, n_draws: int) -> None:
-    """Refuse a simulation whose first block of normals (``_blocked`` puts
-    at least min(n_paths, _MIN_BLOCK_PATHS) paths in one) would hold more
-    than _MAX_BLOCK_ELEMENTS draws, before anything is allocated."""
+    """Refuse a simulation whose first block of normals, counted as
+    min(n_paths, _MIN_BLOCK_PATHS) paths of all their draws, would hold
+    more than _MAX_BLOCK_ELEMENTS draws, before anything is allocated."""
     paths = min(n_paths, _MIN_BLOCK_PATHS)
     if paths * n_draws > _MAX_BLOCK_ELEMENTS:
         raise ResolutionError(
@@ -98,12 +107,20 @@ def _check_block_size(n_paths: int, n_draws: int) -> None:
         )
 
 
-def _blocked(n_paths: int, n_draws: int):
-    block = max(_MIN_BLOCK_PATHS, min(n_paths, _BLOCK_ELEMENTS // max(n_draws, 1)))
-    start = 0
-    while start < n_paths:
-        yield start, min(block, n_paths - start)
-        start += block
+def _tile_steps(n_paths: int, k: int) -> int:
+    """Steps per tile: as many as keep min(n_paths, _TILE_PATHS) paths of k
+    normals per step within _BLOCK_ELEMENTS, rounded down to an odd
+    multiple of 4, and at least 4.
+
+    A multiple of 4 starts every chunk on a Philox counter (four draws).
+    An odd one keeps the tile's row stride, 8 k steps bytes, free of large
+    powers of two: the kernel reads one step of every row at a time, and
+    at a stride of 2^14 bytes those reads share a few cache sets (a
+    30-year two-factor oracle ran its steps about a quarter slower).
+    """
+    paths = min(n_paths, _TILE_PATHS)
+    steps = max(4, _BLOCK_ELEMENTS // (paths * k) // 4 * 4)
+    return steps - 4 if steps % 8 == 0 else steps
 
 
 def _ou_steps(a, sigma, steps):
@@ -128,24 +145,26 @@ def _g2pp_steps(params: G2Params, state0: G2State, steps):
     return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
 
 
-def _exact_steps(decay, drift, chol, x0, z):
+def _exact_steps(decay, drift, chol, x0, z, s0=0):
     """Yield the k factor values, one array over paths each, after every
-    exact step, from x0 and the normals z of shape (paths, steps, k).
+    exact step from step s0 on, from the values x0 at step s0 (k floats, or
+    k arrays over paths) and the normals z of shape (paths, steps, k).
 
     Over step s, factor i moves to x_i decay[i][s] (+ drift[i][s] unless
     drift is None) + sum_{j <= i} chol[i][j][s] z_j, where chol is the lower
     Cholesky factor of the step's shock covariance and z_j the path's
-    normal j of that step.
+    normal j of that step, column s - s0 of z.
     """
-    x = [np.full(z.shape[0], float(v)) for v in x0]
-    for s in range(z.shape[1]):
+    x = [np.full(z.shape[0], v, dtype=float) for v in x0]
+    for c in range(z.shape[1]):
+        s = s0 + c
         x_new = []
         for i in range(len(x)):
             v = x[i] * decay[i][s]
             if drift is not None:
                 v = v + drift[i][s]
             for j in range(i + 1):
-                v = v + chol[i][j][s] * z[:, s, j]
+                v = v + chol[i][j][s] * z[:, c, j]
             x_new.append(v)
         x = x_new
         yield x
@@ -153,17 +172,30 @@ def _exact_steps(decay, drift, chol, x0, z):
 
 def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
     """exp(-trapz of the factor sum) over exactly sampled k-factor paths
-    (``_exact_steps``), path i drawing the normals of stream (seed, i)."""
+    (``_exact_steps``), path i drawing the normals of stream (seed, i).
+
+    Paths run in tiles of at most _TILE_PATHS; each path tile runs its
+    steps in chunks of ``_tile_steps``, carrying the factor values, the
+    level and the integral from chunk to chunk, so every path sees the
+    same operations as in one pass over all its steps.
+    """
     k, n_steps = len(x0), steps.size
+    chunk = _tile_steps(n_paths, k)
     out = np.empty(n_paths)
-    for first, count in _blocked(n_paths, k * n_steps):
-        z = normal_block(seed, first, count, k * n_steps).reshape(count, n_steps, k)
+    for first in range(0, n_paths, _TILE_PATHS):
+        count = min(_TILE_PATHS, n_paths - first)
+        x = x0  # the factor values at the first step of the next chunk
         level = sum(x0[1:], x0[0])
         integral = np.zeros(count)
-        for h, x in zip(steps, _exact_steps(decay, drift, chol, x0, z)):
-            new_level = sum(x[1:], x[0])
-            integral += 0.5 * h * (level + new_level)
-            level = new_level
+        for s0 in range(0, n_steps, chunk):
+            m = min(chunk, n_steps - s0)
+            z = normal_block(seed, first, count, k * m, k * s0).reshape(count, m, k)
+            for h, x in zip(steps[s0 : s0 + m], _exact_steps(decay, drift, chol, x, z, s0)):
+                new_level = sum(x[1:], x[0])
+                integral += 0.5 * h * (level + new_level)
+                level = new_level
+            # release this tile before the next one is drawn
+            del z
         out[first : first + count] = np.exp(-integral)
     return out
 

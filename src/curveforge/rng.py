@@ -4,7 +4,9 @@ Streams are counter-based (Philox) and keyed per path: path i of a run with
 master seed s draws from the stream keyed (s, i), so its draws never depend
 on how many paths are requested or in which order blocks execute.  A
 Philox stream is a function of its key and counter alone, so a block of
-paths re-keys one bit generator per row instead of building one per path.
+paths re-keys one bit generator per row instead of building one per path,
+and a block may start any row at a later draw by setting its counter: one
+counter step covers four draws.
 Normals come from the inverse CDF applied to uniforms, which is bit-stable
 across platforms, unlike rejection samplers.  The inverse CDF is scipy's
 ``ndtri``; scipy is imported on the first draw, not with this module, so
@@ -41,18 +43,27 @@ def standard_normals(gen: Generator, n: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
-def normal_block(seed: int, first_path: int, n_paths: int, n_draws: int) -> np.ndarray:
-    """(n_paths, n_draws) normals; row i belongs to path first_path + i.
+def normal_block(
+    seed: int, first_path: int, n_paths: int, n_draws: int, first_draw: int = 0
+) -> np.ndarray:
+    """(n_paths, n_draws) normals; row i holds draws first_draw onwards of
+    path first_path + i.
 
     Each row is drawn from its own keyed stream, so the block decomposition
-    is invisible in the output.  One bit generator serves the whole block:
-    before each row it gets that row's key and a fresh state (counter 0,
-    empty buffer), which is exactly the state a new Philox(key) starts in.
-    The uniforms are inverted in place, so only the returned block is held.
+    is invisible in the output: columns j:j+m of a block equal the block
+    drawn with first_draw=j and m draws.  One bit generator serves the whole
+    block: before each row it gets that row's key and a fresh state with
+    counter first_draw // 4 and an empty buffer, which is exactly the state
+    a new Philox(key) is in after its first first_draw draws.  first_draw
+    must therefore be a multiple of 4.  The uniforms are inverted in place,
+    so only the returned block is held.
     """
+    if first_draw < 0 or first_draw % 4:
+        raise ValueError(f"first draw {first_draw} must be a non-negative multiple of 4")
     gen = path_generator(seed, first_path)
     bitgen = gen.bit_generator
     fresh = bitgen.state
+    fresh["state"]["counter"][0] = first_draw // 4
     key = fresh["state"]["key"]
     u = np.empty((n_paths, n_draws))
     for i in range(n_paths):

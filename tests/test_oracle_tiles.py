@@ -1,0 +1,151 @@
+"""The Monte-Carlo oracle in path x step tiles.
+
+``_trapezoid_discounts`` draws its normals in tiles of at most
+``_TILE_PATHS`` paths by as many steps as keep a tile within
+``_BLOCK_ELEMENTS`` normals, and carries each path tile's factor values,
+level and integral from one step chunk to the next.  Every path sees the
+same operations whatever the tiling, so an estimate must not move by a bit
+when the tiles shrink; and only one tile may be alive at a time, which a
+fresh ``oracle`` process shows in its peak memory.
+"""
+
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
+import pytest
+
+from curveforge import montecarlo
+from curveforge.curve import flat_curve
+from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState
+from curveforge.montecarlo import SimConfig, mc_zero_price
+from curveforge.rng import normal_block
+from curveforge.shortrate import G2Params, G2State, VasicekParams
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CURVE = flat_curve(0.04, span=40.0, n_pillars=40)
+MODELS = {
+    "vasicek": (VasicekParams(a=1.7051, b=0.0937, sigma=0.3721), ShortRateState(r=0.05)),
+    "holee": (HoLeeParams(sigma=0.01), ShortRateState(r=0.045, t=0.5)),
+    "hullwhite": (HullWhiteParams(a=0.4, sigma=0.015), ShortRateState(r=0.05)),
+    "g2pp": (
+        G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99),
+        G2State(0.01, -0.01, 0.0),
+    ),
+}
+# 700 paths of 75 steps: one tile at the default sizes
+CONFIG = SimConfig(n_paths=700, step=0.02, seed=11)
+HORIZON = 1.5
+
+
+def discounts(model, monkeypatch, tiles):
+    """The estimate and the discount array of a 75-step price, recording
+    each tile drawn as (first path, paths, draws, first draw)."""
+    params, state0 = MODELS[model]
+    kernel = montecarlo._trapezoid_discounts
+    out = []
+
+    def spy(*args):
+        out.append(kernel(*args))
+        return out[-1]
+
+    def counted(seed, first_path, n_paths, n_draws, first_draw=0):
+        tiles.append((first_path, n_paths, n_draws, first_draw))
+        return normal_block(seed, first_path, n_paths, n_draws, first_draw)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_trapezoid_discounts", spy)
+        patch.setattr(montecarlo, "normal_block", counted)
+        est = mc_zero_price(model, params, state0, state0.t + HORIZON, CONFIG, curve=CURVE)
+    return est, out[0]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("budget", [1, 256 * 36])
+def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
+    whole = []
+    want, want_out = discounts(model, monkeypatch, whole)
+    k = 2 if model == "g2pp" else 1
+    assert whole == [(0, 700, 75 * k, 0)]
+    # 256 + 256 + 188 paths; steps in chunks of 4 (budget 1), or of 36 for
+    # one factor and 12 for two (18 rounded down to an odd multiple of 4),
+    # the last chunk short
+    monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
+    tiles = []
+    got, got_out = discounts(model, monkeypatch, tiles)
+    assert got_out.tobytes() == want_out.tobytes()
+    assert got == want
+    assert sorted({(first, count) for first, count, _, _ in tiles}) == [
+        (0, 256), (256, 256), (512, 188)
+    ]
+    chunk = 4 if budget == 1 else {1: 36, 2: 12}[k]
+    chunks = [(k * min(chunk, 75 - s0), k * s0) for s0 in range(0, 75, chunk)]
+    assert len(chunks) >= 3 and chunks[-1][0] < k * chunk
+    assert tiles == [
+        (first, count, n_draws, first_draw)
+        for first, count in ((0, 256), (256, 256), (512, 188))
+        for n_draws, first_draw in chunks
+    ]
+
+
+@pytest.mark.parametrize(
+    "n_paths, k, steps",
+    [(45000, 1, 2044), (45000, 2, 1020), (2048, 2, 1020), (1000, 1, 4188), (10, 2, 209708)],
+)
+def test_tile_steps_fill_the_budget_with_an_odd_multiple_of_4(n_paths, k, steps):
+    # 2^22 // (2048 k) steps, a power of two, would give every row of a
+    # tile a 2^14-byte stride
+    assert montecarlo._tile_steps(n_paths, k) == steps
+    assert steps % 8 == 4
+    assert min(n_paths, 2048) * k * steps <= montecarlo._BLOCK_ELEMENTS
+
+
+def test_one_tile_alive_at_a_time(monkeypatch):
+    # 4 path tiles x 7 step chunks; each draw finds every earlier tile gone
+    monkeypatch.setattr(montecarlo, "_TILE_PATHS", 200)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 200 * 2 * 12)
+    drawn = []
+
+    def watched(seed, first_path, n_paths, n_draws, first_draw=0):
+        alive = [i for i, ref in enumerate(drawn) if ref() is not None]
+        assert not alive, f"tile {len(drawn)} drawn while tiles {alive} are alive"
+        block = normal_block(seed, first_path, n_paths, n_draws, first_draw)
+        drawn.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(montecarlo, "normal_block", watched)
+    params, state0 = MODELS["g2pp"]
+    mc_zero_price("g2pp", params, state0, HORIZON, CONFIG, curve=CURVE)
+    assert len(drawn) == 4 * 7
+
+
+# runs one oracle command in a child of its own and prints that child's peak
+# resident set in KiB, so nothing else this test process ran counts
+_PEAK = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c",
+                "import sys; from curveforge.cli import main; main(sys.argv[1:])",
+                *sys.argv[1:]], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_oracle_peak_memory(tmp_path):
+    # the benchmark's g2pp oracle: 45,000 paths of 756 two-factor steps
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK, "--output-dir", str(tmp_path),
+         "oracle", "--model", "g2pp", "--paths", "45000"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout.split()[-1]) / 1024
+    assert peak_mb < 150, f"oracle peak resident set {peak_mb:.1f} MB"
+    assert (tmp_path / "oracle.txt").exists()

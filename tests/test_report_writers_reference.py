@@ -20,6 +20,7 @@ import pytest
 from curveforge import diagnostics, fileio
 from curveforge.curve import flat_curve
 from curveforge.diagnostics import (
+    _BISECT_LEVELS,
     _BISECT_STEPS,
     _SIGN_SCAN_POINTS,
     MATURITY_GRID,
@@ -335,12 +336,16 @@ class TestScanDerivativeSigns:
         assert_same_report_files(tmp_path, report, reference)
 
 
-def polynomial_slope(roots, sign=1.0, counter=None):
-    """A broadcasting stand-in for g2pp_dPdT: sign * prod(T - root)."""
+def polynomial_slope(roots, sign=1.0, counter=None, points=None):
+    """A broadcasting stand-in for g2pp_dPdT: sign * prod(T - root).  It
+    records the size of each call in ``counter`` and the maturities it
+    differentiates in ``points``."""
 
     def slope(params, curve, state, T):
         if counter is not None:
             counter.append(np.size(T))
+        if points is not None:
+            points.update(np.ravel(T).tolist())
         out = sign * np.ones_like(T)
         for root in roots:
             out = out * (T - root)
@@ -375,29 +380,33 @@ class TestBisectionContract:
         ],
     )
     def test_matches_scalar_bisection(self, monkeypatch, roots, sign, expected_brackets):
-        calls = []
+        calls, points = [], set()
         monkeypatch.setattr(
-            diagnostics, "g2pp_dPdT", polynomial_slope(roots, sign, calls)
+            diagnostics, "g2pp_dPdT", polynomial_slope(roots, sign, calls, points)
         )
         report = scan_derivative_signs(G2, CURVE, self.STATE, **self.GRID)
-        batched_calls = list(calls)
+        batched_calls, batched_points = list(calls), set(points)
         calls.clear()
+        points.clear()
         reference = ref_scan_derivative_signs(G2, CURVE, self.STATE, **self.GRID)
         assert bits(report.derivative_sign_changes) == bits(
             reference.derivative_sign_changes
         )
         assert report.derivative_sign_changes == sorted(report.derivative_sign_changes)
         assert violation_bits(report) == violation_bits(reference)
-        # one call for the grid, then one per bisection step for all brackets
-        assert 1 <= len(batched_calls) <= 1 + _BISECT_STEPS
+        # one call for the grid, then one per _BISECT_LEVELS bisection steps
+        # for the midpoint trees of all open brackets
+        tree = 2**_BISECT_LEVELS - 1
+        assert 1 <= len(batched_calls) <= 1 + math.ceil(_BISECT_STEPS / _BISECT_LEVELS)
         assert batched_calls[0] == self.GRID["n_points"]
-        assert all(n <= expected_brackets for n in batched_calls[1:])
+        assert all(n % tree == 0 and n <= expected_brackets * tree for n in batched_calls[1:])
         if expected_brackets == 0:
             assert len(batched_calls) == 1
         else:
-            assert batched_calls[1] == expected_brackets
-        # and the scalar bisection takes the same steps, one call each
-        assert len(calls) == 1 + sum(batched_calls[1:])
+            assert batched_calls[1] == expected_brackets * tree
+        # and every midpoint the scalar bisection visits, bit for bit, was
+        # differentiated by the batched one
+        assert points <= batched_points
 
     def test_exact_zero_closes_its_bracket_only(self, monkeypatch):
         # the 2.5 bracket closes after one step; the 1.3 one runs every step
@@ -406,5 +415,5 @@ class TestBisectionContract:
             diagnostics, "g2pp_dPdT", polynomial_slope((1.3, 2.5), 1.0, calls)
         )
         report = scan_derivative_signs(G2, CURVE, self.STATE, **self.GRID)
-        assert calls == [5, 2] + [1] * (_BISECT_STEPS - 1)
+        assert calls == [5, 2 * 31] + [31] * (_BISECT_STEPS // _BISECT_LEVELS - 1)
         assert report.derivative_sign_changes[1] == 2.5

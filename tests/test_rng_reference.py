@@ -101,6 +101,25 @@ def test_one_bit_generator_per_block(monkeypatch):
     np.testing.assert_array_equal(block, _ref_normal_block(3, 10, 50, 7))
 
 
+@pytest.mark.parametrize("first_draw", [0, 4, 8, 100, 1508])
+@pytest.mark.parametrize("n_draws", [1, 3, 4, 5])
+def test_offset_block_matches_columns_of_the_whole_row_block(first_draw, n_draws):
+    # a block may start each row at any draw that opens a Philox counter
+    whole = normal_block(17, 5, 6, 1512)
+    expected = whole[:, first_draw : first_draw + n_draws]
+    got = normal_block(17, 5, 6, min(n_draws, 1512 - first_draw), first_draw)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(
+        got, _ref_normal_block(17, 5, 6, first_draw + n_draws)[:, first_draw:1512]
+    )
+
+
+@pytest.mark.parametrize("first_draw", [-4, 1, 2, 3, 6])
+def test_offset_off_a_counter_is_refused(first_draw):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        normal_block(17, 5, 6, 8, first_draw)
+
+
 def test_standard_normals_match_reference():
     np.testing.assert_array_equal(
         standard_normals(path_generator(9, 4), 1001),
@@ -126,18 +145,32 @@ def test_standard_normals_match_reference():
     ],
 )
 def test_multi_block_estimate_matches_reference_block(monkeypatch, model, params, state0, curve):
-    # a tiny block budget makes 700 paths run as 256 + 256 + 188
-    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
-    firsts = []
+    # 256-path tiles of at most 10,240 normals make 700 paths of 50 steps
+    # run as 256 + 256 + 188 paths, each in chunks of 36 + 14 one-factor
+    # steps or 20 + 20 + 10 two-factor steps
+    monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 256 * 40)
+    tiles = []
 
-    def counted(seed, first_path, n_paths, n_draws):
-        firsts.append(first_path)
-        return normal_block(seed, first_path, n_paths, n_draws)
+    def counted(seed, first_path, n_paths, n_draws, first_draw=0):
+        tiles.append((first_path, n_paths, n_draws, first_draw))
+        return normal_block(seed, first_path, n_paths, n_draws, first_draw)
 
     monkeypatch.setattr(montecarlo, "normal_block", counted)
     config = SimConfig(n_paths=700, step=0.02, seed=11)
     got = mc_zero_price(model, params, state0, 1.0, config, curve=curve)
-    assert firsts == [0, 256, 512]
-    monkeypatch.setattr(montecarlo, "normal_block", _ref_normal_block)
+    chunks = {"vasicek": [(36, 0), (14, 36)], "g2pp": [(40, 0), (40, 40), (20, 80)]}[model]
+    assert tiles == [
+        (first, count, n_draws, first_draw)
+        for first, count in ((0, 256), (256, 256), (512, 188))
+        for n_draws, first_draw in chunks
+    ]
+
+    def reference(seed, first_path, n_paths, n_draws, first_draw=0):
+        # the same columns of the per-path reference's whole rows
+        block = _ref_normal_block(seed, first_path, n_paths, first_draw + n_draws)
+        return block[:, first_draw:]
+
+    monkeypatch.setattr(montecarlo, "normal_block", reference)
     expected = mc_zero_price(model, params, state0, 1.0, config, curve=curve)
     assert got == expected
