@@ -6,15 +6,18 @@ minimizes the unweighted mean squared error between quoted and model prices
 fixed across a whole calibration window; a per-date-curve mode exists for
 rolling-anchor studies.
 
-Ho-Lee has one parameter and is fitted by a golden-section search; only
-Hull-White runs ``scipy.optimize.minimize``, which is imported on its first
-call (``minimize`` below), so loading this module does not load scipy.
+Ho-Lee has one parameter, which enters the objective only through
+k = sigma^2 t / 2, and is fitted by a safeguarded Newton iteration on the
+objective's closed-form slope in k; only Hull-White runs
+``scipy.optimize.minimize``, which is imported on its first call
+(``minimize`` below), so loading this module does not load scipy.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +32,9 @@ from .shortrate import decay_loading
 A_BOUNDS = (1e-4, 5.0)
 SIGMA_BOUNDS = (1e-5, 2.0)
 SHORT_RATE_TENOR = 0.25
-_GOLDEN_TOL = 1e-12
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_NEWTON_RTOL = 1e-12
+_NEWTON_MAXITER = 100
+_EPS = sys.float_info.epsilon
 
 
 def minimize(*args, **kwargs):
@@ -202,28 +206,14 @@ def section_objective(model: str, xs: CrossSection):
     right sum), so the value equals ``ls_objective`` bit for bit, and an
     overflow raises what the per-quote path raises, at the same quote.
     """
+    if model == "holee":
+        return _holee_loops(xs)[0]
     t = _identified_offset(xs)
-    if model not in ("holee", "hullwhite"):
+    if model != "hullwhite":
         raise ValueError(f"unknown model {model!r}")
     taus, prices = np.array(xs.quotes).T
     tau, market, fwd = curve_terms(xs.curve, t, t + taus)
     r, n = float(xs.short_rate), float(len(taus))
-
-    if model == "holee":
-        terms = list(zip(
-            market.tolist(), (tau * fwd).tolist(), libm.square(tau).tolist(),
-            (tau * r).tolist(), prices.tolist(),
-        ))
-
-        def holee(sigma: float) -> float:
-            k = 0.5 * sigma**2 * t
-            err = 0.0
-            for m, tau_f, tau_sq, tau_r, price in terms:
-                err += (price - math.exp(m + (tau_f - k * tau_sq - tau_r))) ** 2
-            return err / n
-
-        return holee
-
     terms = list(zip(market.tolist(), prices.tolist()))
 
     def hullwhite(a: float, sigma: float) -> float:
@@ -236,22 +226,82 @@ def section_objective(model: str, xs: CrossSection):
     return hullwhite
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Golden-section minimizer of a unimodal scalar function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
+def _holee_loops(xs: CrossSection):
+    """The two loops of a Ho-Lee section over one list of prepared terms.
+
+    Returns (value, slope, t, k0).  ``value(sigma)`` is the section
+    objective f.  The objective moves with sigma only through
+    k = sigma^2 t / 2: the model prices are q_i = A_i exp(-k tau_i^2), so
+    with d_i = p_i - q_i, f'(k) = (2/n) sum d_i q_i tau_i^2 and
+    f''(k) = (2/n) sum tau_i^4 q_i (q_i - d_i).  ``slope(k)`` returns
+    (f, f', f'') at k; its f is ``value``'s bit for bit when k is computed
+    as ``value`` computes it.  k0 is the linearised fit
+    sum tau^2 (ln A - ln p) / sum tau^4.
+    """
+    t = _identified_offset(xs)
+    taus, prices = np.array(xs.quotes).T
+    tau, market, fwd = curve_terms(xs.curve, t, t + taus)
+    r, n = float(xs.short_rate), float(len(taus))
+    tau_fwd, tau2, tau_rate = tau * fwd, libm.square(tau), tau * r
+    k0 = float(np.dot(tau2, market + tau_fwd - tau_rate - np.log(prices))
+               / np.dot(tau2, tau2))
+    terms = list(zip(
+        market.tolist(), tau_fwd.tolist(), tau2.tolist(), tau_rate.tolist(), prices.tolist(),
+    ))
+
+    def value(sigma: float) -> float:
+        k = 0.5 * sigma**2 * t
+        err = 0.0
+        for m, tau_f, tau_sq, tau_r, price in terms:
+            err += (price - math.exp(m + (tau_f - k * tau_sq - tau_r))) ** 2
+        return err / n
+
+    def slope(k: float) -> tuple[float, float, float]:
+        err = grad = curv = 0.0
+        for m, tau_f, tau_sq, tau_r, price in terms:
+            q = math.exp(m + (tau_f - k * tau_sq - tau_r))
+            d = price - q
+            err += d**2
+            w = q * tau_sq
+            grad += d * w
+            curv += w * tau_sq * (q - d)
+        return err / n, 2.0 * grad / n, 2.0 * curv / n
+
+    return value, slope, t, k0
+
+
+def _safeguarded_newton(slope, a: float, b: float, k: float) -> float:
+    """A root of f' in [a, b], given f'(a) < 0 <= f'(b), from the start k.
+
+    Newton steps on f' ("rtsafe", Press et al., Numerical Recipes, 9.4):
+    each evaluation shrinks the bracket by the sign of f'.  A step that
+    would leave the open bracket, or one where f'' <= 0, is replaced by the
+    geometric midpoint of the bracket, since k spans many decades.  Stops
+    after a step of at most _NEWTON_RTOL relative in k, before a step that
+    could lower f by no more than f's own rounding (f'^2 / f'' <= eps f),
+    when the bracket is _NEWTON_RTOL narrow, or after _NEWTON_MAXITER
+    evaluations.
+    """
+    k = min(max(k, a), b)
+    for _ in range(_NEWTON_MAXITER):
+        err, grad, curv = slope(k)
+        if grad < 0.0:
+            a = k
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
+            b = k
+        if b - a <= _NEWTON_RTOL * b:
+            break
+        if curv > 0.0:
+            step = grad / curv
+            if abs(step) <= _NEWTON_RTOL * k:
+                return k - step
+            if grad * step <= _EPS * err:
+                return k
+            if a < k - step < b:
+                k -= step
+                continue
+        k = math.sqrt(a * b)
+    return k
 
 
 def calibrate(
@@ -259,26 +309,34 @@ def calibrate(
 ) -> CalibrationResult:
     """Fit the volatility parameters to one cross-section.
 
-    Constant-vol model: golden-section search on log sigma over
-    [1e-5, 2]; it counts as converged only when its result beats both ends
-    of that range.  Otherwise the better end is returned, unconverged, so
-    a search that stalls on a bound is flagged and never returns a sigma
-    worse than that bound.
+    Constant-vol model: a safeguarded Newton iteration on the slope of the
+    objective in k = sigma^2 t / 2, bracketed by the ends of sigma in
+    [1e-5, 2] and started from the linearised fit; an end where the slope
+    already points outwards is not searched.  The result counts as
+    converged only when it beats both ends of that range.  Otherwise the
+    better end is returned, unconverged, so a search that stalls on a
+    bound is flagged and never returns a sigma worse than that bound.
     Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
     deterministic starts spread over the admissible box a in [1e-4, 5],
     sigma in [1e-5, 2].  Non-convergence is flagged, not raised; the best
     point found is still returned.
 
-    The searches evaluate ``section_objective``; the objective returned
-    for the chosen parameters is ``ls_objective``'s, the same value.
+    The searches evaluate ``section_objective`` (Ho-Lee: its loop and the
+    slope loop over the same prepared terms); the objective returned for
+    the chosen parameters is ``ls_objective``'s, the same value.
     """
     if model == "holee":
-        objective = section_objective(model, xs)
+        value, slope, t, k0 = _holee_loops(xs)
         lo, hi = SIGMA_BOUNDS
-        u = _golden_section(lambda u: objective(math.exp(u)), math.log(lo), math.log(hi))
-        sigma = math.exp(u)
-        end_value, end = min((objective(lo), lo), (objective(hi), hi))
-        converged = objective(sigma) < end_value
+        k_lo, k_hi = 0.5 * lo**2 * t, 0.5 * hi**2 * t
+        f_lo, grad_lo, _ = slope(k_lo)
+        f_hi, grad_hi, _ = slope(k_hi)
+        end_value, end = min((f_lo, lo), (f_hi, hi))
+        converged = False
+        if grad_lo < 0.0 <= grad_hi:
+            k = _safeguarded_newton(slope, k_lo, k_hi, k0)
+            sigma = min(max(math.sqrt(k / (0.5 * t)), lo), hi)
+            converged = value(sigma) < end_value
         params = HoLeeParams(sigma=sigma if converged else end)
         return CalibrationResult(
             params=params,
@@ -353,7 +411,7 @@ def calibrate_series(
     if not per_date_curve:
         common = sections[0].curve
         sections = [
-            CrossSection(
+            xs if xs.curve is common else CrossSection(
                 asof=xs.asof,
                 quotes=list(xs.quotes),
                 curve=common,

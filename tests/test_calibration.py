@@ -220,6 +220,25 @@ class TestCalibrate:
         at_bound = HoLeeParams(sigma=SIGMA_BOUNDS[bound])
         assert result.objective <= ls_objective("holee", at_bound, xs)
 
+    def test_holee_underflow_plateau_at_upper_bound_is_searched(self, curve):
+        # one long quote priced ~1e-30: at sigma = 2 the model price
+        # underflows to 0, so the objective sits on its plateau p^2 there
+        # with a slope of exactly 0; the search must still find the
+        # interior sigma
+        sigma = 0.24
+        xs = make_section(
+            "holee", HoLeeParams(sigma=sigma), curve, dt.date(2016, 9, 30), 0.05,
+            (25.0,),
+        )
+        (_, price), = xs.quotes
+        assert 1e-31 < price < 1e-29
+        at_upper = ls_objective("holee", HoLeeParams(sigma=SIGMA_BOUNDS[1]), xs)
+        assert at_upper == price**2
+        result = calibrate("holee", xs)
+        assert result.converged
+        assert result.params.sigma == pytest.approx(sigma, rel=1e-9)
+        assert result.objective < at_upper
+
     def test_hullwhite_recovery(self, curve):
         # short rate off the curve level so the reversion speed has leverage
         params = HullWhiteParams(a=HW_A, sigma=HW_SIGMA)
@@ -376,6 +395,38 @@ class TestCalibrateSeries:
         )
         with pytest.raises(TypeError, match="injected bug"):
             calibrate_series("holee", [section])
+
+    def test_sections_on_the_common_curve_are_not_rebuilt(self, curve, monkeypatch):
+        import curveforge.calibration
+
+        sections = [
+            make_section(
+                "holee", HoLeeParams(sigma=s), curve,
+                dt.date(2013, 7, 7) + dt.timedelta(weeks=k), 0.05, (1.0, 5.0, 15.0),
+            )
+            for k, s in enumerate((0.25, 0.30, 0.35))
+        ]
+        rebuilt = [
+            calibrate("holee", CrossSection(
+                asof=xs.asof, quotes=list(xs.quotes), curve=curve,
+                short_rate=xs.short_rate,
+            ))
+            for xs in sections
+        ]
+        seen = []
+
+        def recording(model, xs, maxiter):
+            seen.append(xs)
+            return calibrate(model, xs, maxiter)
+
+        monkeypatch.setattr(curveforge.calibration, "calibrate", recording)
+        series = calibrate_series("holee", sections)
+        assert all(got is xs for got, xs in zip(seen, sections))
+        assert series.records == [
+            CalibrationRecord(asof=xs.asof, params=res.params,
+                              objective=res.objective, converged=res.converged)
+            for xs, res in zip(sections, rebuilt)
+        ]
 
     def test_default_reanchors_to_first_curve(self, curve):
         # the second section carries a differently *shaped* curve (a level

@@ -4,8 +4,10 @@ scipy.optimize takes about half a second to import, and only the optimizers
 (``estimation.minimize``, ``calibration.minimize``) and the inverse normal
 CDF (``rng.ndtri``) use scipy.  Each of them imports its routine on first
 call, so importing the package, and running a command that neither fits nor
-simulates, must leave every ``scipy`` module unloaded.  Each check runs in a
-fresh interpreter, since this test process has scipy loaded already.
+simulates, must leave every ``scipy`` module unloaded.  So must a Ho-Lee
+``calibrate``: its one-parameter search is the package's own.  Each check
+runs in a fresh interpreter, since this test process has scipy loaded
+already.
 """
 
 import datetime as dt
@@ -21,7 +23,9 @@ import scipy.special
 
 from curveforge import fileio, rng
 from curveforge.curve import flat_curve
+from curveforge.daycount import year_fraction
 from curveforge.estimation import StateSeries
+from curveforge.hjm import HoLeeParams, holee_price
 from curveforge.montecarlo import synth_panel
 from curveforge.shortrate import G2Params, G2State, VasicekParams
 
@@ -58,7 +62,8 @@ def scipy_modules_after(commands=(), preload=""):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
-    fileio.write_curve(root / "curve.csv", flat_curve(0.04, span=40.0, n_pillars=40, asof=ASOF))
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=ASOF)
+    fileio.write_curve(root / "curve.csv", curve)
     g2 = G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99)
     fileio.params_to_file(root / "g2pp.params", "g2pp", g2)
     fileio.state_to_file(root / "g2.state", G2State(x=0.01, y=-0.01, t=0.0))
@@ -70,6 +75,14 @@ def inputs(tmp_path_factory):
     schedule = [ASOF + dt.timedelta(weeks=k) for k in range(60)]
     panel = synth_panel("vasicek", vasicek, schedule, [("Z", dt.date(2056, 1, 4))], seed=3)
     fileio.write_panel(root / "panel.csv", panel)
+    sections = []
+    for weeks in (60, 61):
+        date = ASOF + dt.timedelta(weeks=weeks)
+        t = year_fraction(ASOF, date)
+        quotes = [(tau, holee_price(HoLeeParams(sigma=0.02), curve, 0.05, t, t + tau))
+                  for tau in (0.25, 1.0, 5.0, 10.0)]
+        sections.append((date, quotes))
+    fileio.write_cross_sections(root / "sections.csv", sections)
     return root
 
 
@@ -84,10 +97,13 @@ def _scipy_free_commands(inputs):
         "surface": ["surface", *g2pp, "--states", str(inputs / "states_2f.csv")],
         "price": ["price", *g2pp, "--state", str(inputs / "g2.state"), "--maturity", "5.0"],
         "check-arbitrage": ["check-arbitrage", *g2pp, "--state", str(inputs / "g2.state")],
+        "calibrate": ["calibrate", "--model", "holee",
+                      "--cross-section", str(inputs / "sections.csv"),
+                      "--curve", str(inputs / "curve.csv")],
     }
 
 
-@pytest.mark.parametrize("command", ["surface", "price", "check-arbitrage"])
+@pytest.mark.parametrize("command", ["surface", "price", "check-arbitrage", "calibrate"])
 def test_command_without_fit_or_simulation_loads_no_scipy(inputs, tmp_path, command):
     args = ["--output-dir", str(tmp_path), *_scipy_free_commands(inputs)[command]]
     assert scipy_modules_after([args]) == []

@@ -4,15 +4,18 @@ frozen copies of their earlier forms.
 ``ls_objective`` prices a cross-section with one broadcast call and adds the
 weighted squares left to right; the per-quote loop below is the reference it
 must equal bit for bit, with the same result type.  ``section_objective``
-must in turn equal ``ls_objective`` bit for bit, and ``calibrate``, which
+must in turn equal ``ls_objective`` bit for bit.  ``calibrate``, which
 searches with it, must find what the earlier ``calibrate`` found by
-evaluating ``ls_objective`` at every step.  ``RefCurve`` keeps the earlier
+evaluating ``ls_objective`` at every step: bit for bit for Hull-White, and
+for Ho-Lee, whose golden section became a Newton search in k, the same
+minimum up to the objective's rounding.  ``RefCurve`` keeps the earlier
 ``log_discount`` and ``forward`` so that the reference does not lean on the
 curve code under test.
 """
 
 import datetime as dt
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from curveforge.calibration import (
     A_BOUNDS,
     SIGMA_BOUNDS,
     CrossSection,
+    _holee_loops,
     _model_price,
     calibrate,
     calibrate_series,
@@ -32,6 +36,8 @@ from curveforge.curve import DiscountCurve
 from curveforge.daycount import year_fraction
 from curveforge.errors import ExtrapolationError, OrderingError
 from curveforge.hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
+
+EPS = sys.float_info.epsilon
 
 ASOF0 = dt.date(2013, 1, 7)
 TENORS = (1 / 12, 2 / 12, 3 / 12, 6 / 12, 9 / 12, 1.0, 2.0, 3.0, 5.0, 7.0,
@@ -258,6 +264,41 @@ def test_section_objective_raises_what_ls_objective_raises(model, which):
     assert str(got) == str(want)
 
 
+def test_holee_slope_loop_matches_central_differences():
+    """f' and f'' of the Ho-Lee slope loop in k = sigma^2 t / 2 against
+    central differences of ``section_objective``, within the differences'
+    truncation (steps of at most 1e-4 / tau^2 and 1e-2 / tau^2) and
+    rounding; its f is the objective's bit for bit."""
+    rng = np.random.default_rng(25)
+    for i in range(300):
+        xs, _ = section_pair(rng, random_pillars(rng), flat=rng.random() < 0.5,
+                             short_given=i % 2 == 0)
+        objective = section_objective("holee", xs)
+        _, slope, t, _ = _holee_loops(xs)
+
+        def f(k):
+            return objective(math.sqrt(k / (0.5 * t)))
+
+        sigma = random_params(rng, "holee").sigma
+        k = 0.5 * sigma**2 * t
+        value, grad, curv = slope(k)
+        assert value == objective(sigma)
+        # bounds on the derivatives of (1/n) sum (p - q)^2, q = A exp(-k tau^2):
+        # |f^(j)| <= scale[j] up to a constant of order one
+        taus, prices = np.array(xs.quotes).T
+        q = holee_price(HoLeeParams(sigma=sigma), xs.curve, xs.short_rate, t, t + taus)
+        d = np.abs(prices - q)
+        scale = [2.0 * np.mean(taus ** (2 * j) * q * (q + d)) for j in range(5)]
+        noise = 1e-14 * (value + np.mean(prices * d))
+        tau_max = taus[-1]
+        h = min(1e-4 / tau_max**2, 0.5 * k)
+        central = (f(k + h) - f(k - h)) / (2.0 * h)
+        assert abs(central - grad) <= 1e-12 * scale[1] + h**2 * scale[3] + noise / h
+        h = min(1e-2 / tau_max**2, 0.5 * k)
+        central = (f(k + h) - 2.0 * value + f(k - h)) / h**2
+        assert abs(central - curv) <= 1e-12 * scale[2] + h**2 * scale[4] + noise / h**2
+
+
 def _golden_section_then_value(fun, lo, hi, tol=1e-12):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -343,19 +384,32 @@ def test_calibrate_finds_what_the_earlier_calibrate_found(model, n, maxiter):
         params, value, converged = ref_calibrate(model, xs, maxiter)
         got = calibrate(model, xs, maxiter)
         assert type(got.objective) is type(value)
-        if model == "holee" and not got.converged:
-            # the bound rule: the search did no better than an end, so the
-            # better end is returned in its place
-            on_bound += 1
-            end_value, end = min((ls_objective(model, HoLeeParams(sigma=s), xs), s)
-                                 for s in SIGMA_BOUNDS)
-            assert value >= end_value
-            assert got.params == HoLeeParams(sigma=end)
-            assert got.objective == end_value
-        else:
+        if model == "hullwhite":
             assert got.params == params
             assert got.objective == value
             assert got.converged == converged
+            continue
+        # Ho-Lee: the Newton search in k finds the golden section's minimum
+        # up to the objective's rounding, B = (4 eps / n) sum(p) sqrt(n f)
+        quotes = len(xs.quotes)
+        slack = (4.0 * EPS / quotes * sum(p for _, p in xs.quotes)
+                 * math.sqrt(quotes * value))
+        assert got.objective <= value + slack
+        assert got.objective == ls_objective(model, got.params, xs)
+        # the bound rule applied to the golden section's result
+        end_value, end = min((ls_objective(model, HoLeeParams(sigma=s), xs), s)
+                             for s in SIGMA_BOUNDS)
+        if got.converged and not value < end_value:
+            # the golden section stalled where the prices underflow
+            assert got.objective < value
+        if value < end_value and not got.converged:
+            # f is flat to rounding this close to the lower bound
+            assert params.sigma <= 1.1 * SIGMA_BOUNDS[0]
+        if not got.converged:
+            # the better end is returned in place of the search's result
+            on_bound += 1
+            assert got.params == HoLeeParams(sigma=end)
+            assert got.objective == end_value
     if model == "holee":
         assert 0 < on_bound < n
 
