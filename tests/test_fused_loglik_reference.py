@@ -9,7 +9,9 @@ moments over every gap (or one gap when all are equal).  The fused path
 takes the curve terms once per panel, one variance call over the distinct
 horizons and the moments over the distinct gaps.  Log-likelihoods and
 states must be equal bit for bit, and every error the reference raises
-must be raised with the same type.
+must be raised with the same type.  So must the scalar two-price inversion
+``shortrate.g2pp_invert_states``, against a frozen copy of it that goes
+through the per-maturity ``_ref_g2pp_affine``.
 """
 
 import datetime as dt
@@ -37,7 +39,7 @@ from curveforge.estimation import (
     loglik_g2pp,
 )
 from curveforge.montecarlo import synth_panel
-from curveforge.shortrate import G2Params, affine_invert
+from curveforge.shortrate import G2Params, G2State, affine_invert, g2pp_invert_states
 
 G2PP = _ML_MODELS["g2pp"]
 START = dt.date(2013, 1, 7)
@@ -100,6 +102,18 @@ def _ref_g2pp_affine(params, curve, t, taus):
         alpha.append(curve.log_discount(T) - log_t + adjust)
         beta.append([_ref_decay_loading(params.a, tau), _ref_decay_loading(params.b, tau)])
     return alpha, beta
+
+
+def _ref_g2pp_invert_states(params, curve, prices, t, maturities):
+    T1, T2 = maturities
+    p1, p2 = prices
+    if p1 <= 0 or p2 <= 0:
+        raise ValueError("prices must be positive")
+    if T1 <= t or T2 <= t:
+        raise OrderingError("both maturities must lie strictly after t")
+    alpha, beta = _ref_g2pp_affine(params, curve, t, [T1 - t, T2 - t])
+    (x, y), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
+    return G2State(x=x, y=y, t=t)
 
 
 def _ref_ou_variance(speed, vol, gaps):
@@ -281,3 +295,35 @@ def test_whole_fit_equals_the_fit_through_the_reference(monkeypatch):
     assert fused.report.restart_logliks == want.report.restart_logliks
     np.testing.assert_array_equal(fused.states.values, want.states.values)
     np.testing.assert_array_equal(fused.states.times, want.states.times)
+
+
+def test_scalar_inversion_bit_identical_on_random_draws():
+    # 3,000 draws: a fifth at t = 0, a tenth with a remaining maturity equal
+    # to t (a horizon two rows share), a few with a maturity at t or a zero
+    # price
+    rng = np.random.default_rng(29)
+    outcomes = {}
+    for params in _random_params(rng, 3000):
+        t = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 15.0))
+        taus = rng.uniform(1e-3, 25.0, size=2)
+        if rng.random() < 0.1:
+            taus[0] = t
+        if rng.random() < 0.01:
+            taus[1] = 0.0
+        maturities = (t + float(taus[0]), t + float(taus[1]))
+        prices = tuple(float(p) for p in np.exp(rng.uniform(-3.0, 0.0, size=2)))
+        if rng.random() < 0.01:
+            prices = (0.0, prices[1])
+        want, want_err = _outcome(
+            lambda: _ref_g2pp_invert_states(params, CURVE, prices, t, maturities))
+        got, got_err = _outcome(
+            lambda: g2pp_invert_states(params, CURVE, prices, t, maturities))
+        assert got_err is want_err, (params, t, maturities, got_err, want_err)
+        outcomes[want_err] = outcomes.get(want_err, 0) + 1
+        if want_err is None:
+            assert (got.x, got.y, got.t) == (want.x, want.y, want.t)
+            assert (type(got.x), type(got.y)) == (type(want.x), type(want.y))
+    assert outcomes.get(None, 0) > 2000
+    assert outcomes.get(SingularInversionError, 0) > 0
+    assert outcomes.get(OrderingError, 0) > 0
+    assert outcomes.get(ValueError, 0) > 0

@@ -8,6 +8,12 @@ Monte-Carlo discount array must be equal bit for bit.  The one-factor
 log-likelihood may differ in the last bits on equal gaps, where its single
 transition now comes from numpy's exp and expm1 instead of the math
 module's.
+
+The two-factor simulator's per-step covariance and Cholesky rows are
+checked the same way, against frozen copies of the scalar
+``g2pp_transition`` and ``g2pp_cholesky`` and of the per-step loop of
+``_g2pp_steps`` that called them: decays, rows and error types must agree
+on every step.
 """
 
 import dataclasses
@@ -152,6 +158,37 @@ def _ref_loglik_g2pp_core(
 # ---------------------------------------------------------------------------
 
 
+def _ref_g2pp_transition(params, state, dt):
+    if dt <= 0:
+        raise DegenerateStepError(f"step must be positive, got {dt}")
+    a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
+    mean = np.array([state.x * math.exp(-a * dt), state.y * math.exp(-b * dt)])
+    var_x = sigma**2 * (-math.expm1(-2.0 * a * dt)) / (2.0 * a)
+    var_y = eta**2 * (-math.expm1(-2.0 * b * dt)) / (2.0 * b)
+    cov_xy = rho * sigma * eta * (-math.expm1(-(a + b) * dt)) / (a + b)
+    cov = np.array([[var_x, cov_xy], [cov_xy, var_y]])
+    return mean, cov
+
+
+def _ref_g2pp_cholesky(cov):
+    v1, c = cov[0, 0], cov[0, 1]
+    v2 = cov[1, 1]
+    if v1 <= 0 or v2 <= 0:
+        raise BoundaryError("transition covariance is degenerate")
+    l11 = math.sqrt(v1)
+    l21 = c / l11
+    rem = v2 - l21 * l21
+    if rem < -1e-12 * v2:
+        raise BoundaryError("transition covariance is not positive semi-definite")
+    return np.array([[l11, 0.0], [l21, math.sqrt(max(rem, 0.0))]])
+
+
+def _ref_g2pp_steps(params, state0, steps):
+    chols = [_ref_g2pp_cholesky(_ref_g2pp_transition(params, state0, float(h))[1]) for h in steps]
+    l11, l21, l22 = (np.array([c[i, j] for c in chols]) for i, j in ((0, 0), (1, 0), (1, 1)))
+    return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
+
+
 def _ref_blocked(n_paths, n_draws):
     block = max(256, min(n_paths, 2**24 // max(n_draws, 1)))
     start = 0
@@ -182,7 +219,7 @@ def _ref_trapezoid_discounts_g2(params, state0, steps, seed, n_paths):
     n_steps = steps.size
     decay_x = np.exp(-params.a * steps)
     decay_y = np.exp(-params.b * steps)
-    chols = [g2pp_cholesky(g2pp_transition(params, state0, float(h))[1]) for h in steps]
+    chols = [_ref_g2pp_cholesky(_ref_g2pp_transition(params, state0, float(h))[1]) for h in steps]
     l11 = np.array([c[0, 0] for c in chols])
     l21 = np.array([c[1, 0] for c in chols])
     l22 = np.array([c[1, 1] for c in chols])
@@ -444,3 +481,88 @@ class TestDiscountsAgainstReference:
         got = _trapezoid_discounts(decay, None, chol, [0.01, -0.02], steps, seed, n)
         want = _ref_trapezoid_discounts_g2(g2, state0, steps, seed, n)
         np.testing.assert_array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# two-factor step moments
+# ---------------------------------------------------------------------------
+
+
+def _random_steps(rng, n):
+    """Step lengths log-uniform on [1e-8, 2] years."""
+    return np.exp(rng.uniform(math.log(1e-8), math.log(2.0), size=n))
+
+
+def _random_g2_at_the_edge(rng, k):
+    """Draw k of the step tests: _random_g2 for k < 500, then rho = +-1,
+    with a == b on every fourth (a singular step covariance)."""
+    params = _random_g2(rng)
+    if k < 500:
+        return params
+    b = params.a if k % 4 == 0 else params.b
+    return dataclasses.replace(params, b=b, rho=float(rng.choice([-1.0, 1.0])))
+
+
+def _steps_outcome(fn, *args):
+    try:
+        decay, chol = fn(*args)
+    except ValueError as exc:
+        return None, type(exc)
+    return [d.tobytes() for d in decay] + [c.tobytes() for row in chol for c in row], None
+
+
+class TestG2StepsAgainstReference:
+    def test_steps_bit_identical_on_random_params(self):
+        # 500 draws with |rho| < 1 and 200 at rho = +-1, 60 steps each
+        rng = np.random.default_rng(41)
+        finite = 0
+        for k in range(700):
+            params = _random_g2_at_the_edge(rng, k)
+            steps = _random_steps(rng, 60)
+            state0 = G2State(x=float(rng.normal(0.0, 0.02)), y=float(rng.normal(0.0, 0.02)))
+            want, want_err = _steps_outcome(_ref_g2pp_steps, params, state0, steps)
+            got, got_err = _steps_outcome(_g2pp_steps, params, state0, steps)
+            assert got_err is want_err, (params, got_err, want_err)
+            assert got == want, params
+            finite += want_err is None
+        assert finite > 600
+
+    def test_scalar_transition_and_cholesky_bit_identical(self):
+        rng = np.random.default_rng(43)
+        for k in range(700):
+            params = _random_g2_at_the_edge(rng, k)
+            state = G2State(x=float(rng.normal(0.0, 0.02)), y=float(rng.normal(0.0, 0.02)))
+            h = float(_random_steps(rng, 1)[0])
+            mean, cov = g2pp_transition(params, state, h)
+            want_mean, want_cov = _ref_g2pp_transition(params, state, h)
+            assert (mean.shape, cov.shape) == ((2,), (2, 2))
+            assert mean.tobytes() == want_mean.tobytes()
+            assert cov.tobytes() == want_cov.tobytes()
+            try:
+                want_chol = _ref_g2pp_cholesky(want_cov)
+            except BoundaryError:
+                with pytest.raises(BoundaryError):
+                    g2pp_cholesky(cov)
+                continue
+            assert g2pp_cholesky(cov).tobytes() == want_chol.tobytes()
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    def test_non_positive_step_raises_like_the_reference(self, step):
+        state = G2State(0.0, 0.0)
+        for transition in (_ref_g2pp_transition, g2pp_transition):
+            with pytest.raises(DegenerateStepError):
+                transition(README_G2, state, step)
+        steps = np.array([0.02, step, 0.02])
+        for g2pp_steps in (_ref_g2pp_steps, _g2pp_steps):
+            with pytest.raises(DegenerateStepError):
+                g2pp_steps(README_G2, state, steps)
+
+    @pytest.mark.parametrize("cov", [
+        [[1.0, 2.0], [2.0, 1.0]],  # not positive semi-definite
+        [[0.0, 0.0], [0.0, 1.0]],  # a vanishing variance
+        [[1.0, 0.0], [0.0, -1.0]],
+    ])
+    def test_bad_covariance_raises_like_the_reference(self, cov):
+        for cholesky in (_ref_g2pp_cholesky, g2pp_cholesky):
+            with pytest.raises(BoundaryError):
+                cholesky(np.array(cov))
