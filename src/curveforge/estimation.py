@@ -43,7 +43,8 @@ from .shortrate import (
     VasicekParams,
     affine_invert,
     factor_det,
-    g2pp_variance_expm1,
+    g2pp_affine,
+    g2pp_horizons,
     vasicek_affine,
 )
 
@@ -245,12 +246,7 @@ class _PanelData:
             product = product * p[1:]
         market = horizons = horizon_index = None
         if curve is not None:
-            log_t = curve.log_discount(times)
-            maturities = [times + tau for tau in taus]
-            market = [curve.log_discount(T) - log_t for T in maturities]
-            stacked = np.stack([times, *taus, *maturities])
-            horizons, horizon_index = np.unique(stacked.ravel(), return_inverse=True)
-            horizon_index = horizon_index.reshape(stacked.shape)
+            market, horizons, horizon_index = g2pp_horizons(curve, times, taus)
         return cls(
             times=times,
             gaps=gaps,
@@ -318,25 +314,6 @@ def _panel_data(spec: _MLModel, panel: PricePanel, curve, price_scale: float = 1
     return _PanelData.of(
         panel, spec.factors, price_scale, curve if spec.needs_curve else None
     )
-
-
-def _g2pp_panel_affine(p: G2Params, data: _PanelData):
-    """alpha_j and beta_j = [B_a(tau_j), B_b(tau_j)] of both instruments at
-    every date, from one variance call over the distinct horizons.
-
-    alpha_j = market_j + 0.5 (V(tau_j) - V(t + tau_j) + V(t)): V(t, T)
-    depends on T - t only, and every V is V(0, .) of one horizon.
-    """
-    v, ea, eb = g2pp_variance_expm1(p, data.horizons)
-    rows = data.horizon_index
-    k = len(data.taus)
-    v_t = v[rows[0]]
-    alpha, beta = [], []
-    for j, market in enumerate(data.market):
-        tau, T = rows[1 + j], rows[1 + k + j]
-        alpha.append(market + 0.5 * (v[tau] - v[T] + v_t))
-        beta.append([-ea[tau] / p.a, -eb[tau] / p.b])
-    return alpha, beta
 
 
 def _states(model: _MLModel, params, data: _PanelData):
@@ -563,7 +540,7 @@ _ML_MODELS = {
         needs_curve=True,
         from_theta=_g2pp_from_theta,
         moment_guess=_moment_guess_g2pp,
-        affine=_g2pp_panel_affine,
+        affine=lambda p, data: g2pp_affine(p, data.market, data.horizons, data.horizon_index),
         gap_moments=_g2pp_gap_moments,
     ),
 }

@@ -259,23 +259,38 @@ def g2pp_transition(
     return mean, cov
 
 
-def g2pp_affine(params: G2Params, curve: DiscountCurve, t, taus):
-    """Intercepts alpha_j and loadings beta_j = [B_a(tau_j), B_b(tau_j)] of
-    log P(t, t + tau_j), for states at times ``t`` and remaining maturities
-    ``taus`` (floats or arrays over dates), in the form ``affine_invert``
-    takes."""
+def g2pp_horizons(curve: DiscountCurve, t, taus):
+    """The parameter-free terms of ``g2pp_affine`` for states at times ``t``
+    and remaining maturities ``taus`` (floats or arrays over dates).
+
+    Returns the market log ratios log D(t + tau_j) - log D(t), the distinct
+    values of the stacked horizons [t, tau_1..k, t + tau_1..k], and the
+    index into them that gives those rows back.
+    """
+    maturities = [t + tau for tau in taus]
     log_t = curve.log_discount(t)
-    v0t = g2pp_variance(params, 0.0, t)
+    market = [curve.log_discount(T) - log_t for T in maturities]
+    stacked = np.stack([t, *taus, *maturities])
+    horizons, index = np.unique(stacked.ravel(), return_inverse=True)
+    return market, horizons, index.reshape(stacked.shape)
+
+
+def g2pp_affine(params: G2Params, market, horizons, horizon_index):
+    """Intercepts alpha_j and loadings beta_j = [B_a(tau_j), B_b(tau_j)] of
+    log P(t, t + tau_j), in the form ``affine_invert`` takes, from the terms
+    of ``g2pp_horizons`` and one variance call over the distinct horizons.
+
+    alpha_j = market_j + 0.5 (V(tau_j) - V(t + tau_j) + V(t)): V(t, T)
+    depends on T - t only, and every V is V(0, .) of one horizon.
+    """
+    v, ea, eb = g2pp_variance_expm1(params, horizons)
+    k = len(market)
+    v_t = v[horizon_index[0]]
     alpha, beta = [], []
-    for tau in taus:
-        T = t + tau
-        adjust = 0.5 * (
-            g2pp_variance(params, 0.0, tau)  # V(t,T) depends on tau only
-            - g2pp_variance(params, 0.0, T)
-            + v0t
-        )
-        alpha.append(curve.log_discount(T) - log_t + adjust)
-        beta.append([decay_loading(params.a, tau), decay_loading(params.b, tau)])
+    for j, m in enumerate(market):
+        tau, T = horizon_index[1 + j], horizon_index[1 + k + j]
+        alpha.append(m + 0.5 * (v[tau] - v[T] + v_t))
+        beta.append([-ea[tau] / params.a, -eb[tau] / params.b])
     return alpha, beta
 
 
@@ -299,9 +314,9 @@ def g2pp_invert_states(
         raise ValueError("prices must be positive")
     if T1 <= t or T2 <= t:
         raise OrderingError("both maturities must lie strictly after t")
-    alpha, beta = g2pp_affine(params, curve, t, [T1 - t, T2 - t])
+    alpha, beta = g2pp_affine(params, *g2pp_horizons(curve, t, [T1 - t, T2 - t]))
     (x, y), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
-    return G2State(x=x, y=y, t=t)
+    return G2State(x=float(x), y=float(y), t=t)
 
 
 def g2pp_cholesky(cov: np.ndarray) -> np.ndarray:
