@@ -139,10 +139,11 @@ def _vasicek_steps(params: VasicekParams, steps):
 
 def _g2pp_steps(params: G2Params, state0: G2State, steps):
     """Per-step factor decays and lower Cholesky rows of the two-factor
-    shock covariance."""
-    chols = [g2pp_cholesky(g2pp_transition(params, state0, float(h))[1]) for h in steps]
-    l11, l21, l22 = (np.array([c[i, j] for c in chols]) for i, j in ((0, 0), (1, 0), (1, 1)))
-    return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
+    shock covariance, from one transition and one Cholesky call over all
+    the steps."""
+    chol = g2pp_cholesky(g2pp_transition(params, state0, steps)[1])
+    return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [
+        [chol[0, 0]], [chol[1, 0], chol[1, 1]]]
 
 
 def _exact_steps(decay, drift, chol, x0, z, s0=0):

@@ -244,17 +244,21 @@ def g2pp_price(params: G2Params, curve: DiscountCurve, state: G2State, T: float)
     return libm.exp(g2pp_log_price(params, curve, state, T))
 
 
-def g2pp_transition(
-    params: G2Params, state: G2State, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact conditional mean vector and covariance matrix after dt years."""
-    if dt <= 0:
-        raise DegenerateStepError(f"step must be positive, got {dt}")
+def g2pp_transition(params: G2Params, state: G2State, dt):
+    """Exact conditional mean vector and covariance matrix after dt years.
+
+    dt may be an array of steps: mean[i] and cov[i][j] are then arrays over
+    the steps, each element equal to the scalar call's value bit for bit
+    (the exponentials go through ``libm``).  Raises DegenerateStepError if
+    any step is not positive.
+    """
+    if libm.anywhere(dt <= 0):
+        raise DegenerateStepError(f"step must be positive, got {np.min(dt)}")
     a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
-    mean = np.array([state.x * math.exp(-a * dt), state.y * math.exp(-b * dt)])
-    var_x = sigma**2 * (-math.expm1(-2.0 * a * dt)) / (2.0 * a)
-    var_y = eta**2 * (-math.expm1(-2.0 * b * dt)) / (2.0 * b)
-    cov_xy = rho * sigma * eta * (-math.expm1(-(a + b) * dt)) / (a + b)
+    mean = np.array([state.x * libm.exp(-a * dt), state.y * libm.exp(-b * dt)])
+    var_x = sigma**2 * (-libm.expm1(-2.0 * a * dt)) / (2.0 * a)
+    var_y = eta**2 * (-libm.expm1(-2.0 * b * dt)) / (2.0 * b)
+    cov_xy = rho * sigma * eta * (-libm.expm1(-(a + b) * dt)) / (a + b)
     cov = np.array([[var_x, cov_xy], [cov_xy, var_y]])
     return mean, cov
 
@@ -320,21 +324,23 @@ def g2pp_invert_states(
 
 
 def g2pp_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a 2x2 transition covariance.
+    """Lower Cholesky factor of a 2x2 transition covariance, or of one per
+    step when the entries cov[i, j] are arrays over steps (the factor's
+    entries then are too).
 
     Tiny negative Schur complements from rounding are clamped to zero;
     anything materially negative means |rho| reached 1 and is an error.
     """
     v1, c = cov[0, 0], cov[0, 1]
     v2 = cov[1, 1]
-    if v1 <= 0 or v2 <= 0:
+    if libm.anywhere((v1 <= 0) | (v2 <= 0)):
         raise BoundaryError("transition covariance is degenerate")
-    l11 = math.sqrt(v1)
+    l11 = np.sqrt(v1)
     l21 = c / l11
     rem = v2 - l21 * l21
-    if rem < -1e-12 * v2:
+    if libm.anywhere(rem < -1e-12 * v2):
         raise BoundaryError("transition covariance is not positive semi-definite")
-    return np.array([[l11, 0.0], [l21, math.sqrt(max(rem, 0.0))]])
+    return np.array([[l11, np.zeros_like(l11)], [l21, np.sqrt(np.maximum(rem, 0.0))]])
 
 
 # ---------------------------------------------------------------------------

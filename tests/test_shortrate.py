@@ -279,6 +279,26 @@ class TestG2Transition:
         with pytest.raises(BoundaryError):
             g2pp_cholesky(bad)
 
+    def test_array_of_steps_is_the_scalar_calls_stacked(self):
+        state = G2State(x=0.1, y=-0.2, t=0.0)
+        steps = np.array([1e-8, 0.004, 0.5, 2.0])
+        mean, cov = g2pp_transition(G2, state, steps)
+        L = g2pp_cholesky(cov)
+        assert (mean.shape, cov.shape, L.shape) == ((2, 4), (2, 2, 4), (2, 2, 4))
+        for s, h in enumerate(steps.tolist()):
+            m, c = g2pp_transition(G2, state, h)
+            assert mean[:, s].tobytes() == m.tobytes()
+            assert cov[:, :, s].tobytes() == c.tobytes()
+            assert L[:, :, s].tobytes() == g2pp_cholesky(c).tobytes()
+
+    def test_one_bad_step_fails_the_whole_array(self):
+        with pytest.raises(DegenerateStepError, match="got 0.0"):
+            g2pp_transition(G2, G2State(0.0, 0.0), np.array([0.1, 0.0, 0.2]))
+        good = np.array([[1.0, 0.5], [0.5, 1.0]])
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(BoundaryError, match="not positive semi-definite"):
+            g2pp_cholesky(np.stack([good, bad, good], axis=-1))
+
 
 class TestG2Inversion:
     @pytest.fixture
