@@ -14,7 +14,6 @@ which is therefore reproduced exactly at time zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import libm
@@ -58,25 +57,6 @@ class ShortRateState:
     def __post_init__(self):
         if self.t < 0:
             raise OrderingError(f"state time must be >= 0, got {self.t}")
-
-
-def hjm_drift(params: HoLeeParams | HullWhiteParams, s: float, t: float) -> float:
-    """No-arbitrage forward drift alpha(s, t) for t >= s.
-
-    The volatility integral is analytic for both supported shapes:
-    constant vol gives sigma^2 (t - s); damped vol gives
-    (sigma^2 / a) exp(-a(t-s)) (1 - exp(-a(t-s))).
-    """
-    if t < s:
-        raise OrderingError(f"t={t} precedes s={s}")
-    u = t - s
-    if isinstance(params, HoLeeParams):
-        return params.sigma**2 * u
-    if isinstance(params, HullWhiteParams):
-        a, sigma = params.a, params.sigma
-        damp = math.exp(-a * u)
-        return (sigma**2 / a) * damp * (1.0 - damp)
-    raise TypeError(f"unsupported volatility parameters: {type(params).__name__}")
 
 
 def curve_terms(curve: DiscountCurve, t, T):

@@ -1,8 +1,6 @@
 import math
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.errors import OrderingError
@@ -10,7 +8,6 @@ from curveforge.hjm import (
     HoLeeParams,
     HullWhiteParams,
     ShortRateState,
-    hjm_drift,
     holee_price,
     hullwhite_price,
 )
@@ -33,44 +30,6 @@ def market():
             (30.0, 0.2924),
         )
     )
-
-
-class TestDrift:
-    @pytest.mark.parametrize("case", range(20))
-    def test_matches_volatility_integral(self, case):
-        # alpha(s,t) = sigma(s,t) int_s^t sigma(s,u) du, checked by quadrature
-        rng = np.random.default_rng(case)
-        s = float(rng.uniform(0.0, 5.0))
-        t = s + float(rng.uniform(0.01, 20.0))
-        if case % 2 == 0:
-            params = HoLeeParams(sigma=float(rng.uniform(0.005, 0.8)))
-            vol = lambda u: params.sigma
-        else:
-            params = HullWhiteParams(
-                a=float(rng.uniform(0.01, 2.0)),
-                sigma=float(rng.uniform(0.005, 0.8)),
-            )
-            vol = lambda u: params.sigma * math.exp(-params.a * (u - s))
-        integral, _ = quad(vol, s, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-        oracle = vol(t) * integral
-        assert hjm_drift(params, s, t) == pytest.approx(oracle, rel=1e-10, abs=1e-14)
-
-    def test_zero_at_equal_times(self):
-        assert hjm_drift(HL, 1.0, 1.0) == 0.0
-        assert hjm_drift(HW, 1.0, 1.0) == 0.0
-
-    def test_ordering_enforced(self):
-        with pytest.raises(OrderingError):
-            hjm_drift(HL, 2.0, 1.0)
-
-    def test_damped_drift_peaks_inside(self):
-        # sigma^2/a e^{-au}(1-e^{-au}) rises then falls; the constant-vol
-        # drift only grows
-        taus = np.linspace(0.01, 60.0, 400)
-        hw = [hjm_drift(HW, 0.0, float(u)) for u in taus]
-        assert max(hw) > hw[0] and max(hw) > hw[-1]
-        hl = [hjm_drift(HL, 0.0, float(u)) for u in taus]
-        assert all(a < b for a, b in zip(hl, hl[1:]))
 
 
 class TestInitialCurveReproduction:
