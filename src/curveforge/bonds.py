@@ -118,13 +118,6 @@ class CouponBond:
         return coupon * year_fraction(prev, settlement) / period
 
 
-def zero_price_from_yield(y: float, tau: float) -> float:
-    """Continuously compounded zero price exp(-y * tau) for tau >= 0."""
-    if tau < 0:
-        raise OrderingError(f"maturity {tau} is negative")
-    return math.exp(-y * tau)
-
-
 def present_value(bond: CouponBond, settlement: dt.date, y: float) -> float:
     """Dirty price of ``bond`` at a flat continuously-compounded yield."""
     pv = 0.0

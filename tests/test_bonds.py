@@ -4,12 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from curveforge.bonds import (
-    CouponBond,
-    present_value,
-    ytm_from_price,
-    zero_price_from_yield,
-)
+from curveforge.bonds import CouponBond, present_value, ytm_from_price
 from curveforge.daycount import year_fraction
 from curveforge.errors import NoSolutionError
 
@@ -68,12 +63,6 @@ class TestSchedule:
 
 
 class TestYtm:
-    def test_zero_price_round_trip(self):
-        y = 0.0437
-        tau = 2.5
-        p = zero_price_from_yield(y, tau)
-        assert p == pytest.approx(math.exp(-y * tau))
-
     def test_zero_coupon_ytm_closed_form(self, zero_bond):
         settlement = dt.date(2010, 1, 4)
         tau = year_fraction(settlement, zero_bond.maturity)
