@@ -52,6 +52,10 @@ LOG2PI = math.log(2.0 * math.pi)
 RHO_CLIP = 0.9999
 _THETA_BOX = 18.0          # |transformed parameter| beyond this is rejected
 _BOUNDARY_MARGIN = 1.0     # final coordinates this close to the box are flagged
+# Nelder-Mead stopping rule of every restart
+_MAXITER = 2000
+_XATOL = 1e-6
+_FATOL = 1e-8
 
 
 def minimize(*args, **kwargs):
@@ -177,13 +181,11 @@ class FitResult:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Optimizer settings for fit_ml."""
+    """Restart count and start-jitter seed of fit_ml; every restart stops by
+    the module's fixed Nelder-Mead rule (_MAXITER, _XATOL, _FATOL)."""
 
     restarts: int = 16
     seed: int = 0
-    maxiter: int = 2000
-    xatol: float = 1e-6
-    fatol: float = 1e-8
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -487,9 +489,9 @@ def fit_ml(
             theta0,
             method="Nelder-Mead",
             options={
-                "maxiter": config.maxiter,
-                "xatol": config.xatol,
-                "fatol": config.fatol,
+                "maxiter": _MAXITER,
+                "xatol": _XATOL,
+                "fatol": _FATOL,
                 "adaptive": True,
             },
         )
