@@ -51,10 +51,9 @@ MIN_STEPS_PER_HORIZON = 50
 _BLOCK_ELEMENTS = 2**22
 # paths per tile; the steps per tile follow from _BLOCK_ELEMENTS
 _TILE_PATHS = 2048
-# _check_block_size counts at least this many paths in a block of normals
+# the run-length limit of _check_block_size: min(n_paths, _MIN_BLOCK_PATHS)
+# paths of all their draws may hold at most _MAX_BLOCK_ELEMENTS normals
 _MIN_BLOCK_PATHS = 256
-# the most normals such a block may hold: a limit on the draws per path (run
-# length), since the tiles keep memory bounded without it
 _MAX_BLOCK_ELEMENTS = 2**24
 
 
@@ -96,9 +95,14 @@ class McEstimate:
 
 
 def _check_block_size(n_paths: int, n_draws: int) -> None:
-    """Refuse a simulation whose first block of normals, counted as
-    min(n_paths, _MIN_BLOCK_PATHS) paths of all their draws, would hold
-    more than _MAX_BLOCK_ELEMENTS draws, before anything is allocated."""
+    """Refuse an overlong run before anything is drawn: one "block" of
+    min(n_paths, _MIN_BLOCK_PATHS) paths of all their n_draws normals may
+    hold at most _MAX_BLOCK_ELEMENTS.
+
+    The tiles bound memory at any run length, so this is a limit on run
+    length alone, which ``oracle --maturity/--step`` take from the user:
+    without it, ``--maturity 1e6 --paths 10`` would start 252M steps.
+    """
     paths = min(n_paths, _MIN_BLOCK_PATHS)
     if paths * n_draws > _MAX_BLOCK_ELEMENTS:
         raise ResolutionError(
