@@ -65,6 +65,27 @@ class _Date(click.ParamType):
             self.fail(f"{value!r} is not a YYYY-MM-DD date: {exc}", param, ctx)
 
 
+class _FiniteFloat(click.FloatRange):
+    """A finite float within the given bounds, if any; nan, inf and -inf
+    are usage errors that name the option, as out-of-range values are."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return number
+
+    def _describe_range(self):
+        if self.min is None and self.max is None:
+            return ""
+        return super()._describe_range()
+
+
+_FINITE = _FiniteFloat()
+
+
 def domain_errors(fn):
     """Convert package domain errors into exit-code-1 CLI failures."""
 
@@ -311,7 +332,7 @@ def calibrate_cmd(ctx, model, section_path, curve, per_date_curve):
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", "state_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
-@click.option("--maturity", type=float, required=True)
+@click.option("--maturity", type=_FINITE, required=True)
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.pass_context
 @domain_errors
@@ -386,8 +407,8 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--state", "state_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--tau-lo", type=float, default=1.0 / 12.0, show_default=True)
-@click.option("--tau-hi", type=float, default=25.0, show_default=True)
+@click.option("--tau-lo", type=_FINITE, default=1.0 / 12.0, show_default=True)
+@click.option("--tau-hi", type=_FINITE, default=25.0, show_default=True)
 @click.pass_context
 @domain_errors
 def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_hi):
@@ -433,10 +454,10 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
 @click.option("--state", "state_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--maturity", type=float, default=3.0, show_default=True)
+@click.option("--maturity", type=_FINITE, default=3.0, show_default=True)
 @click.option("--paths", "n_paths", type=click.IntRange(min=2), default=100_000,
               show_default=True)
-@click.option("--step", type=click.FloatRange(min=0.0, min_open=True),
+@click.option("--step", type=_FiniteFloat(min=0.0, min_open=True),
               default=1.0 / 252.0, help="Simulation step in years [default: 1/252].")
 @click.option("--seed", type=_SIM_SEED, default=0, show_default=True)
 @click.pass_context
@@ -498,7 +519,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 @click.option("--start", type=_Date(), default="2010-01-04", show_default=True)
 @click.option("--n-obs", type=click.IntRange(min=2), default=260, show_default=True)
 @click.option("--gap-days", type=click.IntRange(min=1), default=7, show_default=True)
-@click.option("--maturity", "maturities", type=float, multiple=True,
+@click.option("--maturity", "maturities", type=_FINITE, multiple=True,
               help="Instrument maturity in years from start (repeatable).")
 @click.option("--seed", type=_SIM_SEED, default=0, show_default=True)
 @click.pass_context

@@ -605,6 +605,42 @@ class TestArgumentRanges:
         assert "Traceback" not in result.output
         assert not (tmp_path / "run_log.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["oracle", "--model", "vasicek", "--maturity", "nan"], "--maturity"),
+            (["oracle", "--model", "vasicek", "--maturity", "inf"], "--maturity"),
+            (["oracle", "--model", "vasicek", "--step", "nan"], "--step"),
+            (["synth", "--model", "vasicek", "--maturity", "inf"], "--maturity"),
+            (["synth", "--model", "vasicek", "--maturity", "nan"], "--maturity"),
+            (["price", "--model", "vasicek", "--params", "{vasicek.params}",
+              "--state", "{short.state}", "--maturity", "nan"], "--maturity"),
+            (["check-arbitrage", "--curve", "{curve.csv}", "--model", "g2pp",
+              "--tau-lo", "-inf"], "--tau-lo"),
+            (["check-arbitrage", "--curve", "{curve.csv}", "--model", "g2pp",
+              "--tau-hi", "nan"], "--tau-hi"),
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, runner, inputs, tmp_path, args, option):
+        args = [str(inputs / a[1:-1]) if a.startswith("{") else a for a in args]
+        result = runner.invoke(main, ["--output-dir", str(tmp_path), *args])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '{option}'" in result.output
+        assert "is not a finite number" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    def test_config_value_is_checked_for_finiteness(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("maturity=inf\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(cfg), "--output-dir", str(tmp_path), "oracle",
+             "--model", "vasicek"],
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--maturity'" in result.output
+
     def test_config_value_is_range_checked(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_paths=1\n")
