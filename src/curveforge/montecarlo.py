@@ -5,9 +5,11 @@ bias).  One k-factor step function, ``_exact_steps``, serves both uses: each
 step takes factor i to x_i decay_i (+ drift_i) plus its row of the lower
 Cholesky factor of the step covariance times the step's normals (k = 1 for
 vasicek and for the stochastic part of the forward-curve models, k = 2 for
-g2pp).  The oracle integrates the short rate along many paths by the
-trapezoidal rule, the only discretization left in its discount factor; a
-synthetic panel prices one path closed-form at each observation date.
+g2pp, whose rows come from one ``g2pp_transition`` and one
+``g2pp_cholesky`` call over all steps).  The oracle integrates the short
+rate along many paths by the trapezoidal rule, the only discretization
+left in its discount factor; a synthetic panel prices one path
+closed-form at each observation date.
 The oracle runs in tiles of at most _TILE_PATHS paths by as many steps as
 keep a tile within _BLOCK_ELEMENTS normals; each path tile carries its
 factor values, short-rate level and integral from one step chunk to the

@@ -17,7 +17,11 @@ Both models admit exact Gaussian transition densities over arbitrary steps,
 and their log-prices are affine in the k-factor state X (k = 1 or 2),
 log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
 therefore give X exactly, from the one k x k solve in ``affine_invert`` --
-which is what makes exact likelihood work possible.
+which is what makes exact likelihood work possible.  The two-factor alpha
+and beta come from one variance call over the distinct horizons
+(``g2pp_horizons``, ``g2pp_affine``), for one date or a whole panel.  The
+two-factor transition and its Cholesky factor take one step or an array
+of steps, elementwise equal to the scalar call.
 """
 
 from __future__ import annotations
