@@ -17,11 +17,9 @@ Both models admit exact Gaussian transition densities over arbitrary steps,
 and their log-prices are affine in the k-factor state X (k = 1 or 2),
 log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
 therefore give X exactly, from the one k x k solve in ``affine_invert`` --
-which is what makes exact likelihood work possible.  The two-factor alpha
-and beta come from one variance call over the distinct horizons
-(``g2pp_horizons``, ``g2pp_affine``), for one date or a whole panel.  The
-two-factor transition and its Cholesky factor take one step or an array
-of steps, elementwise equal to the scalar call.
+which is what makes exact likelihood work possible.  The two-factor
+transition, its Cholesky factor and alpha and beta (``g2pp_affine``) take
+one step or date, or arrays of them.
 """
 
 from __future__ import annotations
@@ -251,10 +249,8 @@ def g2pp_price(params: G2Params, curve: DiscountCurve, state: G2State, T: float)
 def g2pp_transition(params: G2Params, state: G2State, dt):
     """Exact conditional mean vector and covariance matrix after dt years.
 
-    dt may be an array of steps: mean[i] and cov[i][j] are then arrays over
-    the steps, each element equal to the scalar call's value bit for bit
-    (the exponentials go through ``libm``).  Raises DegenerateStepError if
-    any step is not positive.
+    Over an array of steps, mean[i] and cov[i][j] are arrays whose elements
+    equal the scalar calls bit for bit (the exponentials go through libm).
     """
     if libm.anywhere(dt <= 0):
         raise DegenerateStepError(f"step must be positive, got {np.min(dt)}")
@@ -328,9 +324,8 @@ def g2pp_invert_states(
 
 
 def g2pp_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a 2x2 transition covariance, or of one per
-    step when the entries cov[i, j] are arrays over steps (the factor's
-    entries then are too).
+    """Lower Cholesky factor of a 2x2 transition covariance, entry by entry
+    when the entries are arrays over steps.
 
     Tiny negative Schur complements from rounding are clamped to zero;
     anything materially negative means |rho| reached 1 and is an error.
