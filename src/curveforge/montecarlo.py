@@ -145,8 +145,7 @@ def _vasicek_steps(params: VasicekParams, steps):
 
 def _g2pp_steps(params: G2Params, state0: G2State, steps):
     """Per-step factor decays and lower Cholesky rows of the two-factor
-    shock covariance, from one transition and one Cholesky call over all
-    the steps."""
+    shock covariance."""
     chol = g2pp_cholesky(g2pp_transition(params, state0, steps)[1])
     return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [
         [chol[0, 0]], [chol[1, 0], chol[1, 1]]]
