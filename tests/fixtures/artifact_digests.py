@@ -36,7 +36,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
-from curveforge.cli import main
+from curveforge.cli import main as cli
 
 OUT_PATH = os.path.join(os.path.dirname(__file__), "artifact_digests.json")
 
@@ -165,7 +165,7 @@ def run_cases() -> dict[str, str]:
     runner = CliRunner()
     digests = {}
     for name, args in CASES.items():
-        result = runner.invoke(main, ["--output-dir", name, *args])
+        result = runner.invoke(cli, ["--output-dir", name, *args])
         assert result.exit_code == 0, f"{name}: exit {result.exit_code}\n{result.output}"
         digests[f"{name}/stdout"] = hashlib.sha256(result.output.encode()).hexdigest()
         for path in sorted(Path(name).iterdir()):
@@ -182,7 +182,7 @@ def versions() -> dict[str, str]:
     }
 
 
-def main_() -> None:
+def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -198,4 +198,4 @@ def main_() -> None:
 
 
 if __name__ == "__main__":
-    main_()
+    main()
