@@ -63,6 +63,14 @@ class TestSchedule:
 
 
 class TestYtm:
+    def test_zero_price_round_trip(self, zero_bond):
+        settlement = dt.date(2010, 1, 4)
+        y = 0.0437
+        tau = year_fraction(settlement, zero_bond.maturity)
+        p = present_value(zero_bond, settlement, y)
+        assert p == pytest.approx(100.0 * math.exp(-y * tau))
+        assert ytm_from_price(zero_bond, settlement, p) == pytest.approx(y, abs=1e-10)
+
     def test_zero_coupon_ytm_closed_form(self, zero_bond):
         settlement = dt.date(2010, 1, 4)
         tau = year_fraction(settlement, zero_bond.maturity)

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.errors import OrderingError
@@ -30,6 +32,46 @@ def market():
             (30.0, 0.2924),
         )
     )
+
+
+class TestDrift:
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_volatility_integral(self, case, market):
+        # The prices carry the no-arbitrage drift
+        # alpha(s,u) = sigma(s,u) int_s^u sigma(s,v) dv: with L the loading
+        # int_t^T sigma(s,u) du / sigma(s,t), and r set to f(0,t),
+        # log P(t,T) - log P(0,T)/P(0,t)
+        #     = L int_0^t alpha(s,t) ds - int_0^t int_t^T alpha(s,u) du ds,
+        # both sides built here by quadrature from the volatility alone.
+        rng = np.random.default_rng(case)
+        t = float(rng.uniform(0.05, 5.0))
+        T = t + float(rng.uniform(0.01, 20.0))
+        if case % 2 == 0:
+            params = HoLeeParams(sigma=float(rng.uniform(0.005, 0.8)))
+            vol = lambda s, u: params.sigma
+            price = holee_price
+        else:
+            params = HullWhiteParams(
+                a=float(rng.uniform(0.01, 2.0)),
+                sigma=float(rng.uniform(0.005, 0.8)),
+            )
+            vol = lambda s, u: params.sigma * math.exp(-params.a * (u - s))
+            price = hullwhite_price
+        tol = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+
+        def drift(s, u):
+            return vol(s, u) * quad(lambda v: vol(s, v), s, u, **tol)[0]
+
+        loading = quad(lambda u: vol(0.0, u), t, T, **tol)[0] / vol(0.0, t)
+        to_t = quad(lambda s: drift(s, t), 0.0, t, **tol)[0]
+        to_T = quad(lambda s: quad(lambda u: drift(s, u), t, T, **tol)[0], 0.0, t, **tol)[0]
+        oracle = loading * to_t - to_T
+
+        r = market.forward(t)
+        got = math.log(price(params, market, r, t, T)) - (
+            market.log_discount(T) - market.log_discount(t)
+        )
+        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-13)
 
 
 class TestInitialCurveReproduction:
