@@ -70,7 +70,7 @@ class CouponBond:
             if d <= self.maturity:
                 dates.append(d)
             k += 1
-            if k > 12 * 200:  # two centuries of coupons is plenty
+            if k > 200 * self.frequency:  # two centuries of coupons is plenty
                 break
         dates.reverse()
         return dates

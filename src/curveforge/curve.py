@@ -130,10 +130,10 @@ def build_initial_curve(
     the short or long end of the curve poorly pinned down.
     """
     if len(quotes) < 2:
-        raise ValueError("need at least two quotes to build a curve")
+        raise AmbiguityError("need at least two quotes to build a curve")
     settlements = {settlement for _, settlement, _ in quotes}
     if len(settlements) != 1:
-        raise ValueError("all quotes must share a settlement date")
+        raise AmbiguityError("all quotes must share a settlement date")
     settlement = settlements.pop()
 
     pillars = []

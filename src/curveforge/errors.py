@@ -18,8 +18,8 @@ class NoSolutionError(CurveforgeError, ValueError):
 
 
 class AmbiguityError(CurveforgeError, ValueError):
-    """Duplicate keys (e.g. two quotes at the same maturity) make the
-    problem ill-posed."""
+    """Duplicate, too few or mixed inputs (two quotes at one maturity, a
+    single quote, two settlement dates) make the problem ill-posed."""
 
 
 class ExtrapolationError(CurveforgeError, ValueError):

@@ -39,6 +39,22 @@ class TestSchedule:
         assert dates[0] < dates[-1]
         assert all(a < b for a, b in zip(dates, dates[1:]))
 
+    @pytest.mark.parametrize("frequency", [1, 2, 4, 12])
+    def test_unanchored_schedule_stops_after_two_centuries(self, frequency):
+        # without an anchor the schedule steps back 200 years of periods,
+        # whatever the period: 200 * frequency periods before maturity
+        maturity = dt.date(2018, 1, 7)
+        bond = CouponBond("C", 100.0, 0.05, frequency, maturity)
+        dates = bond.coupon_dates()
+        assert len(dates) == 200 * frequency + 1
+        assert dates[0] == dt.date(1818, 1, 7)
+        assert dates[-1] == maturity
+
+    def test_semiannual_first_date_within_two_centuries(self, semiannual_bond):
+        first = semiannual_bond.coupon_dates()[0]
+        maturity = semiannual_bond.maturity
+        assert first >= maturity.replace(year=maturity.year - 200)
+
     def test_cash_flows_strictly_future(self, semiannual_bond):
         settlement = dt.date(2010, 1, 4)
         flows = semiannual_bond.cash_flows(settlement)

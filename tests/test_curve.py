@@ -114,7 +114,7 @@ class TestBuildInitialCurve:
     def test_mixed_settlements_rejected(self):
         b1 = self.make_zero("Z1", dt.date(2011, 1, 4))
         b2 = self.make_zero("Z2", dt.date(2012, 1, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbiguityError, match="share a settlement date"):
             build_initial_curve(
                 [(b1, dt.date(2010, 1, 4), 95.0), (b2, dt.date(2010, 1, 5), 90.0)]
             )
@@ -136,7 +136,7 @@ class TestBuildInitialCurve:
 
     def test_single_quote_rejected(self):
         b1 = self.make_zero("Z1", dt.date(2011, 1, 4))
-        with pytest.raises(ValueError):
+        with pytest.raises(AmbiguityError, match="at least two quotes"):
             build_initial_curve([(b1, dt.date(2010, 1, 4), 95.0)])
 
     def test_inverted_pillars_warn(self):
