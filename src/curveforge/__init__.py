@@ -75,7 +75,6 @@ from .shortrate import (
     g2pp_invert_states,
     g2pp_log_price,
     g2pp_price,
-    g2pp_transition,
     g2pp_variance,
     vasicek_ab,
     vasicek_invert_state,
@@ -135,7 +134,6 @@ __all__ = [
     "g2pp_invert_states",
     "g2pp_log_price",
     "g2pp_price",
-    "g2pp_transition",
     "g2pp_variance",
     "holee_price",
     "hullwhite_price",

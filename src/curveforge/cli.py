@@ -36,10 +36,10 @@ from .daycount import parse_date
 from .diagnostics import build_surface, check_monotone, scan_derivative_signs
 from .errors import CurveforgeError
 from .estimation import FitConfig, fit_ml
-from .hjm import HoLeeParams, HullWhiteParams, ShortRateState, holee_price, hullwhite_price
-from .models import param_fields
+from .hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
+from .models import MODELS, fitted_by, param_fields
 from .montecarlo import SimConfig, mc_zero_price, synth_panel
-from .shortrate import G2Params, G2State, VasicekParams, g2pp_price, vasicek_price
+from .shortrate import G2Params, VasicekParams, g2pp_price, vasicek_price
 
 _DEFAULT_PARAMS = {
     "vasicek": VasicekParams(a=1.7051, b=0.0937, sigma=0.3721),
@@ -129,14 +129,6 @@ def _load_curve(path: str | None) -> DiscountCurve:
     return fileio.ingest_curve(path)
 
 
-def _default_state(model: str, curve: DiscountCurve):
-    if model == "g2pp":
-        return G2State(x=0.0, y=0.0, t=0.0)
-    if model == "vasicek":
-        return ShortRateState(r=_DEFAULT_PARAMS["vasicek"].b, t=0.0)
-    return ShortRateState(r=curve.forward(0.0), t=0.0)
-
-
 def _closed_price(model: str, params, state, T: float, curve: DiscountCurve):
     if model == "vasicek":
         return vasicek_price(params, state.r, state.t, T)
@@ -218,7 +210,7 @@ def bootstrap(ctx, bonds, quotes, clean, flat_extrapolation):
 
 
 @main.command("fit-ml")
-@click.option("--model", type=click.Choice(["vasicek", "g2pp"]), required=True)
+@click.option("--model", type=click.Choice(fitted_by("ml")), required=True)
 @click.option("--panel", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--negotiated-only", is_flag=True,
@@ -233,8 +225,8 @@ def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
     if negotiated_only:
         panel_data = panel_data.filter_negotiated()
     curve_data = fileio.ingest_curve(curve) if curve else None
-    if model == "g2pp" and curve_data is None:
-        raise click.UsageError("--curve is required for the g2pp model")
+    if MODELS[model].needs_curve and curve_data is None:
+        raise click.UsageError(f"--curve is required for the {model} model")
     result = fit_ml(
         model,
         panel_data,
@@ -274,7 +266,7 @@ def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
 
 
 @main.command("calibrate")
-@click.option("--model", type=click.Choice(["holee", "hullwhite"]), required=True)
+@click.option("--model", type=click.Choice(fitted_by("calibration")), required=True)
 @click.option("--cross-section", "section_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--curve", required=True, type=click.Path(exists=True, dir_okay=False))
@@ -327,7 +319,7 @@ def calibrate_cmd(ctx, model, section_path, curve, per_date_curve):
 
 
 @main.command("price")
-@click.option("--model", type=click.Choice(list(_DEFAULT_PARAMS)), required=True)
+@click.option("--model", type=click.Choice(list(MODELS)), required=True)
 @click.option("--params", "params_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--state", "state_path", required=True,
@@ -340,9 +332,9 @@ def price_cmd(ctx, model, params_path, state_path, maturity, curve):
     """Closed-form zero-coupon price at a given state."""
     params = fileio.params_from_file(params_path, model)
     state = fileio.state_from_file(state_path, model)
-    if model != "vasicek" and curve is None:
+    if MODELS[model].needs_curve and curve is None:
         raise click.UsageError(f"--curve is required for the {model} model")
-    curve_data = _load_curve(curve) if model != "vasicek" else None
+    curve_data = _load_curve(curve) if MODELS[model].needs_curve else None
     value = _closed_price(model, params, state, maturity, curve_data)
     fileio.write_keyvalues(
         _out(ctx, "price.txt"),
@@ -360,7 +352,7 @@ def price_cmd(ctx, model, params_path, state_path, maturity, curve):
 
 
 @main.command("surface")
-@click.option("--model", type=click.Choice(list(_DEFAULT_PARAMS)), required=True)
+@click.option("--model", type=click.Choice(list(MODELS)), required=True)
 @click.option("--params", "params_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--states", "states_path", required=True,
@@ -373,12 +365,12 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
     params = fileio.params_from_file(params_path, model)
     states = fileio.ingest_states(states_path)
     two_factor = np.asarray(states.values).ndim == 2
-    if (model == "g2pp") != two_factor:
+    if (MODELS[model].factors == 2) != two_factor:
         raise click.UsageError(
             f"state file is {'two' if two_factor else 'one'}-factor but the "
             f"model {model!r} is not"
         )
-    if model != "vasicek" and curve is None:
+    if MODELS[model].needs_curve and curve is None:
         raise click.UsageError(f"--curve is required for the {model} model")
     curve_data = _load_curve(curve) if curve else None
     result = build_surface(model, params, states, curve_data)
@@ -423,7 +415,7 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
         state = (
             fileio.state_from_file(state_path, model)
             if state_path
-            else G2State(x=0.0, y=0.0, t=0.0)
+            else MODELS[model].default_state(params, curve_data)
         )
         report = scan_derivative_signs(
             params, curve_data, state, tau_lo=tau_lo, tau_hi=tau_hi
@@ -448,7 +440,7 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
 
 
 @main.command("oracle")
-@click.option("--model", type=click.Choice(list(_DEFAULT_PARAMS)), required=True)
+@click.option("--model", type=click.Choice(list(MODELS)), required=True)
 @click.option("--params", "params_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--state", "state_path",
@@ -465,21 +457,18 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
 def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
                step, seed):
     """Compare the closed-form price against its Monte-Carlo estimate."""
+    spec = MODELS[model]
     params = _load_params(model, params_path)
     curve_data = _load_curve(curve)
     state = (
         fileio.state_from_file(state_path, model)
         if state_path
-        else _default_state(model, curve_data)
+        else spec.default_state(params, curve_data)
     )
-    closed = _closed_price(
-        model, params, state, maturity, curve_data if model != "vasicek" else None
-    )
+    model_curve = curve_data if spec.needs_curve else None
+    closed = _closed_price(model, params, state, maturity, model_curve)
     config = SimConfig(n_paths=n_paths, step=step, seed=seed, horizon=maturity)
-    estimate = mc_zero_price(
-        model, params, state, maturity, config,
-        curve=curve_data if model != "vasicek" else None,
-    )
+    estimate = mc_zero_price(model, params, state, maturity, config, curve=model_curve)
     z = (estimate.value - closed) / estimate.stderr if estimate.stderr else math.nan
     results = {
         "model": model,
@@ -510,7 +499,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 
 
 @main.command("synth")
-@click.option("--model", type=click.Choice(["vasicek", "g2pp"]), required=True)
+@click.option("--model", type=click.Choice(fitted_by("ml")), required=True)
 @click.option("--params", "params_path",
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
@@ -527,16 +516,17 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
 def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
               gap_days, maturities, seed):
     """Generate a synthetic price panel by exact simulation."""
+    spec = MODELS[model]
     params = _load_params(model, params_path)
     if not maturities:
-        maturities = (30.0,) if model == "vasicek" else (30.0, 40.0)
+        maturities = (30.0, 40.0)[: spec.factors]
     schedule = [start + dt.timedelta(days=i * gap_days) for i in range(n_obs)]
     instruments = [
         (f"Z{i + 1}", start + dt.timedelta(days=round(tau * 365.0)))
         for i, tau in enumerate(maturities)
     ]
     curve_data = fileio.ingest_curve(curve) if curve else None
-    if model == "g2pp" and curve_data is None:
+    if spec.needs_curve and curve_data is None:
         curve_data = flat_curve(_DEFAULT_CURVE_RATE, span=80.0, n_pillars=80)
     state0 = fileio.state_from_file(state_path, model) if state_path else None
     panel = synth_panel(

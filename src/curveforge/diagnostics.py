@@ -20,7 +20,7 @@ from .curve import DiscountCurve
 from .errors import DATA_ERRORS, OrderingError
 from .estimation import StateSeries
 from .hjm import holee_price, hullwhite_price
-from .models import PARAM_TYPES
+from .models import MODELS
 from .shortrate import G2Params, G2State, decay_loading, g2pp_price, vasicek_price
 
 #: Tenor grid (year fractions) used for surfaces: 1, 2, 3, 6, 9 months and
@@ -294,11 +294,12 @@ def _surface_pricer(model: str, params, curve, times, values):
     model, a params object of the wrong type or a missing curve is refused
     here, up front.
     """
-    if model not in PARAM_TYPES:
+    spec = MODELS.get(model)
+    if spec is None:
         raise ValueError(f"unknown model {model!r}")
-    if not isinstance(params, PARAM_TYPES[model]):
-        raise TypeError(f"{model} surface needs {PARAM_TYPES[model].__name__}")
-    if curve is None and model != "vasicek":
+    if not isinstance(params, spec.params):
+        raise TypeError(f"{model} surface needs {spec.params.__name__}")
+    if spec.needs_curve and curve is None:
         raise ValueError(f"{model} surface needs a curve")
 
     def price(rows, T):

@@ -6,9 +6,10 @@ of k zero-coupon price series is therefore inverted date by date into an
 exact state series by one k x k solve, beta . X = alpha - log P.  The joint
 density of the panel is the product of the Gaussian transition densities of
 the states over the actual -- possibly irregular -- observation gaps, divided
-by the Jacobian P_1 ... P_k |det beta| of the price map.  One record per
-model (``_ML_MODELS``) supplies the factor count, the parameter map, the
-moment guess, alpha and beta, and the transition moments; the rest of the
+by the Jacobian P_1 ... P_k |det beta| of the price map.  The factor
+count and the transition moments come from the model's record in
+``models.MODELS``, the one the simulators read; ``_ML_MODELS`` adds the
+parameter map, the moment guess, and alpha and beta.  The rest of the
 likelihood and of ``fit_ml`` is shared.
 
 Estimated parameters are taken straight from the historical series and used
@@ -38,6 +39,7 @@ from .errors import (
     PanelShapeError,
     PriceRangeError,
 )
+from .models import MODELS, Model
 from .shortrate import (
     G2Params,
     VasicekParams,
@@ -262,24 +264,6 @@ class _PanelData:
         )
 
 
-def _ou_variance(speed, vol, gaps):
-    return vol**2 * (-np.expm1(-2.0 * speed * gaps)) / (2.0 * speed)
-
-
-def _vasicek_gap_moments(p: VasicekParams, gaps):
-    decay = np.exp(-p.a * gaps)
-    return [decay], [p.b * (1.0 - decay)], [[_ou_variance(p.a, p.sigma, gaps)]]
-
-
-def _g2pp_gap_moments(p: G2Params, gaps):
-    if abs(p.rho) >= 1.0:
-        raise BoundaryError("|rho| = 1 makes the factor covariance singular")
-    a, b = p.a, p.b
-    c12 = p.rho * p.sigma * p.eta * (-np.expm1(-(a + b) * gaps)) / (a + b)
-    cov = [[_ou_variance(a, p.sigma, gaps), c12], [c12, _ou_variance(b, p.eta, gaps)]]
-    return [np.exp(-a * gaps), np.exp(-b * gaps)], None, cov
-
-
 def _gaussian_logpdf(resid, cov):
     """log N(resid; 0, cov) date by date, for k = 1 or 2 factors."""
     det_cov = factor_det(cov)
@@ -298,23 +282,22 @@ def _gaussian_logpdf(resid, cov):
 
 @dataclass(frozen=True)
 class _MLModel:
-    """One model's part in the likelihood and in fit_ml."""
+    """One model's part in the likelihood and in fit_ml, beside its record
+    (factor count, curve, transition moments) in ``models.MODELS``."""
 
-    factors: int
-    needs_curve: bool
+    model: Model
     from_theta: Callable[[np.ndarray], object]
     moment_guess: Callable[[PricePanel], np.ndarray]
     # (params, panel data) -> intercepts alpha[j], loadings beta[j][i]
     affine: Callable
-    # (params, gaps) -> decay[i], drift[i] or None, covariance[i][j]
-    gap_moments: Callable
 
 
 def _panel_data(spec: _MLModel, panel: PricePanel, curve, price_scale: float = 1.0):
     """The panel's parameter-free terms, with its curve terms when the model
     is priced off a curve (a curve too short for the panel fails here)."""
+    model = spec.model
     return _PanelData.of(
-        panel, spec.factors, price_scale, curve if spec.needs_curve else None
+        panel, model.factors, price_scale, curve if model.needs_curve else None
     )
 
 
@@ -333,7 +316,7 @@ def _loglik(model: _MLModel, params, data: _PanelData):
     are computed on the distinct gaps and gathered date by date.
     """
     X, det = _states(model, params, data)
-    decay, drift, cov = model.gap_moments(params, data.gaps)
+    decay, drift, cov = model.model.moments(params, data.gaps)
     at = data.gap_index
     resid = []
     for i, x in enumerate(X):
@@ -376,8 +359,11 @@ def loglik_g2pp(
     States come from the exact 2x2 inversion each date; transitions are
     bivariate Gaussian over the actual gaps; the Jacobian of the price map
     is P1 * P2 * |B_a(tau1) B_b(tau2) - B_a(tau2) B_b(tau1)| per date.
-    See loglik_vasicek for the price_scale convention.
+    See loglik_vasicek for the price_scale convention.  Raises
+    BoundaryError at |rho| = 1, where the factor covariance is singular.
     """
+    if abs(params.rho) >= 1.0:
+        raise BoundaryError("|rho| = 1 makes the factor covariance singular")
     return _panel_loglik("g2pp", params, curve, panel, price_scale)
 
 
@@ -460,7 +446,7 @@ def fit_ml(
     spec = _ML_MODELS.get(model)
     if spec is None:
         raise ValueError(f"unknown model {model!r}")
-    if spec.needs_curve and curve is None:
+    if spec.model.needs_curve and curve is None:
         raise ValueError(f"the {model} fit needs the market curve")
     data = _panel_data(spec, panel, curve)
     guess = spec.moment_guess(panel)
@@ -530,19 +516,15 @@ def fit_ml(
 
 _ML_MODELS = {
     "vasicek": _MLModel(
-        factors=1,
-        needs_curve=False,
+        model=MODELS["vasicek"],
         from_theta=_vasicek_from_theta,
         moment_guess=_moment_guess_vasicek,
         affine=lambda p, data: vasicek_affine(p, data.taus),
-        gap_moments=_vasicek_gap_moments,
     ),
     "g2pp": _MLModel(
-        factors=2,
-        needs_curve=True,
+        model=MODELS["g2pp"],
         from_theta=_g2pp_from_theta,
         moment_guess=_moment_guess_g2pp,
         affine=lambda p, data: g2pp_affine(p, data.market, data.horizons, data.horizon_index),
-        gap_moments=_g2pp_gap_moments,
     ),
 }

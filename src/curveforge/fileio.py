@@ -48,9 +48,7 @@ from .daycount import parse_date
 from .diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface, check_violation
 from .errors import IngestionError
 from .estimation import PricePanel, StateSeries
-from .hjm import HoLeeParams, HullWhiteParams
-from .models import PARAM_TYPES, STATE_TYPES, param_fields
-from .shortrate import G2State
+from .models import MODELS, fitted_by, param_fields
 
 PANEL_COLUMNS = ("date", "instrument_id", "price", "maturity")
 CURVE_COLUMNS = ("tau", "discount_factor")
@@ -538,14 +536,12 @@ def _calibration_record(date: dt.date, rows) -> CalibrationRecord:
             error=rows[0][1] or None,
         )
     values = {name: _parse_float(value, name) for name, value, *_ in rows}
-    if set(names) == {"sigma"}:
-        params = HoLeeParams(sigma=values["sigma"])
-    elif set(names) == {"a", "sigma"}:
-        params = HullWhiteParams(a=values["a"], sigma=values["sigma"])
-    else:
+    models = [m for m in fitted_by("calibration") if set(param_fields(m)) == set(names)]
+    if not models:
         raise ValueError(
             f"parameter names {sorted(set(names))} match no calibratable model"
         )
+    params = MODELS[models[0]].params(**values)
     outcomes = {(objective, converged) for *_, objective, converged in rows}
     if len(outcomes) != 1:
         raise ValueError(f"inconsistent objective/converged on {date}")
@@ -700,22 +696,19 @@ def _read_record(path: str | os.PathLike, what: str, cls, missing_text, **fixed)
 
 def params_from_file(path: str | os.PathLike, model: str):
     """Load a parameter set for ``model`` from a key=value file."""
-    if model not in PARAM_TYPES:
+    if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     return _read_record(
         path,
         "params",
-        PARAM_TYPES[model],
+        MODELS[model].params,
         lambda keys: f"missing parameter keys {keys} for {model}",
         model=model,
     )
 
 
 def params_to_file(path: str | os.PathLike, model: str, params) -> None:
-    mapping: dict[str, object] = {"model": model}
-    for field_name in param_fields(model):
-        mapping[field_name] = getattr(params, field_name)
-    write_keyvalues(path, mapping)
+    write_keyvalues(path, {"model": model, **dataclasses.asdict(params)})
 
 
 def state_from_file(path: str | os.PathLike, model: str):
@@ -724,13 +717,10 @@ def state_from_file(path: str | os.PathLike, model: str):
     return _read_record(
         path,
         "state",
-        STATE_TYPES[model],
+        MODELS[model].state,
         lambda keys: f"missing state key {keys[0]!r}",
     )
 
 
 def state_to_file(path: str | os.PathLike, state) -> None:
-    if isinstance(state, G2State):
-        write_keyvalues(path, {"x": state.x, "y": state.y, "t": state.t})
-    else:
-        write_keyvalues(path, {"r": state.r, "t": state.t})
+    write_keyvalues(path, dataclasses.asdict(state))

@@ -1,11 +1,12 @@
 """Monte-Carlo pricing oracle and synthetic panel generation.
 
 State paths use the exact Gaussian transition over each grid step (no Euler
-bias).  One k-factor step function, ``_exact_steps``, serves both uses: each
-step takes factor i to x_i decay_i (+ drift_i) plus its row of the lower
+bias), with the step moments of the model's record in ``models.MODELS``.
+One k-factor step function, ``_exact_steps``, serves both uses: each step
+takes factor i to x_i decay_i (+ drift_i) plus its row of the lower
 Cholesky factor of the step covariance times the step's normals (k = 1 for
-vasicek and for the stochastic part of the forward-curve models, k = 2 for
-g2pp, whose rows come from one ``g2pp_transition`` and one
+vasicek and for the stochastic part of the forward-curve models, whose row
+is the shock sd; k = 2 for g2pp, whose rows come from one
 ``g2pp_cholesky`` call over all steps).  The oracle integrates the short
 rate along many paths by the trapezoidal rule, the only discretization
 left in its discount factor; a synthetic panel prices one path
@@ -31,19 +32,9 @@ import numpy as np
 from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import OrderingError, ResolutionError, SingularInversionError
-from .hjm import ShortRateState
-from .models import PARAM_TYPES, STATE_TYPES
+from .models import MODELS, fitted_by, record
 from .rng import normal_block, path_generator, standard_normals
-from .shortrate import (
-    G2Params,
-    G2State,
-    VasicekParams,
-    g2pp_cholesky,
-    g2pp_price,
-    g2pp_transition,
-    g2pp_variance,
-    vasicek_price,
-)
+from .shortrate import G2State, g2pp_cholesky, g2pp_price, g2pp_variance, vasicek_price
 
 MIN_STEPS_PER_HORIZON = 50
 # normals per tile (one normal_block call): at most 2^22 doubles, 32 MiB,
@@ -129,26 +120,18 @@ def _tile_steps(n_paths: int, k: int) -> int:
     return steps - 4 if steps % 8 == 0 else steps
 
 
-def _ou_steps(a, sigma, steps):
-    """Per-step decay and shock sd of dg = -a g dt + sigma dW; a = 0 gives
-    the Brownian motion sigma W."""
-    if a > 0:
-        return np.exp(-a * steps), sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
-    return np.ones_like(steps), sigma * np.sqrt(steps)
+def _cholesky_rows(cov):
+    """Lower Cholesky rows chol[i][j] of the step covariances cov[i][j]:
+    the shock sd for one factor, ``g2pp_cholesky`` for two."""
+    if len(cov) == 1:
+        return [[np.sqrt(cov[0][0])]]
+    return g2pp_cholesky(cov)
 
 
-def _vasicek_steps(params: VasicekParams, steps):
-    """Per-step decay, drift and shock sd of the exact vasicek transition."""
-    decay, sd = _ou_steps(params.a, params.sigma, steps)
-    return [decay], [params.b * (1.0 - decay)], [[sd]]
-
-
-def _g2pp_steps(params: G2Params, state0: G2State, steps):
-    """Per-step factor decays and lower Cholesky rows of the two-factor
-    shock covariance."""
-    chol = g2pp_cholesky(g2pp_transition(params, state0, steps)[1])
-    return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [
-        [chol[0, 0]], [chol[1, 0], chol[1, 1]]]
+def _check_state(model: str, state0) -> None:
+    state = MODELS[model].state
+    if not isinstance(state0, state):
+        raise TypeError(f"{model} model needs a {state.__name__} starting state")
 
 
 def _exact_steps(decay, drift, chol, x0, z, s0=0):
@@ -230,12 +213,8 @@ def mc_zero_price(
     simulated.  Raises ResolutionError when the step is coarser than a 50th
     of the horizon.
     """
-    if model not in PARAM_TYPES:
-        raise ValueError(f"unknown model {model!r}")
-    if not isinstance(params, PARAM_TYPES[model]):
-        raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
-    if not isinstance(state0, STATE_TYPES[model]):
-        raise TypeError(f"{model} model needs a {STATE_TYPES[model].__name__} starting state")
+    spec = record(model, params)
+    _check_state(model, state0)
     t0 = state0.t
 
     if T <= t0:
@@ -253,49 +232,37 @@ def mc_zero_price(
             f"need at least {MIN_STEPS_PER_HORIZON} steps"
         )
     n_steps = int(math.ceil(horizon / config.step))
-    _check_block_size(config.n_paths, (2 if model == "g2pp" else 1) * n_steps)
+    _check_block_size(config.n_paths, spec.factors * n_steps)
     times = np.linspace(t0, T, n_steps + 1)
     steps = np.diff(times)
-
-    if model == "vasicek":
-        discounts = _trapezoid_discounts(
-            *_vasicek_steps(params, steps), [state0.r], steps, config.seed, config.n_paths
-        )
-        return _estimate(discounts)
-
-    if curve is None:
+    if spec.needs_curve and curve is None:
         raise ValueError(f"{model} model needs the market curve")
 
+    x0 = spec.factor_values(state0)
+    log_scale = 0.0
     if model == "g2pp":
         # deterministic shift, absorbed via the observed curve:
         # P(t,T) = ratio * exp((V(0,t)-V(0,T))/2) * E[exp(-int (x+y))]
-        log_det = (
+        log_scale = (
             curve.log_discount(T)
             - curve.log_discount(t0)
             + 0.5 * (g2pp_variance(params, 0.0, t0) - g2pp_variance(params, 0.0, T))
         )
-        decay, chol = _g2pp_steps(params, state0, steps)
-        discounts = _trapezoid_discounts(
-            decay, None, chol, [state0.x, state0.y], steps, config.seed, config.n_paths
-        )
-        return _estimate(discounts, scale=math.exp(log_det))
-
-    # forward-curve models: r(t) = deterministic(t) + convolution(t)
-    fwd = curve.forward(times)
-    if model == "holee":
-        deterministic = fwd + 0.5 * params.sigma**2 * times**2
-        a_conv = 0.0
-    else:
-        loading = -np.expm1(-params.a * times) / params.a
-        deterministic = fwd + 0.5 * params.sigma**2 * loading**2
-        a_conv = params.a
-    g0 = state0.r - deterministic[0]
-    det_integral = float(np.trapezoid(deterministic, times))
-    decay, sd = _ou_steps(a_conv, params.sigma, steps)
+    elif spec.needs_curve:
+        # forward-curve models: r(t) = deterministic(t) + convolution(t)
+        fwd = curve.forward(times)
+        if model == "holee":
+            deterministic = fwd + 0.5 * params.sigma**2 * times**2
+        else:
+            loading = -np.expm1(-params.a * times) / params.a
+            deterministic = fwd + 0.5 * params.sigma**2 * loading**2
+        x0 = [x0[0] - deterministic[0]]
+        log_scale = -float(np.trapezoid(deterministic, times))
+    decay, drift, cov = spec.moments(params, steps)
     discounts = _trapezoid_discounts(
-        [decay], None, [[sd]], [g0], steps, config.seed, config.n_paths
+        decay, drift, _cholesky_rows(cov), x0, steps, config.seed, config.n_paths
     )
-    return _estimate(discounts, scale=math.exp(-det_integral))
+    return _estimate(discounts, scale=math.exp(log_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -341,43 +308,38 @@ def synth_panel(
     if min(maturities, default=None) is not None and min(maturities) <= schedule[-1]:
         raise OrderingError("instrument maturities must lie after the last observation")
 
-    if model not in ("vasicek", "g2pp"):
+    if model not in fitted_by("ml"):
         raise ValueError(f"unknown model {model!r}")
-    if not isinstance(params, PARAM_TYPES[model]):
-        raise TypeError(f"{model} model needs {PARAM_TYPES[model].__name__}")
-    if model == "vasicek":
-        if len(instruments) < 1:
-            raise ValueError("need at least one instrument")
-        state0 = ShortRateState(r=params.b) if state0 is None else state0
-    else:
-        if curve is None:
-            raise ValueError("g2pp model needs the market curve")
-        if len(instruments) != 2:
-            raise ValueError("the two-factor panel needs exactly two instruments")
-        state0 = G2State(0.0, 0.0) if state0 is None else state0
-    if not isinstance(state0, STATE_TYPES[model]):
-        raise TypeError(f"{model} model needs a {STATE_TYPES[model].__name__} starting state")
+    spec = record(model, params)
+    if spec.needs_curve and curve is None:
+        raise ValueError(f"{model} model needs the market curve")
+    if not instruments:
+        raise ValueError("need at least one instrument")
+    if spec.factors > 1 and len(instruments) != spec.factors:
+        raise ValueError(
+            f"the {spec.factors}-factor panel needs exactly {spec.factors} instruments"
+        )
+    state0 = spec.default_state(params, curve) if state0 is None else state0
+    _check_state(model, state0)
 
     times = np.array([year_fraction(schedule[0], d) for d in schedule])
-    gaps = np.diff(times)
+    decay, drift, cov = spec.moments(params, np.diff(times))
+    path = _synth_path(
+        decay, drift, _cholesky_rows(cov), spec.factor_values(state0), seed
+    )
     observations = []
-    if model == "vasicek":
-        path = _synth_path(*_vasicek_steps(params, gaps), [state0.r], seed)
-        for date, (r,) in zip(schedule, path):
+    for t, date, x in zip(times.tolist(), schedule, path):
+        if model == "vasicek":
             quotes = {
-                name: vasicek_price(params, r, 0.0, year_fraction(date, mat))
+                name: vasicek_price(params, x[0], 0.0, year_fraction(date, mat))
                 for name, mat in instruments
             }
-            observations.append((date, quotes))
-    else:
-        decay, chol = _g2pp_steps(params, state0, gaps)
-        path = _synth_path(decay, None, chol, [state0.x, state0.y], seed)
-        for t, date, (x, y) in zip(times.tolist(), schedule, path):
-            state = G2State(x, y, t)
+        else:
+            state = G2State(*x, t)
             quotes = {
                 name: g2pp_price(params, curve, state, t + year_fraction(date, mat))
                 for name, mat in instruments
             }
-            observations.append((date, quotes))
+        observations.append((date, quotes))
 
     return PricePanel(observations=observations, instruments=list(instruments))

@@ -13,13 +13,14 @@ Two models live here:
   expressed relative to an observed initial discount curve, so the curve is
   reproduced exactly at time zero by construction.
 
-Both models admit exact Gaussian transition densities over arbitrary steps,
-and their log-prices are affine in the k-factor state X (k = 1 or 2),
+Both models' log-prices are affine in the k-factor state X (k = 1 or 2),
 log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
 therefore give X exactly, from the one k x k solve in ``affine_invert`` --
-which is what makes exact likelihood work possible.  The two-factor
-transition, its Cholesky factor and alpha and beta (``g2pp_affine``) take
-one step or date, or arrays of them.
+which is what makes exact likelihood work possible.  Every model's factors
+take exact k-factor Ornstein-Uhlenbeck steps, whose moments over arrays of
+gaps ``ou_moments`` gives (``vasicek_transition``: one state, one gap).  The
+two-factor Cholesky factor and alpha and beta (``g2pp_affine``) take one
+step or date, or arrays of them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,35 @@ def decay_loading(k: float, tau):
     """
     out = -np.expm1(-k * np.asarray(tau, dtype=float)) / k
     return out if out.ndim else float(out)
+
+
+def ou_moments(speeds, vols, rho, gaps):
+    """Exact step moments of the k-factor Ornstein-Uhlenbeck process
+    dx_i = -a_i x_i dt + sigma_i dW_i (dW_1 dW_2 = rho dt) over an array of
+    gaps g, for k = 1 or 2.
+
+    Returns the decays e^{-a_i g} and the covariance
+    rho_ij sigma_i sigma_j (1 - e^{-(a_i + a_j) g}) / (a_i + a_j), with
+    rho_ii = 1, as lists decay[i] and cov[i][j] of arrays over the gaps.
+    A zero speed takes the limit sigma^2 g of a Brownian motion.  Raises
+    DegenerateStepError on a gap that is not positive.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    if gaps.min(initial=np.inf) <= 0:
+        raise DegenerateStepError(f"step must be positive, got {gaps.min()}")
+
+    def cov(i, j):
+        scale = vols[i] ** 2 if i == j else rho * vols[i] * vols[j]
+        speed = speeds[i] + speeds[j]
+        if speed == 0.0:
+            return scale * gaps
+        return scale * (-np.expm1(-speed * gaps)) / speed
+
+    decay = [np.exp(-a * gaps) for a in speeds]
+    if len(speeds) == 1:
+        return decay, [[cov(0, 0)]]
+    c = cov(0, 1)
+    return decay, [[cov(0, 0), c], [c, cov(1, 1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +276,6 @@ def g2pp_price(params: G2Params, curve: DiscountCurve, state: G2State, T: float)
     return libm.exp(g2pp_log_price(params, curve, state, T))
 
 
-def g2pp_transition(params: G2Params, state: G2State, dt):
-    """Exact conditional mean vector and covariance matrix after dt years.
-
-    Over an array of steps, mean[i] and cov[i][j] are arrays whose elements
-    equal the scalar calls bit for bit (the exponentials go through libm).
-    """
-    if libm.anywhere(dt <= 0):
-        raise DegenerateStepError(f"step must be positive, got {np.min(dt)}")
-    a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
-    mean = np.array([state.x * libm.exp(-a * dt), state.y * libm.exp(-b * dt)])
-    var_x = sigma**2 * (-libm.expm1(-2.0 * a * dt)) / (2.0 * a)
-    var_y = eta**2 * (-libm.expm1(-2.0 * b * dt)) / (2.0 * b)
-    cov_xy = rho * sigma * eta * (-libm.expm1(-(a + b) * dt)) / (a + b)
-    cov = np.array([[var_x, cov_xy], [cov_xy, var_y]])
-    return mean, cov
-
-
 def g2pp_horizons(curve: DiscountCurve, t, taus):
     """The parameter-free terms of ``g2pp_affine`` for states at times ``t``
     and remaining maturities ``taus`` (floats or arrays over dates).
@@ -323,15 +336,15 @@ def g2pp_invert_states(
     return G2State(x=float(x), y=float(y), t=t)
 
 
-def g2pp_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a 2x2 transition covariance, entry by entry
-    when the entries are arrays over steps.
+def g2pp_cholesky(cov) -> np.ndarray:
+    """Lower Cholesky factor of a 2x2 transition covariance ``cov[i][j]``,
+    entry by entry when the entries are arrays over steps.
 
     Tiny negative Schur complements from rounding are clamped to zero;
     anything materially negative means |rho| reached 1 and is an error.
     """
-    v1, c = cov[0, 0], cov[0, 1]
-    v2 = cov[1, 1]
+    v1, c = cov[0][0], cov[0][1]
+    v2 = cov[1][1]
     if libm.anywhere((v1 <= 0) | (v2 <= 0)):
         raise BoundaryError("transition covariance is degenerate")
     l11 = np.sqrt(v1)

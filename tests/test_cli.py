@@ -13,6 +13,7 @@ from curveforge.curve import flat_curve
 from curveforge.daycount import year_fraction
 from curveforge.estimation import StateSeries
 from curveforge.hjm import HoLeeParams, ShortRateState, holee_price
+from curveforge.models import MODELS, fitted_by
 from curveforge.montecarlo import synth_panel
 from curveforge.shortrate import G2Params, G2State, VasicekParams, g2pp_price, vasicek_price
 
@@ -131,6 +132,36 @@ class TestBootstrap:
              "--quotes", str(tmp_path / "absent.csv")],
         )
         assert result.exit_code == 2
+
+    def test_annual_bond_without_first_coupon(self, runner, tmp_path):
+        bonds = tmp_path / "bonds.csv"
+        bonds.write_text(
+            "id,face,coupon_rate,frequency,maturity\n"
+            "A,100.0,0.0,0,2013-07-07\n"
+            "C,100.0,0.05,1,2018-01-07\n"
+        )
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("id,settlement,price\nA,2013-01-07,98.1\nC,2013-01-07,101.2\n")
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "bootstrap",
+             "--bonds", str(bonds), "--quotes", str(quotes)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(fileio.ingest_curve(tmp_path / "curve.csv").pillars) == 2
+
+    def test_single_quote_is_domain_error(self, runner, inputs, tmp_path):
+        quotes = tmp_path / "quotes.csv"
+        quotes.write_text("id,settlement,price\nA,2013-01-07,98.1\n")
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "bootstrap",
+             "--bonds", str(inputs / "bonds.csv"), "--quotes", str(quotes)],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == "Error: need at least two quotes to build a curve\n"
+        assert not (tmp_path / "run_log.jsonl").exists()
 
 
 class TestFitMl:
@@ -449,6 +480,20 @@ class TestOracle:
         assert result.exit_code == 0
         assert (outdir / "oracle.txt").read_bytes() != base[0]
 
+    def test_vasicek_default_state_is_b_of_the_params(self, runner, tmp_path):
+        params = VasicekParams(a=0.8, b=0.031, sigma=0.02)
+        fileio.params_to_file(tmp_path / "v.params", "vasicek", params)
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "oracle", "--model", "vasicek",
+             "--params", str(tmp_path / "v.params"), "--maturity", "2.0",
+             "--paths", "10", "--step", "0.02"],
+        )
+        assert result.exit_code == 0, result.output
+        closed = float(fileio.read_keyvalues(tmp_path / "oracle.txt")["closed"])
+        assert closed == vasicek_price(params, params.b, 0.0, 2.0)
+        assert closed != vasicek_price(params, VAS.b, 0.0, 2.0)
+
     def test_step_beyond_maturity_is_domain_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -574,6 +619,26 @@ class TestSynth:
         ]
         (entry,) = read_log(tmp_path)
         assert entry["config"]["start"] == "2012-02-29"
+
+
+class TestModelChoices:
+    def test_every_model_choice_list_comes_from_the_table(self):
+        choices = {
+            name: param.type.choices
+            for name, command in main.commands.items()
+            for param in command.params
+            if param.name == "model"
+        }
+        assert set(choices) == {
+            "fit-ml", "calibrate", "price", "surface", "check-arbitrage", "oracle", "synth"}
+        for name in ("price", "surface", "oracle"):
+            assert list(choices[name]) == list(MODELS)
+        for name in ("fit-ml", "synth"):
+            assert list(choices[name]) == fitted_by("ml") == ["vasicek", "g2pp"]
+        assert list(choices["calibrate"]) == fitted_by("calibration") == ["holee", "hullwhite"]
+        # the analytic dP/dT scan is the two-factor model's own
+        assert list(choices["check-arbitrage"]) == ["g2pp"]
+        assert all(set(c) <= set(MODELS) for c in choices.values())
 
 
 class TestArgumentRanges:

@@ -28,6 +28,7 @@ from curveforge.estimation import (
     loglik_g2pp,
     loglik_vasicek,
 )
+from curveforge.models import MODELS
 from curveforge.montecarlo import synth_panel
 from curveforge.shortrate import (
     G2Params,
@@ -239,12 +240,13 @@ class TestLoglikVasicek:
         assert shifted == pytest.approx(base - n_trans * math.log(c), rel=1e-12)
 
     def test_recovered_states_match_simulation(self, vas_panel_weekly):
-        from curveforge.montecarlo import _synth_path, _vasicek_steps
+        from curveforge.montecarlo import _cholesky_rows, _synth_path
 
         (r,), _ = _states(
             _ML_MODELS["vasicek"], VAS, _PanelData.of(vas_panel_weekly, 1)
         )
-        path = _synth_path(*_vasicek_steps(VAS, vas_panel_weekly.gaps), [VAS.b], 6)
+        decay, drift, cov = MODELS["vasicek"].moments(VAS, vas_panel_weekly.gaps)
+        path = _synth_path(decay, drift, _cholesky_rows(cov), [VAS.b], 6)
         np.testing.assert_allclose(r, np.array(path)[:, 0], atol=1e-10)
 
     def test_input_validation(self, vas_panel_weekly, g2_panel, steep_curve):

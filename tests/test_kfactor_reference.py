@@ -9,11 +9,16 @@ log-likelihood may differ in the last bits on equal gaps, where its single
 transition now comes from numpy's exp and expm1 instead of the math
 module's.
 
-The two-factor simulator's per-step covariance and Cholesky rows are
-checked the same way, against frozen copies of the scalar
-``g2pp_transition`` and ``g2pp_cholesky`` and of the per-step loop of
-``_g2pp_steps`` that called them: decays, rows and error types must agree
-on every step.
+The simulators' step moments now come from the model records
+(``models.MODELS``), the ones the likelihood uses, and are checked against
+frozen copies of the per-model step code they replaced: the scalar
+``g2pp_transition`` and ``g2pp_cholesky``, the per-step loop of
+``_g2pp_steps`` that called them, and ``_ou_steps``.  Decays, drifts and
+error types must agree on every step.  The one-factor shock sd is now
+sqrt(sigma^2 q / 2a) instead of sigma sqrt(q / 2a), and the two-factor
+covariance takes numpy's expm1 instead of the math module's, so those
+agree to a rounding bound derived below; given the reference's steps, every
+Monte-Carlo discount array is still equal bit for bit.
 """
 
 import dataclasses
@@ -36,10 +41,10 @@ from curveforge.estimation import (
     loglik_vasicek,
 )
 from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState
+from curveforge.models import MODELS
 from curveforge.montecarlo import (
     SimConfig,
-    _g2pp_steps,
-    _ou_steps,
+    _cholesky_rows,
     _trapezoid_discounts,
     mc_zero_price,
     synth_panel,
@@ -51,7 +56,6 @@ from curveforge.shortrate import (
     VasicekParams,
     decay_loading,
     g2pp_cholesky,
-    g2pp_transition,
     g2pp_variance,
 )
 
@@ -187,6 +191,12 @@ def _ref_g2pp_steps(params, state0, steps):
     chols = [_ref_g2pp_cholesky(_ref_g2pp_transition(params, state0, float(h))[1]) for h in steps]
     l11, l21, l22 = (np.array([c[i, j] for c in chols]) for i, j in ((0, 0), (1, 0), (1, 1)))
     return [np.exp(-params.a * steps), np.exp(-params.b * steps)], [[l11], [l21, l22]]
+
+
+def _ref_ou_steps(a, sigma, steps):
+    if a > 0:
+        return np.exp(-a * steps), sigma * np.sqrt(-np.expm1(-2.0 * a * steps) / (2.0 * a))
+    return np.ones_like(steps), sigma * np.sqrt(steps)
 
 
 def _ref_blocked(n_paths, n_draws):
@@ -403,6 +413,30 @@ class TestLikelihoodAgainstReference:
 # ---------------------------------------------------------------------------
 
 
+# Rounding bounds, in units of EPS = 2^-52, the spacing of floats in [1, 2)
+# (one correctly rounded operation errs by at most EPS / 2, relative).
+EPS = 2.0**-52
+# The one-factor shock sd: the reference takes q = -expm1(-2 a h) (or
+# q = h at a = 0) and rounds q / 2a, its sqrt and the product with sigma,
+# each within EPS / 2, and the sqrt halves the error of its argument:
+# 1.25 EPS in all.  The record rounds sigma^2, its product with q, the
+# division and the sqrt: 2 EPS.  Both start from the same q.
+SD_RTOL = 3.25 * EPS
+# The two-factor covariance entries are s (-expm1(-k h)) / k.  numpy's
+# expm1 errs by at most 4 ulp (the SVML bound of AVX-512 hosts), the math
+# module's by under 1 ulp, and an ulp of a float is at most EPS times it;
+# the product and the division add EPS / 2 each on both sides: 7 EPS.
+COV_RTOL = 7 * EPS
+# Cholesky rows: l11 = sqrt(v1) keeps half of COV_RTOL and adds EPS;
+# l21 = c / l11 adds the two and EPS more, under 3 COV_RTOL.  The Schur
+# complement v2 - l21^2 then differs by at most
+# (COV_RTOL + 2 * 3 COV_RTOL + 3 EPS) v2 < 8 COV_RTOL v2, since l21^2 <= v2,
+# and |sqrt(u) - sqrt(w)| <= sqrt(|u - w|) for u, w >= 0 (the clamp at 0
+# only shrinks the gap), so l22 differs by at most sqrt(8 COV_RTOL v2) plus
+# the sqrt's rounding: under sqrt(16 COV_RTOL v2).
+L22_SCALE = math.sqrt(16 * COV_RTOL)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Record the inputs and output of every merged-kernel call that
@@ -411,7 +445,7 @@ def kernel_calls(monkeypatch):
 
     def spy(decay, drift, chol, x0, steps, seed, n_paths):
         out = _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths)
-        calls.append((list(x0), steps, seed, n_paths, out))
+        calls.append((decay, drift, chol, list(x0), steps, seed, n_paths, out))
         return out
 
     monkeypatch.setattr(montecarlo, "_trapezoid_discounts", spy)
@@ -428,6 +462,21 @@ def _reference_for(model, params, x0, steps, seed, n_paths, t0):
         return _ref_trapezoid_discounts_g2(params, state0, steps, seed, n_paths)
     a = params.a if model == "hullwhite" else 0.0
     return _ref_trapezoid_discounts_brownian_conv(a, params.sigma, x0[0], steps, seed, n_paths)
+
+
+def _record_steps(model, params, steps):
+    """The decays, drifts and Cholesky rows the simulators take from the
+    model's record."""
+    decay, drift, cov = MODELS[model].moments(params, steps)
+    return decay, drift, _cholesky_rows(cov)
+
+
+def _assert_chol_close(got, want, v2):
+    """Cholesky rows within the bounds derived above, v2 the reference's
+    second variance."""
+    np.testing.assert_allclose(got[0][0], want[0][0], rtol=COV_RTOL, atol=0.0)
+    np.testing.assert_allclose(got[1][0], want[1][0], rtol=3 * COV_RTOL, atol=0.0)
+    assert np.all(np.abs(got[1][1] - want[1][1]) <= L22_SCALE * np.sqrt(v2))
 
 
 CASES = {
@@ -448,7 +497,9 @@ CASES = {
 class TestDiscountsAgainstReference:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("blocks", ["one", "several"])
-    def test_mc_zero_price_discounts_bit_identical(self, case, blocks, kernel_calls, monkeypatch):
+    def test_mc_zero_price_discounts_match_reference(
+        self, case, blocks, kernel_calls, monkeypatch
+    ):
         model, params, state0, T = CASES[case]
         n_paths = 600
         if blocks == "several":
@@ -456,9 +507,22 @@ class TestDiscountsAgainstReference:
             monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
         config = SimConfig(n_paths=n_paths, step=0.02, seed=9)
         mc_zero_price(model, params, state0, T, config, curve=CURVE)
-        ((x0, steps, seed, count, got),) = kernel_calls
+        ((decay, drift, chol, x0, steps, seed, count, got),) = kernel_calls
         assert (seed, count) == (9, n_paths)
         want = _reference_for(model, params, x0, steps, seed, count, state0.t)
+        if model == "g2pp":
+            # numpy's and the math module's expm1 agree on these steps
+            np.testing.assert_array_equal(got, want)
+            return
+        a = 0.0 if model == "holee" else params.a
+        want_decay, want_sd = _ref_ou_steps(a, params.sigma, steps)
+        np.testing.assert_array_equal(decay[0], want_decay)
+        if model == "vasicek":
+            np.testing.assert_array_equal(drift[0], params.b * (1.0 - want_decay))
+        else:
+            assert drift is None
+        np.testing.assert_allclose(chol[0][0], want_sd, rtol=SD_RTOL, atol=0.0)
+        got = _trapezoid_discounts(decay, drift, [[want_sd]], x0, steps, seed, count)
         np.testing.assert_array_equal(got, want)
 
     def test_shortened_last_step(self):
@@ -466,18 +530,18 @@ class TestDiscountsAgainstReference:
         steps[-1] = 0.0071
         seed, n = 4, 300
         a, b, sigma, r0 = 1.7, 0.09, 0.37, 0.02
-        decay, sd = _ou_steps(a, sigma, steps)
+        decay, sd = _ref_ou_steps(a, sigma, steps)
         got = _trapezoid_discounts([decay], [b * (1.0 - decay)], [[sd]], [r0], steps, seed, n)
         want = _ref_trapezoid_discounts_ou(a, b, sigma, r0, steps, seed, n)
         np.testing.assert_array_equal(got, want)
         for a_conv in (0.0, 0.4):
-            decay, sd = _ou_steps(a_conv, 0.02, steps)
+            decay, sd = _ref_ou_steps(a_conv, 0.02, steps)
             got = _trapezoid_discounts([decay], None, [[sd]], [0.001], steps, seed, n)
             want = _ref_trapezoid_discounts_brownian_conv(a_conv, 0.02, 0.001, steps, seed, n)
             np.testing.assert_array_equal(got, want)
         g2 = CASES["g2pp-rho-0.99"][1]
         state0 = G2State(x=0.01, y=-0.02, t=0.0)
-        decay, chol = _g2pp_steps(g2, state0, steps)
+        decay, chol = _ref_g2pp_steps(g2, state0, steps)
         got = _trapezoid_discounts(decay, None, chol, [0.01, -0.02], steps, seed, n)
         want = _ref_trapezoid_discounts_g2(g2, state0, steps, seed, n)
         np.testing.assert_array_equal(got, want)
@@ -505,14 +569,13 @@ def _random_g2_at_the_edge(rng, k):
 
 def _steps_outcome(fn, *args):
     try:
-        decay, chol = fn(*args)
+        return fn(*args), None
     except ValueError as exc:
         return None, type(exc)
-    return [d.tobytes() for d in decay] + [c.tobytes() for row in chol for c in row], None
 
 
 class TestG2StepsAgainstReference:
-    def test_steps_bit_identical_on_random_params(self):
+    def test_steps_match_reference_on_random_params(self):
         # 500 draws with |rho| < 1 and 200 at rho = +-1, 60 steps each
         rng = np.random.default_rng(41)
         finite = 0
@@ -521,41 +584,50 @@ class TestG2StepsAgainstReference:
             steps = _random_steps(rng, 60)
             state0 = G2State(x=float(rng.normal(0.0, 0.02)), y=float(rng.normal(0.0, 0.02)))
             want, want_err = _steps_outcome(_ref_g2pp_steps, params, state0, steps)
-            got, got_err = _steps_outcome(_g2pp_steps, params, state0, steps)
+            got, got_err = _steps_outcome(_record_steps, "g2pp", params, steps)
             assert got_err is want_err, (params, got_err, want_err)
-            assert got == want, params
-            finite += want_err is None
+            if want_err is None:
+                finite += 1
+                (decay, drift, chol), (want_decay, want_chol) = got, want
+                assert [d.tobytes() for d in decay] == [d.tobytes() for d in want_decay]
+                assert drift is None
+                v2 = params.eta**2 * (-np.expm1(-2.0 * params.b * steps)) / (2.0 * params.b)
+                _assert_chol_close(chol, want_chol, v2)
         assert finite > 600
 
-    def test_scalar_transition_and_cholesky_bit_identical(self):
+    def test_one_step_moments_and_cholesky_against_reference(self):
         rng = np.random.default_rng(43)
         for k in range(700):
             params = _random_g2_at_the_edge(rng, k)
             state = G2State(x=float(rng.normal(0.0, 0.02)), y=float(rng.normal(0.0, 0.02)))
             h = float(_random_steps(rng, 1)[0])
-            mean, cov = g2pp_transition(params, state, h)
+            decay, drift, cov = MODELS["g2pp"].moments(params, np.array([h]))
             want_mean, want_cov = _ref_g2pp_transition(params, state, h)
-            assert (mean.shape, cov.shape) == ((2,), (2, 2))
-            assert mean.tobytes() == want_mean.tobytes()
-            assert cov.tobytes() == want_cov.tobytes()
+            assert drift is None
+            # np.exp and math.exp differ by at most 4 + 1 ulp as expm1 do,
+            # and the product with the state adds EPS / 2 on each side
+            mean = np.array([state.x * decay[0][0], state.y * decay[1][0]])
+            np.testing.assert_allclose(mean, want_mean, rtol=COV_RTOL, atol=0.0)
+            np.testing.assert_allclose(np.array(cov)[:, :, 0], want_cov, rtol=COV_RTOL, atol=0.0)
             try:
                 want_chol = _ref_g2pp_cholesky(want_cov)
             except BoundaryError:
                 with pytest.raises(BoundaryError):
-                    g2pp_cholesky(cov)
+                    g2pp_cholesky(want_cov)
                 continue
-            assert g2pp_cholesky(cov).tobytes() == want_chol.tobytes()
+            assert g2pp_cholesky(want_cov).tobytes() == want_chol.tobytes()
 
     @pytest.mark.parametrize("step", [0.0, -1e-3])
     def test_non_positive_step_raises_like_the_reference(self, step):
         state = G2State(0.0, 0.0)
-        for transition in (_ref_g2pp_transition, g2pp_transition):
-            with pytest.raises(DegenerateStepError):
-                transition(README_G2, state, step)
+        with pytest.raises(DegenerateStepError):
+            _ref_g2pp_transition(README_G2, state, step)
         steps = np.array([0.02, step, 0.02])
-        for g2pp_steps in (_ref_g2pp_steps, _g2pp_steps):
+        with pytest.raises(DegenerateStepError):
+            _ref_g2pp_steps(README_G2, state, steps)
+        for gaps in (np.array([step]), steps):
             with pytest.raises(DegenerateStepError):
-                g2pp_steps(README_G2, state, steps)
+                MODELS["g2pp"].moments(README_G2, gaps)
 
     @pytest.mark.parametrize("cov", [
         [[1.0, 2.0], [2.0, 1.0]],  # not positive semi-definite

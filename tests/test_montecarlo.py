@@ -12,16 +12,16 @@ from curveforge.errors import (
 )
 from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState, holee_price, hullwhite_price
 from curveforge import montecarlo
+from curveforge.models import MODELS
 from curveforge.montecarlo import (
     _MAX_BLOCK_ELEMENTS,
     McEstimate,
     SimConfig,
     mc_zero_price,
     _check_block_size,
+    _cholesky_rows,
     _exact_steps,
-    _g2pp_steps,
     _synth_path,
-    _vasicek_steps,
     synth_panel,
 )
 from curveforge.rng import normal_block, path_generator, standard_normals
@@ -30,7 +30,6 @@ from curveforge.shortrate import (
     G2State,
     VasicekParams,
     g2pp_price,
-    g2pp_transition,
     vasicek_price,
     vasicek_transition,
 )
@@ -78,6 +77,12 @@ class TestSimConfig:
         assert cfg.n_paths == 1
 
 
+def record_steps(model, params, steps):
+    """Per-step decays, drifts and Cholesky rows from the model's record."""
+    decay, drift, cov = MODELS[model].moments(params, steps)
+    return decay, drift, _cholesky_rows(cov)
+
+
 def factor_paths(decay, drift, chol, x0, seed, n_paths):
     """(paths, steps + 1, k) factor values from ``_exact_steps``, path i
     driven by the normals of stream (seed, i)."""
@@ -91,7 +96,7 @@ def factor_paths(decay, drift, chol, x0, seed, n_paths):
 class TestExactSteps:
     def test_zero_shock_sd_is_pure_decay(self):
         steps = np.diff(np.array([0.0, 0.5, 1.0, 3.0]))
-        decay, drift, _ = _vasicek_steps(VasicekParams(a=0.8, b=0.05, sigma=0.1), steps)
+        decay, drift, _ = record_steps("vasicek", VasicekParams(a=0.8, b=0.05, sigma=0.1), steps)
         path = factor_paths(decay, drift, [[np.zeros(3)]], [0.11], 0, 4)[:, :, 0]
         expected = 0.05 + (0.11 - 0.05) * np.exp(-0.8 * np.array([0.0, 0.5, 1.0, 3.0]))
         np.testing.assert_allclose(path, np.broadcast_to(expected, path.shape), rtol=1e-12)
@@ -101,7 +106,7 @@ class TestExactSteps:
 
     def test_zero_second_row_decays_deterministically(self):
         grid = np.array([0.0, 0.4, 1.3, 2.0])
-        decay, chol = _g2pp_steps(G2, G2State(0.0, 0.0), np.diff(grid))
+        decay, _, chol = record_steps("g2pp", G2, np.diff(grid))
         chol[1] = [np.zeros(3), np.zeros(3)]
         paths = factor_paths(decay, None, chol, [0.05, -0.08], 1, 50)
         np.testing.assert_allclose(
@@ -113,7 +118,7 @@ class TestExactSteps:
         # multi-step exact sampling composes to the single-step transition law
         horizon, n_paths = 0.75, 20_000
         steps = np.diff(np.linspace(0.0, horizon, 33))
-        vals = factor_paths(*_vasicek_steps(VAS, steps), [0.05], 77, n_paths)[:, -1, 0]
+        vals = factor_paths(*record_steps("vasicek", VAS, steps), [0.05], 77, n_paths)[:, -1, 0]
         mean, var = vasicek_transition(VAS, 0.05, horizon)
         assert abs(vals.mean() - mean) < 4 * vals.std(ddof=1) / math.sqrt(n_paths)
         se_var = vals.var(ddof=1) * math.sqrt(2.0 / (n_paths - 1))
@@ -121,10 +126,11 @@ class TestExactSteps:
 
     def test_one_step_vs_two_halves_in_distribution(self):
         n_paths, h = 30_000, 0.6
-        one = factor_paths(*_vasicek_steps(VAS, np.array([h])), [0.02], 5, n_paths)[:, -1, 0]
+        one = factor_paths(*record_steps("vasicek", VAS, np.array([h])), [0.02], 5, n_paths)
         two = factor_paths(
-            *_vasicek_steps(VAS, np.array([h / 2, h / 2])), [0.02], 1005, n_paths
-        )[:, -1, 0]
+            *record_steps("vasicek", VAS, np.array([h / 2, h / 2])), [0.02], 1005, n_paths
+        )
+        one, two = one[:, -1, 0], two[:, -1, 0]
         se = math.hypot(one.std(ddof=1), two.std(ddof=1)) / math.sqrt(n_paths)
         assert abs(one.mean() - two.mean()) < 4 * se
         se_var = one.var(ddof=1) * 2 * math.sqrt(2.0 / (n_paths - 1))
@@ -132,11 +138,10 @@ class TestExactSteps:
 
     def test_g2pp_horizon_covariance_matches_transition(self):
         horizon, n_paths = 0.5, 20_000
-        state0 = G2State(0.0, 0.0, 0.0)
-        decay, chol = _g2pp_steps(G2, state0, np.diff(np.linspace(0.0, horizon, 17)))
+        decay, _, chol = record_steps("g2pp", G2, np.diff(np.linspace(0.0, horizon, 17)))
         end = factor_paths(decay, None, chol, [0.0, 0.0], 21, n_paths)[:, -1, :]
         xs, ys = end[:, 0], end[:, 1]
-        _, cov = g2pp_transition(G2, state0, horizon)
+        cov = np.array(MODELS["g2pp"].moments(G2, np.array([horizon]))[2])[:, :, 0]
         assert abs(xs.mean()) < 4 * xs.std(ddof=1) / math.sqrt(n_paths)
         assert abs(ys.mean()) < 4 * ys.std(ddof=1) / math.sqrt(n_paths)
         sample = np.cov(np.vstack([xs, ys]), ddof=1)
@@ -147,14 +152,14 @@ class TestExactSteps:
     def test_rho_zero_paths_uncorrelated(self):
         params = G2Params(a=0.3, b=0.7, sigma=0.2, eta=0.3, rho=0.0)
         n_paths = 8_000
-        decay, chol = _g2pp_steps(params, G2State(0.0, 0.0), np.array([1.0]))
+        decay, _, chol = record_steps("g2pp", params, np.array([1.0]))
         end = factor_paths(decay, None, chol, [0.0, 0.0], 9, n_paths)[:, -1, :]
         c = np.corrcoef(end[:, 0], end[:, 1])[0, 1]
         assert abs(c) < 4 / math.sqrt(n_paths)
 
     def test_seeded_path_is_byte_identical(self):
         steps = np.diff(np.linspace(0.0, 1.0, 53))
-        inputs = _vasicek_steps(VasicekParams(a=1.0, b=0.05, sigma=0.2), steps)
+        inputs = record_steps("vasicek", VasicekParams(a=1.0, b=0.05, sigma=0.2), steps)
         p1 = _synth_path(*inputs, [0.03], 42)
         p2 = _synth_path(*inputs, [0.03], 42)
         assert np.array(p1).tobytes() == np.array(p2).tobytes()
@@ -308,7 +313,7 @@ class TestSynthPanel:
         instruments = [("Z", dt.date(2045, 1, 4))]
         panel = synth_panel("vasicek", VAS, schedule, instruments, seed=8)
         # re-simulate the same state path the generator used
-        path = _synth_path(*_vasicek_steps(VAS, panel.gaps), [VAS.b], 8)
+        path = _synth_path(*record_steps("vasicek", VAS, panel.gaps), [VAS.b], 8)
         for k, (date, quotes) in enumerate(panel.observations):
             tau = panel.taus("Z")[k]
             r = vasicek_invert_state(VAS, quotes["Z"], 0.0, float(tau))

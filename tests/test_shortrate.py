@@ -11,6 +11,7 @@ from curveforge.errors import (
     OrderingError,
     SingularInversionError,
 )
+from curveforge.models import MODELS
 from curveforge.shortrate import (
     G2Params,
     G2State,
@@ -20,13 +21,19 @@ from curveforge.shortrate import (
     g2pp_invert_states,
     g2pp_log_price,
     g2pp_price,
-    g2pp_transition,
     g2pp_variance,
     vasicek_ab,
     vasicek_invert_state,
     vasicek_price,
     vasicek_transition,
 )
+
+
+def g2pp_moments(horizon):
+    """The two-factor step decays and covariance over one gap (or an array
+    of them), from the model's record."""
+    decay, _, cov = MODELS["g2pp"].moments(G2, np.atleast_1d(horizon))
+    return np.array(decay), np.array(cov)
 
 VAS = VasicekParams(a=1.7051, b=0.0937, sigma=0.3721)
 G2 = G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99)
@@ -215,8 +222,7 @@ class TestG2Price:
         integral = np.zeros(n)
         mean_x = math.exp(-G2.a * h)
         mean_y = math.exp(-G2.b * h)
-        _, cov_h = g2pp_transition(G2, G2State(0.0, 0.0, 0.0), h)
-        chol = np.linalg.cholesky(cov_h)
+        chol = np.linalg.cholesky(g2pp_moments(h)[1][:, :, 0])
         for _ in range(n_steps):
             dxy = chol @ rng.standard_normal((2, n))
             x_new = x * mean_x + dxy[0]
@@ -253,9 +259,10 @@ class TestG2Transition:
             z2 = G2.rho * z1 + math.sqrt(1 - G2.rho**2) * rng.standard_normal(n_paths)
             x += -G2.a * x * dt + G2.sigma * sq * z1
             y += -G2.b * y * dt + G2.eta * sq * z2
-        mean, cov = g2pp_transition(G2, G2State(0.0, 0.0, 0.0), horizon)
-        assert abs(x.mean() - mean[0]) < 4 * x.std(ddof=1) / math.sqrt(n_paths)
-        assert abs(y.mean() - mean[1]) < 4 * y.std(ddof=1) / math.sqrt(n_paths)
+        cov = g2pp_moments(horizon)[1][:, :, 0]
+        # from x = y = 0 the exact mean is zero
+        assert abs(x.mean()) < 4 * x.std(ddof=1) / math.sqrt(n_paths)
+        assert abs(y.mean()) < 4 * y.std(ddof=1) / math.sqrt(n_paths)
         sample = np.cov(np.vstack([x, y]), ddof=1)
         # se of a covariance entry ~ cov * sqrt(2/n); use a loose 5-sigma band
         assert sample[0, 0] == pytest.approx(cov[0, 0], rel=0.02)
@@ -263,13 +270,13 @@ class TestG2Transition:
         assert sample[0, 1] == pytest.approx(cov[0, 1], rel=0.02)
 
     def test_mean_decays_state(self):
-        state = G2State(x=0.1, y=-0.2, t=0.0)
-        mean, _ = g2pp_transition(G2, state, 2.0)
-        assert mean[0] == pytest.approx(0.1 * math.exp(-G2.a * 2.0), rel=1e-14)
-        assert mean[1] == pytest.approx(-0.2 * math.exp(-G2.b * 2.0), rel=1e-14)
+        # the conditional mean is the state times these decays
+        decay, _ = g2pp_moments(2.0)
+        assert decay[0, 0] == pytest.approx(math.exp(-G2.a * 2.0), rel=1e-14)
+        assert decay[1, 0] == pytest.approx(math.exp(-G2.b * 2.0), rel=1e-14)
 
     def test_cholesky_reconstructs(self):
-        _, cov = g2pp_transition(G2, G2State(0.0, 0.0, 0.0), 0.5)
+        cov = g2pp_moments(0.5)[1][:, :, 0]
         L = g2pp_cholesky(cov)
         np.testing.assert_allclose(L @ L.T, cov, rtol=1e-12, atol=1e-18)
         assert L[0, 1] == 0.0
@@ -280,20 +287,19 @@ class TestG2Transition:
             g2pp_cholesky(bad)
 
     def test_array_of_steps_is_the_scalar_calls_stacked(self):
-        state = G2State(x=0.1, y=-0.2, t=0.0)
         steps = np.array([1e-8, 0.004, 0.5, 2.0])
-        mean, cov = g2pp_transition(G2, state, steps)
+        decay, cov = g2pp_moments(steps)
         L = g2pp_cholesky(cov)
-        assert (mean.shape, cov.shape, L.shape) == ((2, 4), (2, 2, 4), (2, 2, 4))
+        assert (decay.shape, cov.shape, L.shape) == ((2, 4), (2, 2, 4), (2, 2, 4))
         for s, h in enumerate(steps.tolist()):
-            m, c = g2pp_transition(G2, state, h)
-            assert mean[:, s].tobytes() == m.tobytes()
-            assert cov[:, :, s].tobytes() == c.tobytes()
-            assert L[:, :, s].tobytes() == g2pp_cholesky(c).tobytes()
+            d, c = g2pp_moments(h)
+            assert decay[:, s].tobytes() == d[:, 0].tobytes()
+            assert cov[:, :, s].tobytes() == c[:, :, 0].tobytes()
+            assert L[:, :, s].tobytes() == g2pp_cholesky(c[:, :, 0]).tobytes()
 
     def test_one_bad_step_fails_the_whole_array(self):
         with pytest.raises(DegenerateStepError, match="got 0.0"):
-            g2pp_transition(G2, G2State(0.0, 0.0), np.array([0.1, 0.0, 0.2]))
+            g2pp_moments(np.array([0.1, 0.0, 0.2]))
         good = np.array([[1.0, 0.5], [0.5, 1.0]])
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(BoundaryError, match="not positive semi-definite"):
