@@ -10,7 +10,9 @@ cases cover:
 * ``oracle`` for all four models at more than one path tile (2,048 paths),
   the two-factor one also over more than one step chunk;
 * ``synth`` and ``fit-ml`` (2 restarts) for both models;
-* Ho-Lee and Hull-White ``calibrate`` on a few dates;
+* Ho-Lee and Hull-White ``calibrate`` on a few dates, and Ho-Lee again
+  with ``--per-date-curve`` (each date anchored on the previous date's
+  quotes);
 * ``surface`` for all four models;
 * ``check-arbitrage`` on a two-factor state whose dP/dT changes sign and on
   an inverted curve, ``price`` for all four models, and ``bootstrap``.
@@ -133,6 +135,9 @@ def _cases():
         cases[f"calibrate-{model}"] = [
             "calibrate", "--model", model, "--cross-section", "inputs/sections.csv",
             "--curve", "inputs/curve.csv"]
+    cases["calibrate-holee-per-date"] = [
+        "calibrate", "--model", "holee", "--cross-section", "inputs/sections.csv",
+        "--curve", "inputs/curve.csv", "--per-date-curve"]
     for model in PARAMS:
         states = "inputs/states_xy.csv" if model == "g2pp" else "inputs/states_r.csv"
         curve = [] if model == "vasicek" else ["--curve", "inputs/curve.csv"]
