@@ -2,9 +2,9 @@
 
 A cross-section is one day's set of zero-coupon quotes.  Calibration
 minimizes the unweighted mean squared error between quoted and model prices
-(price residuals, not yield residuals).  The initial curve is normally held
-fixed across a whole calibration window; a per-date-curve mode exists for
-rolling-anchor studies.
+(price residuals, not yield residuals).  Each section is calibrated on the
+curve it carries; choosing that curve (one fixed initial curve for a whole
+window, or a rolling anchor) is the caller's business.
 
 Ho-Lee has one parameter, which enters the objective only through
 k = sigma^2 t / 2, and is fitted by a safeguarded Newton iteration on the
@@ -34,6 +34,7 @@ SIGMA_BOUNDS = (1e-5, 2.0)
 SHORT_RATE_TENOR = 0.25
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAXITER = 100
+_HW_MAXITER = 4000
 _EPS = sys.float_info.epsilon
 
 
@@ -50,10 +51,10 @@ class CrossSection:
 
     quotes are (tau, price) with tau the time to maturity in years from
     ``asof``.  ``short_rate`` proxies r(t) at the quote date; if omitted it
-    is interpolated log-linearly from the day's own quotes at a short tenor
-    (0.25y by default, or the shortest quote when nothing that short
-    exists).  The curve must carry its own as-of date so the section's
-    offset t = years(curve.asof -> asof) is well defined.
+    is interpolated log-linearly from the day's own quotes at
+    SHORT_RATE_TENOR (0.25y), or taken from the shortest quote when nothing
+    that short exists.  The curve must carry its own as-of date so the
+    section's offset t = years(curve.asof -> asof) is well defined.
     """
 
     asof: dt.date
@@ -75,12 +76,12 @@ class CrossSection:
         if self.short_rate is None:
             self.short_rate = self._proxy_short_rate()
 
-    def _proxy_short_rate(self, tenor: float = SHORT_RATE_TENOR) -> float:
+    def _proxy_short_rate(self) -> float:
         taus = np.array([t for t, _ in self.quotes])
         logp = np.log([p for _, p in self.quotes])
-        if taus[0] >= tenor:
+        if taus[0] >= SHORT_RATE_TENOR:
             return float(-logp[0] / taus[0])
-        u = min(tenor, taus[-1])
+        u = min(SHORT_RATE_TENOR, taus[-1])
         return float(-np.interp(u, taus, logp) / u)
 
     @property
@@ -154,48 +155,31 @@ def _model_price(model: str, params, xs: CrossSection, T):
     raise ValueError(f"unknown model {model!r}")
 
 
-def ls_objective(model: str, params, xs: CrossSection, weights=None) -> float:
-    """Mean squared price error (1/I) sum_i (market_i - model_i)^2.
-
-    ``weights`` switches on weighted least squares: "maturity" weights each
-    residual by its quote's time to maturity, or pass one positive weight
-    per quote.  The default (None) is the plain unweighted objective, which
-    is also what ``calibrate`` minimizes.
+def ls_objective(model: str, params, xs: CrossSection) -> float:
+    """Mean squared price error (1/I) sum_i (market_i - model_i)^2, the
+    objective ``calibrate`` minimizes.
 
     The whole cross-section is priced by one broadcast call, and the
-    weighted squares are added left to right, quote by quote, so the value
-    equals a per-quote loop bit for bit.  When a model price or a residual
-    term is not finite the per-quote loop itself runs instead, so an
-    overflow raises where and what the scalar arithmetic raises.
+    squares are added left to right, quote by quote, so the value equals a
+    per-quote loop bit for bit.  When a model price or a residual term is
+    not finite the per-quote loop itself runs instead, so an overflow
+    raises where and what the scalar arithmetic raises.
     """
     t = _identified_offset(xs)
-    if weights is None:
-        w = np.ones(len(xs.quotes))
-    elif isinstance(weights, str):
-        if weights != "maturity":
-            raise ValueError(f"unknown weighting scheme {weights!r}")
-        w = np.array([tau for tau, _ in xs.quotes])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(xs.quotes),):
-            raise ValueError("need exactly one weight per quote")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
     taus, prices = np.array(xs.quotes).T
     model_p = _model_price(model, params, xs, t + taus)
     # libm.square: pow(x, 2) as a float's ** computes it, inf on overflow
     with np.errstate(over="ignore"):
-        err = np.cumsum(w * libm.square(prices - model_p))[-1]
+        err = np.cumsum(libm.square(prices - model_p))[-1]
     if not math.isfinite(err):
-        err = 0.0
-        for (tau, price), wi in zip(xs.quotes, w):
-            model_p = _model_price(model, params, xs, t + tau)
-            err += wi * (price - model_p) ** 2
-    return err / float(np.sum(w))
+        err = np.float64(0.0)  # the broadcast path's result type
+        for tau, price in xs.quotes:
+            err += (price - _model_price(model, params, xs, t + tau)) ** 2
+    return err / float(len(xs.quotes))
 
 
 def section_objective(model: str, xs: CrossSection):
-    """The unweighted ``ls_objective`` of one cross-section as a function of
+    """The ``ls_objective`` of one cross-section as a function of
     the volatility parameters alone: f(sigma) for holee, f(a, sigma) for
     hullwhite.
 
@@ -304,9 +288,7 @@ def _safeguarded_newton(slope, a: float, b: float, k: float) -> float:
     return k
 
 
-def calibrate(
-    model: str, xs: CrossSection, maxiter: int = 4000
-) -> CalibrationResult:
+def calibrate(model: str, xs: CrossSection) -> CalibrationResult:
     """Fit the volatility parameters to one cross-section.
 
     Constant-vol model: a safeguarded Newton iteration on the slope of the
@@ -318,8 +300,9 @@ def calibrate(
     bound is flagged and never returns a sigma worse than that bound.
     Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
     deterministic starts spread over the admissible box a in [1e-4, 5],
-    sigma in [1e-5, 2].  Non-convergence is flagged, not raised; the best
-    point found is still returned.
+    sigma in [1e-5, 2], each stopped after _HW_MAXITER iterations.
+    Non-convergence is flagged, not raised; the best point found is still
+    returned.
 
     The searches evaluate ``section_objective`` (Ho-Lee: its loop and the
     slope loop over the same prepared terms); the objective returned for
@@ -370,7 +353,7 @@ def calibrate(
                 np.array(theta0),
                 method="Nelder-Mead",
                 options={
-                    "maxiter": maxiter,
+                    "maxiter": _HW_MAXITER,
                     "xatol": 1e-10,
                     "fatol": 1e-22,
                     "adaptive": False,
@@ -392,37 +375,19 @@ def calibrate(
     raise ValueError(f"unknown model {model!r}")
 
 
-def calibrate_series(
-    model: str,
-    sections: list[CrossSection],
-    maxiter: int = 4000,
-    per_date_curve: bool = False,
-) -> CalibrationSeries:
-    """Calibrate each dated cross-section independently.
+def calibrate_series(model: str, sections: list[CrossSection]) -> CalibrationSeries:
+    """Calibrate each dated cross-section independently, on the curve it
+    carries.
 
-    By default every section is re-anchored to the first section's curve
-    (the fixed-initial-curve convention).  With ``per_date_curve`` each
-    section keeps the curve it carries.  Single-date domain failures are
-    recorded in the series; only a fully failed series raises, and any
-    other exception (a bug) propagates.
+    Single-date domain failures are recorded in the series; only a fully
+    failed series raises, and any other exception (a bug) propagates.
     """
     if not sections:
         raise ValueError("no cross-sections supplied")
-    if not per_date_curve:
-        common = sections[0].curve
-        sections = [
-            xs if xs.curve is common else CrossSection(
-                asof=xs.asof,
-                quotes=list(xs.quotes),
-                curve=common,
-                short_rate=xs.short_rate,
-            )
-            for xs in sections
-        ]
     records = []
     for xs in sections:
         try:
-            result = calibrate(model, xs, maxiter=maxiter)
+            result = calibrate(model, xs)
             records.append(
                 CalibrationRecord(
                     asof=xs.asof,

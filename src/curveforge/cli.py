@@ -275,7 +275,12 @@ def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
 @click.pass_context
 @domain_errors
 def calibrate_cmd(ctx, model, section_path, curve, per_date_curve):
-    """Least-squares calibration of a forward-curve model, date by date."""
+    """Least-squares calibration of a forward-curve model, date by date.
+
+    Every date is anchored on the --curve file (one fixed initial curve),
+    or with --per-date-curve each date after the first on the previous
+    date's quotes.
+    """
     sections_raw = fileio.ingest_cross_sections(section_path)
     base_curve = fileio.ingest_curve(curve)
     if base_curve.asof is None:
@@ -294,7 +299,7 @@ def calibrate_cmd(ctx, model, section_path, curve, per_date_curve):
         else:
             anchor = base_curve
         sections.append(CrossSection(asof=date, quotes=list(quotes), curve=anchor))
-    series = calibrate_series(model, sections, per_date_curve=per_date_curve)
+    series = calibrate_series(model, sections)
     fileio.write_calibration(_out(ctx, "calibration.csv"), series)
     summary_map: dict[str, object] = {"model": model, "dates": len(series.records)}
     for name, (mean, sd) in series.summary.items():
@@ -467,7 +472,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
     )
     model_curve = curve_data if spec.needs_curve else None
     closed = _closed_price(model, params, state, maturity, model_curve)
-    config = SimConfig(n_paths=n_paths, step=step, seed=seed, horizon=maturity)
+    config = SimConfig(n_paths=n_paths, step=step, seed=seed)
     estimate = mc_zero_price(model, params, state, maturity, config, curve=model_curve)
     z = (estimate.value - closed) / estimate.stderr if estimate.stderr else math.nan
     results = {
@@ -517,9 +522,14 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
               gap_days, maturities, seed):
     """Generate a synthetic price panel by exact simulation."""
     spec = MODELS[model]
-    params = _load_params(model, params_path)
     if not maturities:
         maturities = (30.0, 40.0)[: spec.factors]
+    elif len(maturities) != spec.factors:
+        raise click.UsageError(
+            f"the {spec.factors}-factor {model} panel needs exactly "
+            f"{spec.factors} --maturity value(s), got {len(maturities)}"
+        )
+    params = _load_params(model, params_path)
     schedule = [start + dt.timedelta(days=i * gap_days) for i in range(n_obs)]
     instruments = [
         (f"Z{i + 1}", start + dt.timedelta(days=round(tau * 365.0)))

@@ -47,6 +47,10 @@ _BISECT_STEPS = 40
 # bisection levels differentiated per g2pp_dPdT call: the 2^5 - 1 midpoints
 # a bracket may visit in its next five steps
 _BISECT_LEVELS = 5
+# the grid of find_increasing_price_state: state times, and the maturities
+# after each (1 to 25 years, every quarter)
+_SEARCH_TIMES = (0.0, 0.5, 1.0)
+_SEARCH_TAUS = np.linspace(1.0, 25.0, 97)
 
 
 def check_violation(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> None:
@@ -258,28 +262,22 @@ def _walk(bracket: list, mids: list[float], dms: list[float], levels: int) -> bo
 
 
 def find_increasing_price_state(
-    params: G2Params,
-    curve: DiscountCurve,
-    magnitude: float = 0.2,
-    times: tuple[float, ...] = (0.0, 0.5, 1.0),
-    tau_lo: float = 1.0,
-    tau_hi: float = 25.0,
-    n_taus: int = 97,
+    params: G2Params, curve: DiscountCurve, magnitude: float = 0.2
 ) -> tuple[G2State, float, float] | None:
     """Deterministic grid search for a state with increasing bond prices.
 
     Scans the two opposite-sign factor configurations (+m, -m) and (-m, +m)
-    over a fixed time/maturity grid and returns the (state, T, dP/dT)
-    triple with the largest positive derivative (the first one on ties),
-    or None when every point has non-positive slope.  Each state's
-    maturities are differentiated in one call.
+    at the state times _SEARCH_TIMES and the maturities _SEARCH_TAUS after
+    each, and returns the (state, T, dP/dT) triple with the largest
+    positive derivative (the first one on ties), or None when every point
+    has non-positive slope.  Each state's maturities are differentiated in
+    one call.
     """
     best: tuple[G2State, float, float] | None = None
-    taus = np.linspace(tau_lo, tau_hi, n_taus)
     for x, y in ((magnitude, -magnitude), (-magnitude, magnitude)):
-        for t in times:
+        for t in _SEARCH_TIMES:
             state = G2State(x=x, y=y, t=t)
-            maturities = t + taus
+            maturities = t + _SEARCH_TAUS
             derivs = g2pp_dPdT(params, curve, state, maturities)
             for T, deriv in zip(maturities.tolist(), derivs.tolist()):
                 if deriv > 0.0 and (best is None or deriv > best[2]):

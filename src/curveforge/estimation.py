@@ -219,20 +219,14 @@ class _PanelData:
     gaps: np.ndarray  # the distinct gaps, ascending
     gap_index: np.ndarray
     taus: list[np.ndarray]
-    log_prices: list[np.ndarray]  # log(price / price_scale)
+    log_prices: list[np.ndarray]
     price_product: np.ndarray  # product of the observed prices after date 0
     market: list[np.ndarray] | None = None
     horizons: np.ndarray | None = None
     horizon_index: np.ndarray | None = None
 
     @classmethod
-    def of(
-        cls,
-        panel: PricePanel,
-        factors: int,
-        price_scale: float = 1.0,
-        curve: DiscountCurve | None = None,
-    ):
+    def of(cls, panel: PricePanel, factors: int, curve: DiscountCurve | None = None):
         if len(panel.instruments) != factors:
             raise PanelShapeError(
                 f"the {factors}-factor likelihood needs exactly {factors} "
@@ -256,7 +250,7 @@ class _PanelData:
             gaps=gaps,
             gap_index=gap_index,
             taus=taus,
-            log_prices=[np.log(p) - math.log(price_scale) for p in prices],
+            log_prices=[np.log(p) for p in prices],
             price_product=product,
             market=market,
             horizons=horizons,
@@ -292,13 +286,11 @@ class _MLModel:
     affine: Callable
 
 
-def _panel_data(spec: _MLModel, panel: PricePanel, curve, price_scale: float = 1.0):
+def _panel_data(spec: _MLModel, panel: PricePanel, curve):
     """The panel's parameter-free terms, with its curve terms when the model
     is priced off a curve (a curve too short for the panel fails here)."""
     model = spec.model
-    return _PanelData.of(
-        panel, model.factors, price_scale, curve if model.needs_curve else None
-    )
+    return _PanelData.of(panel, model.factors, curve if model.needs_curve else None)
 
 
 def _states(model: _MLModel, params, data: _PanelData):
@@ -327,44 +319,34 @@ def _loglik(model: _MLModel, params, data: _PanelData):
     return float(np.sum(density) - np.sum(jacobian)), X
 
 
-def _panel_loglik(model: str, params, curve, panel: PricePanel, price_scale: float):
+def _panel_loglik(model: str, params, curve, panel: PricePanel):
     spec = _ML_MODELS[model]
-    return _loglik(spec, params, _panel_data(spec, panel, curve, price_scale))[0]
+    return _loglik(spec, params, _panel_data(spec, panel, curve))[0]
 
 
-def loglik_vasicek(
-    params: VasicekParams, panel: PricePanel, price_scale: float = 1.0
-) -> float:
-    """Exact log-likelihood of a single-instrument panel.
+def loglik_vasicek(params: VasicekParams, panel: PricePanel) -> float:
+    """Exact log-likelihood of a single-instrument panel of unit zero
+    prices (``PricePanel`` refuses any price above 1).
 
     The first observation is conditioned on; every later one contributes a
     Gaussian transition density over its own gap minus the log-Jacobian
-    log(B P) of the price map.  ``price_scale`` declares that observed
-    quotes are that multiple of a unit zero price (e.g. per-100 quotes):
-    states are inverted from price/scale while the Jacobian keeps the
-    observed scale, shifting the likelihood by -n*log(scale) without moving
-    the optimum.
+    log(B P) of the price map.
     """
-    return _panel_loglik("vasicek", params, None, panel, price_scale)
+    return _panel_loglik("vasicek", params, None, panel)
 
 
-def loglik_g2pp(
-    params: G2Params,
-    curve: DiscountCurve,
-    panel: PricePanel,
-    price_scale: float = 1.0,
-) -> float:
-    """Exact log-likelihood of a two-instrument panel.
+def loglik_g2pp(params: G2Params, curve: DiscountCurve, panel: PricePanel) -> float:
+    """Exact log-likelihood of a two-instrument panel of unit zero prices.
 
     States come from the exact 2x2 inversion each date; transitions are
     bivariate Gaussian over the actual gaps; the Jacobian of the price map
     is P1 * P2 * |B_a(tau1) B_b(tau2) - B_a(tau2) B_b(tau1)| per date.
-    See loglik_vasicek for the price_scale convention.  Raises
-    BoundaryError at |rho| = 1, where the factor covariance is singular.
+    Raises BoundaryError at |rho| = 1, where the factor covariance is
+    singular.
     """
     if abs(params.rho) >= 1.0:
         raise BoundaryError("|rho| = 1 makes the factor covariance singular")
-    return _panel_loglik("g2pp", params, curve, panel, price_scale)
+    return _panel_loglik("g2pp", params, curve, panel)
 
 
 # ---------------------------------------------------------------------------

@@ -52,12 +52,11 @@ _MAX_BLOCK_ELEMENTS = 2**24
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings: path count, grid step (years), optional horizon
-    for commands that do not get an explicit maturity, and master seed."""
+    """Simulation settings: path count, grid step (years) and master seed.
+    The horizon is each price's own time to maturity."""
 
     n_paths: int
     step: float = 1.0 / 252.0
-    horizon: float | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -65,10 +64,6 @@ class SimConfig:
             raise ValueError(f"need at least 1 path, got {self.n_paths}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
-        if self.horizon is not None and self.step > self.horizon:
-            raise ResolutionError(
-                f"step {self.step} exceeds horizon {self.horizon}"
-            )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 
@@ -221,10 +216,6 @@ def mc_zero_price(
         raise OrderingError(f"maturity {T} must lie after the state time {t0}")
     if config.n_paths < 2:
         raise ValueError("a standard error needs at least 2 paths")
-    if config.horizon is not None and T > config.horizon:
-        raise OrderingError(
-            f"maturity {T} exceeds the configured horizon {config.horizon}"
-        )
     horizon = T - t0
     if config.step > horizon / MIN_STEPS_PER_HORIZON:
         raise ResolutionError(

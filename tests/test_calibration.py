@@ -164,26 +164,6 @@ class TestLsObjective:
         with pytest.raises(ExtrapolationError):
             ls_objective("holee", HoLeeParams(sigma=0.1), xs)
 
-    def test_weighting_options(self, curve):
-        xs = make_section(
-            "holee", HoLeeParams(sigma=0.1), curve, dt.date(2013, 7, 7),
-            0.05, (1.0, 5.0, 10.0),
-        )
-        probe = HoLeeParams(sigma=0.25)
-        plain = ls_objective("holee", probe, xs)
-        by_tau = ls_objective("holee", probe, xs, weights="maturity")
-        explicit = ls_objective("holee", probe, xs, weights=[1.0, 5.0, 10.0])
-        assert by_tau == pytest.approx(explicit, rel=1e-15)
-        assert by_tau != pytest.approx(plain, rel=1e-3)  # long end carries more
-        uniform = ls_objective("holee", probe, xs, weights=[2.0, 2.0, 2.0])
-        assert uniform == pytest.approx(plain, rel=1e-15)
-        with pytest.raises(ValueError):
-            ls_objective("holee", probe, xs, weights="duration")
-        with pytest.raises(ValueError):
-            ls_objective("holee", probe, xs, weights=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            ls_objective("holee", probe, xs, weights=[1.0, -1.0, 2.0])
-
     def test_unknown_model(self, curve):
         xs = CrossSection(
             asof=dt.date(2013, 7, 7), quotes=[(1.0, 0.96)], curve=curve,
@@ -415,9 +395,9 @@ class TestCalibrateSeries:
         ]
         seen = []
 
-        def recording(model, xs, maxiter):
+        def recording(model, xs):
             seen.append(xs)
-            return calibrate(model, xs, maxiter)
+            return calibrate(model, xs)
 
         monkeypatch.setattr(curveforge.calibration, "calibrate", recording)
         series = calibrate_series("holee", sections)
@@ -428,10 +408,10 @@ class TestCalibrateSeries:
             for xs, res in zip(sections, rebuilt)
         ]
 
-    def test_default_reanchors_to_first_curve(self, curve):
+    def test_each_section_keeps_its_curve(self, curve):
         # the second section carries a differently *shaped* curve (a level
-        # shift alone would cancel out of the constant-vol price); in the
-        # default fixed-curve mode it is re-anchored, in per-date mode not
+        # shift alone would cancel out of the constant-vol price) and is
+        # calibrated on it, not on the first section's curve
         from curveforge.curve import DiscountCurve
 
         taus = np.arange(1.0, 41.0)
@@ -453,10 +433,8 @@ class TestCalibrateSeries:
         s2 = CrossSection(
             asof=dt.date(2013, 7, 14), quotes=quotes2, curve=other, short_rate=0.05
         )
-        fixed = calibrate_series("holee", [s1, s2])
-        assert fixed.records[1].params.sigma == pytest.approx(0.3, abs=1e-6)
-        per_date = calibrate_series("holee", [s1, s2], per_date_curve=True)
-        assert per_date.records[1].params.sigma != pytest.approx(0.3, abs=1e-3)
+        series = calibrate_series("holee", [s1, s2])
+        assert series.records[1].params.sigma != pytest.approx(0.3, abs=1e-3)
 
 
 class TestWeeklyNoiseStudy:

@@ -502,7 +502,7 @@ class TestOracle:
         )
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert "Error: step 5.0 exceeds horizon 3.0" in result.output
+        assert "Error: step 5 too coarse for horizon 3; need at least 50 steps" in result.output
         assert not (tmp_path / "run_log.jsonl").exists()
 
 
@@ -605,6 +605,27 @@ class TestSynth:
         assert "--start" in result.output
         assert "day is out of range for month" in result.output
         assert not (tmp_path / "panel.csv").exists()
+
+    @pytest.mark.parametrize("model, maturities", [
+        ("vasicek", ("30", "40")),
+        ("g2pp", ("30",)),
+    ])
+    def test_maturity_count_other_than_the_factor_count_is_usage_error(
+        self, runner, tmp_path, model, maturities
+    ):
+        # fit-ml inverts exactly one instrument per factor
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "synth", "--model", model,
+             "--n-obs", "20", *(arg for m in maturities for arg in ("--maturity", m))],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        factors = MODELS[model].factors
+        assert (f"needs exactly {factors} --maturity value(s), got {len(maturities)}"
+                in result.output)
+        assert not (tmp_path / "panel.csv").exists()
+        assert not (tmp_path / "run_log.jsonl").exists()
 
     def test_start_date_sets_the_schedule(self, runner, tmp_path):
         result = runner.invoke(

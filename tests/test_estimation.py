@@ -158,7 +158,7 @@ class TestPricePanel:
 # ---------------------------------------------------------------------------
 
 
-def scalar_loglik_vasicek(a, b, sigma, panel, price_scale=1.0):
+def scalar_loglik_vasicek(a, b, sigma, panel):
     """Slow date-by-date reference: invert, transition logpdf, Jacobian."""
     name = panel.instruments[0][0]
     taus = panel.taus(name)
@@ -168,7 +168,7 @@ def scalar_loglik_vasicek(a, b, sigma, panel, price_scale=1.0):
     for tau, p in zip(taus, prices):
         B = (1.0 - math.exp(-a * tau)) / a
         lnA = (b - sigma**2 / (2 * a * a)) * (B - tau) - sigma**2 * B * B / (4 * a)
-        rs.append((lnA - (math.log(p) - math.log(price_scale))) / B)
+        rs.append((lnA - math.log(p)) / B)
     ll = 0.0
     for k in range(1, len(rs)):
         h = times[k] - times[k - 1]
@@ -225,20 +225,6 @@ class TestLoglikVasicek:
             B = (1 - math.exp(-VAS.a * tau)) / VAS.a
             assert abs(fd) == pytest.approx(B * p, rel=1e-6)
 
-    def test_price_scale_shifts_by_log_scale_per_transition(self, vas_panel_weekly):
-        c = 0.5
-        scaled = PricePanel(
-            observations=[
-                (d, {k: c * v for k, v in quotes.items()})
-                for d, quotes in vas_panel_weekly.observations
-            ],
-            instruments=list(vas_panel_weekly.instruments),
-        )
-        base = loglik_vasicek(VAS, vas_panel_weekly)
-        shifted = loglik_vasicek(VAS, scaled, price_scale=c)
-        n_trans = len(vas_panel_weekly.observations) - 1
-        assert shifted == pytest.approx(base - n_trans * math.log(c), rel=1e-12)
-
     def test_recovered_states_match_simulation(self, vas_panel_weekly):
         from curveforge.montecarlo import _cholesky_rows, _synth_path
 
@@ -275,7 +261,7 @@ class TestLoglikVasicek:
 # ---------------------------------------------------------------------------
 
 
-def scalar_loglik_g2pp(params, curve, panel, price_scale=1.0):
+def scalar_loglik_g2pp(params, curve, panel):
     """Date-by-date reference with explicit 2x2 solves and mvn logpdf."""
     (n1, _), (n2, _) = panel.instruments
     times = panel.times
@@ -297,7 +283,7 @@ def scalar_loglik_g2pp(params, curve, panel, price_scale=1.0):
                 + g2pp_variance(params, 0.0, times[k])
             )
             rows.append([ba, bb])
-            rhs.append(market + adjust - (math.log(p) - math.log(price_scale)))
+            rhs.append(market + adjust - math.log(p))
         states.append(np.linalg.solve(np.array(rows), np.array(rhs)))
     ll = 0.0
     for k in range(1, len(times)):
@@ -379,20 +365,6 @@ class TestLoglikG2pp:
         bb2 = (1 - math.exp(-G2.b * tau2)) / G2.b
         want = p1 * p2 * abs(ba1 * bb2 - ba2 * bb1)
         assert abs(np.linalg.det(jac)) == pytest.approx(want, rel=1e-6)
-
-    def test_price_scale_shift(self, g2_panel, steep_curve):
-        c = 0.25
-        scaled = PricePanel(
-            observations=[
-                (d, {k: c * v for k, v in quotes.items()})
-                for d, quotes in g2_panel.observations
-            ],
-            instruments=list(g2_panel.instruments),
-        )
-        base = loglik_g2pp(G2, steep_curve, g2_panel)
-        shifted = loglik_g2pp(G2, steep_curve, scaled, price_scale=c)
-        n_trans = len(g2_panel.observations) - 1
-        assert shifted == pytest.approx(base - 2 * n_trans * math.log(c), rel=1e-12)
 
     def test_correlation_at_unity_rejected(self, g2_panel, steep_curve):
         bad = G2Params(a=0.13, b=0.3526, sigma=0.2, eta=0.4, rho=1.0)

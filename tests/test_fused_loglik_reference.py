@@ -31,7 +31,6 @@ from curveforge.errors import (
 from curveforge.estimation import (
     _ML_MODELS,
     FitConfig,
-    PricePanel,
     _gaussian_logpdf,
     _PanelData,
     _states,
@@ -177,13 +176,9 @@ def _schedule(kind):
     return [START + dt.timedelta(days=int(d)) for d in days]
 
 
-def _panel(kind, scale):
+def _panel(kind):
     instruments = [("L", dt.date(2038, 1, 4)), ("XL", dt.date(2054, 1, 5))]
-    base = synth_panel("g2pp", README_G2, _schedule(kind), instruments, curve=CURVE, seed=9)
-    return PricePanel(
-        observations=[(d, {k: scale * v for k, v in q.items()}) for d, q in base.observations],
-        instruments=list(base.instruments),
-    )
+    return synth_panel("g2pp", README_G2, _schedule(kind), instruments, curve=CURVE, seed=9)
 
 
 def _random_params(rng, n):
@@ -223,25 +218,23 @@ def _assert_same_value(got, want):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.01])
 @pytest.mark.parametrize("kind", ["uniform", "weekly", "irregular"])
-def test_loglik_and_states_bit_identical_on_random_params(kind, scale):
-    panel = _panel(kind, scale)
+def test_loglik_and_states_bit_identical_on_random_params(kind):
+    panel = _panel(kind)
     gaps = panel.gaps
     distinct = np.unique(gaps).size
     assert (distinct == 1) == (kind == "uniform")
     if kind == "weekly":
         assert distinct < gaps.size
-    price_scale = 1.0 / scale
-    ref = _ref_data(panel, price_scale)
-    fused = _PanelData.of(panel, 2, price_scale, CURVE)
+    ref = _ref_data(panel)
+    fused = _PanelData.of(panel, 2, CURVE)
     outcomes = {}
     for params in _random_params(np.random.default_rng(17), 1000):
         want, want_err = _outcome(lambda: _ref_loglik(params, CURVE, ref))
         got, got_err = _outcome(lambda: estimation._loglik(G2PP, params, fused))
         assert got_err is want_err, (params, got_err, want_err)
         public, public_err = _outcome(
-            lambda: loglik_g2pp(params, CURVE, panel, price_scale=price_scale))
+            lambda: loglik_g2pp(params, CURVE, panel))
         assert public_err is want_err, (params, public_err, want_err)
         outcomes[want_err] = outcomes.get(want_err, 0) + 1
         if want_err is None:
@@ -264,7 +257,7 @@ def test_loglik_and_states_bit_identical_on_random_params(kind, scale):
 
 def test_distinct_gaps_gather_back_to_the_panel_gaps():
     for kind in ("uniform", "weekly", "irregular"):
-        panel = _panel(kind, 1.0)
+        panel = _panel(kind)
         data = _PanelData.of(panel, 2, curve=CURVE)
         np.testing.assert_array_equal(data.gaps[data.gap_index], panel.gaps)
         assert np.all(np.diff(data.gaps) > 0)

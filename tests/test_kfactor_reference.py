@@ -34,7 +34,6 @@ from curveforge.errors import BoundaryError, DegenerateStepError, SingularInvers
 from curveforge.estimation import (
     _ML_MODELS,
     LOG2PI,
-    PricePanel,
     _PanelData,
     _states,
     loglik_g2pp,
@@ -283,15 +282,6 @@ def _schedule(kind, n):
     return [START + dt.timedelta(days=int(d)) for d in days]
 
 
-def _scaled(panel, scale):
-    return PricePanel(
-        observations=[
-            (d, {k: scale * v for k, v in quotes.items()}) for d, quotes in panel.observations
-        ],
-        instruments=list(panel.instruments),
-    )
-
-
 @pytest.fixture(scope="module", params=["uniform", "irregular"])
 def gaps_kind(request):
     return request.param
@@ -335,10 +325,8 @@ def _random_vas(rng):
 
 
 class TestLikelihoodAgainstReference:
-    @pytest.mark.parametrize("scale", [1.0, 100.0])
-    def test_g2pp_loglik_and_states_bit_identical(self, gaps_kind, scale):
-        base = _g2_panel(gaps_kind)
-        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
+    def test_g2pp_loglik_and_states_bit_identical(self, gaps_kind):
+        panel = _g2_panel(gaps_kind)
         gaps = panel.gaps
         assert bool(np.all(gaps == gaps[0])) == (gaps_kind == "uniform")
         (n1, _), (n2, _) = panel.instruments
@@ -348,18 +336,16 @@ class TestLikelihoodAgainstReference:
             want, x, y = _ref_loglik_g2pp_core(
                 params, CURVE, panel.times, panel.taus(n1), panel.taus(n2),
                 panel.prices(n1), panel.prices(n2), gaps,
-                gaps_kind == "uniform", 1.0 / scale,
+                gaps_kind == "uniform", 1.0,  # the references' unit price scale
             )
-            assert loglik_g2pp(params, CURVE, panel, price_scale=1.0 / scale) == want
-            data = _PanelData.of(panel, 2, 1.0 / scale, CURVE)
+            assert loglik_g2pp(params, CURVE, panel) == want
+            data = _PanelData.of(panel, 2, CURVE)
             (gx, gy), _ = _states(_ML_MODELS["g2pp"], params, data)
             np.testing.assert_array_equal(gx, x)
             np.testing.assert_array_equal(gy, y)
 
-    @pytest.mark.parametrize("scale", [1.0, 100.0])
-    def test_vasicek_loglik_close_and_states_bit_identical(self, gaps_kind, scale):
-        base = _vas_panel(gaps_kind)
-        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
+    def test_vasicek_loglik_close_and_states_bit_identical(self, gaps_kind):
+        panel = _vas_panel(gaps_kind)
         gaps = panel.gaps
         name = panel.instruments[0][0]
         rng = np.random.default_rng(12)
@@ -367,11 +353,11 @@ class TestLikelihoodAgainstReference:
             p = _random_vas(rng)
             want, r = _ref_loglik_vasicek_core(
                 p.a, p.b, p.sigma, panel.taus(name), panel.prices(name), gaps,
-                gaps_kind == "uniform", 1.0 / scale,
+                gaps_kind == "uniform", 1.0,  # the references' unit price scale
             )
-            got = loglik_vasicek(p, panel, price_scale=1.0 / scale)
+            got = loglik_vasicek(p, panel)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-            data = _PanelData.of(panel, 1, 1.0 / scale)
+            data = _PanelData.of(panel, 1)
             (got_r,), _ = _states(_ML_MODELS["vasicek"], p, data)
             np.testing.assert_array_equal(got_r, r)
 

@@ -70,10 +70,8 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, step=0.0, seed=0)
         with pytest.raises(ValueError):
-            SimConfig(n_paths=10, step=2.0, seed=0, horizon=1.0)
-        with pytest.raises(ValueError):
             SimConfig(n_paths=10, step=0.01, seed=-1)
-        cfg = SimConfig(n_paths=1, step=0.5, seed=0, horizon=0.5)
+        cfg = SimConfig(n_paths=1, step=0.5, seed=0)
         assert cfg.n_paths == 1
 
 
@@ -191,7 +189,7 @@ class TestMcZeroPrice:
         monkeypatch.setattr(montecarlo, "normal_block", no_draws)
         params, state = (VAS, ShortRateState(r=0.05)) if model == "vasicek" else (
             G2, G2State(0.0, 0.0))
-        config = SimConfig(n_paths=256, horizon=maturity)
+        config = SimConfig(n_paths=256)
         with pytest.raises(ResolutionError, match="exceed one block"):
             mc_zero_price(model, params, state, maturity, config,
                           curve=flat_curve(0.04, span=140.0, n_pillars=140))
@@ -199,7 +197,7 @@ class TestMcZeroPrice:
     def test_vasicek_tiny_vol_is_deterministic(self):
         # started at its long-run level, every path stays there
         params = VasicekParams(a=1.7051, b=0.0937, sigma=1e-12)
-        config = SimConfig(n_paths=2, step=1 / 252, seed=0, horizon=2.0)
+        config = SimConfig(n_paths=2, step=1 / 252, seed=0)
         est = mc_zero_price("vasicek", params, ShortRateState(r=0.0937), 2.0, config)
         assert est.stderr < 1e-12
         assert est.value == pytest.approx(math.exp(-0.0937 * 2.0), rel=1e-12)
@@ -213,7 +211,7 @@ class TestMcZeroPrice:
             mc_zero_price("vasicek", VAS, 0.05, 2.0, config)
 
     def test_vasicek_close_to_closed_form(self):
-        config = SimConfig(n_paths=20_000, step=1 / 252, seed=4, horizon=3.0)
+        config = SimConfig(n_paths=20_000, step=1 / 252, seed=4)
         est = mc_zero_price("vasicek", VAS, ShortRateState(r=0.05, t=0.0), 3.0, config)
         closed = vasicek_price(VAS, 0.05, 0.0, 3.0)
         assert abs(est.value - closed) < 3 * est.stderr
@@ -266,11 +264,6 @@ class TestMcZeroPrice:
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
         with pytest.raises(OrderingError):
             mc_zero_price("vasicek", VAS, ShortRateState(r=0.05, t=2.0), 1.0, config)
-
-    def test_horizon_cap_enforced(self):
-        config = SimConfig(n_paths=100, step=1 / 252, seed=0, horizon=1.0)
-        with pytest.raises(OrderingError):
-            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
 
     def test_curve_required_for_curve_models(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
