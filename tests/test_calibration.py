@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from curveforge import fileio
 from curveforge.calibration import (
     SIGMA_BOUNDS,
     CalibrationRecord,
@@ -163,6 +165,24 @@ class TestLsObjective:
         )
         with pytest.raises(ExtrapolationError):
             ls_objective("holee", HoLeeParams(sigma=0.1), xs)
+
+    def test_weighting_options(self, curve):
+        # one weighting is left: each quote weighs 1/I, whatever its maturity
+        xs = make_section(
+            "holee", HoLeeParams(sigma=0.1), curve, dt.date(2013, 7, 7),
+            0.05, (1.0, 5.0, 10.0),
+        )
+        probe = HoLeeParams(sigma=0.25)
+        plain = ls_objective("holee", probe, xs)
+        alone = [
+            ls_objective("holee", probe, CrossSection(
+                asof=xs.asof, quotes=[quote], curve=curve, short_rate=xs.short_rate,
+            ))
+            for quote in xs.quotes
+        ]
+        assert plain == pytest.approx(sum(alone) / len(alone), rel=1e-14)
+        with pytest.raises(TypeError):
+            ls_objective("holee", probe, xs, weights="maturity")
 
     def test_unknown_model(self, curve):
         xs = CrossSection(
@@ -407,6 +427,46 @@ class TestCalibrateSeries:
                               objective=res.objective, converged=res.converged)
             for xs, res in zip(sections, rebuilt)
         ]
+
+    def test_default_reanchors_to_first_curve(self, curve, tmp_path, monkeypatch):
+        # the calibrate command anchors every date on the --curve file, or
+        # with --per-date-curve each later date on the previous date's quotes
+        import curveforge.cli as cli
+        from curveforge.curve import DiscountCurve
+
+        raw = [
+            (xs.asof, list(xs.quotes))
+            for xs in (
+                make_section("holee", HoLeeParams(sigma=s), curve,
+                             dt.date(2013, 7, 7) + dt.timedelta(weeks=k), 0.05,
+                             (1.0, 5.0, 10.0))
+                for k, s in enumerate((0.25, 0.30, 0.35))
+            )
+        ]
+        fileio.write_curve(tmp_path / "curve.csv", curve)
+        fileio.write_cross_sections(tmp_path / "sections.csv", raw)
+        base = fileio.ingest_curve(tmp_path / "curve.csv")
+        seen = []
+
+        def recording(model, sections):
+            seen.append(sections)
+            return calibrate_series(model, sections)
+
+        monkeypatch.setattr(cli, "calibrate_series", recording)
+        args = ["--output-dir", str(tmp_path / "out"), "calibrate", "--model", "holee",
+                "--cross-section", str(tmp_path / "sections.csv"),
+                "--curve", str(tmp_path / "curve.csv")]
+        for extra in ([], ["--per-date-curve"]):
+            result = CliRunner().invoke(cli.main, args + extra)
+            assert result.exit_code == 0, result.output
+        fixed, per_date = seen
+        assert [xs.asof for xs in fixed] == [xs.asof for xs in per_date] == [
+            date for date, _ in raw]
+        assert all(xs.curve == base for xs in fixed)
+        assert per_date[0].curve == base
+        for xs, (prev_date, prev_quotes) in zip(per_date[1:], raw):
+            assert xs.curve == DiscountCurve(
+                pillars=tuple(prev_quotes), asof=prev_date, flat_extrapolation=True)
 
     def test_each_section_keeps_its_curve(self, curve):
         # the second section carries a differently *shaped* curve (a level

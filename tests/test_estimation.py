@@ -169,15 +169,32 @@ def scalar_loglik_vasicek(a, b, sigma, panel):
         B = (1.0 - math.exp(-a * tau)) / a
         lnA = (b - sigma**2 / (2 * a * a)) * (B - tau) - sigma**2 * B * B / (4 * a)
         rs.append((lnA - math.log(p)) / B)
+    ll = scalar_ou_density(a, b, sigma, times, rs)
+    for k in range(1, len(rs)):
+        B_k = (1.0 - math.exp(-a * taus[k])) / a
+        ll -= math.log(B_k * prices[k])
+    return ll
+
+
+def scalar_ou_density(a, b, sigma, times, rs):
+    """Sum of the exact transition log densities of the rates rs."""
     ll = 0.0
     for k in range(1, len(rs)):
         h = times[k] - times[k - 1]
         mean = rs[k - 1] * math.exp(-a * h) + b * (1 - math.exp(-a * h))
         var = sigma**2 * (1 - math.exp(-2 * a * h)) / (2 * a)
         ll += norm.logpdf(rs[k], loc=mean, scale=math.sqrt(var))
-        B_k = (1.0 - math.exp(-a * taus[k])) / a
-        ll -= math.log(B_k * prices[k])
     return ll
+
+
+def scaled_panel(panel, c):
+    """The panel with every price multiplied by c."""
+    return PricePanel(
+        observations=[
+            (d, {k: c * v for k, v in quotes.items()}) for d, quotes in panel.observations
+        ],
+        instruments=list(panel.instruments),
+    )
 
 
 class TestLoglikVasicek:
@@ -224,6 +241,24 @@ class TestLoglikVasicek:
             p = vasicek_price(VAS, r, 0.0, tau)
             B = (1 - math.exp(-VAS.a * tau)) / VAS.a
             assert abs(fd) == pytest.approx(B * p, rel=1e-6)
+
+    def test_price_scale_shifts_by_log_scale_per_transition(self, vas_panel_weekly):
+        # prices scaled by c lower each recovered rate by log(c) / B and the
+        # log-Jacobian log(B P) of every transition by log(c)
+        c = 0.5
+        scaled = scaled_panel(vas_panel_weekly, c)
+        name = vas_panel_weekly.instruments[0][0]
+        B = -np.expm1(-VAS.a * vas_panel_weekly.taus(name)) / VAS.a
+        model = _ML_MODELS["vasicek"]
+        base, (r,) = _loglik(model, VAS, _PanelData.of(vas_panel_weekly, 1))
+        shifted, (r_c,) = _loglik(model, VAS, _PanelData.of(scaled, 1))
+        np.testing.assert_allclose(r_c - r, -math.log(c) / B, rtol=1e-9)
+        times = vas_panel_weekly.times
+        moved = (scalar_ou_density(VAS.a, VAS.b, VAS.sigma, times, r_c)
+                 - scalar_ou_density(VAS.a, VAS.b, VAS.sigma, times, r))
+        n_trans = len(times) - 1
+        assert shifted - base == pytest.approx(moved - n_trans * math.log(c), rel=1e-9)
+        assert loglik_vasicek(VAS, scaled) == shifted
 
     def test_recovered_states_match_simulation(self, vas_panel_weekly):
         from curveforge.montecarlo import _cholesky_rows, _synth_path
@@ -365,6 +400,24 @@ class TestLoglikG2pp:
         bb2 = (1 - math.exp(-G2.b * tau2)) / G2.b
         want = p1 * p2 * abs(ba1 * bb2 - ba2 * bb1)
         assert abs(np.linalg.det(jac)) == pytest.approx(want, rel=1e-6)
+
+    def test_price_scale_shift(self, g2_panel, steep_curve):
+        # prices scaled by c add -log(c) to both right-hand sides of each
+        # date's 2x2 solve; the likelihood follows the date-by-date reference
+        c = 0.25
+        scaled = scaled_panel(g2_panel, c)
+        (n1, _), (n2, _) = g2_panel.instruments
+        ba1, ba2 = (-np.expm1(-G2.a * g2_panel.taus(n)) / G2.a for n in (n1, n2))
+        bb1, bb2 = (-np.expm1(-G2.b * g2_panel.taus(n)) / G2.b for n in (n1, n2))
+        det = ba1 * bb2 - ba2 * bb1
+        model = _ML_MODELS["g2pp"]
+        (x, y), _ = _states(model, G2, _PanelData.of(g2_panel, 2, steep_curve))
+        (x_c, y_c), _ = _states(model, G2, _PanelData.of(scaled, 2, steep_curve))
+        np.testing.assert_allclose(x_c - x, -math.log(c) * (bb2 - bb1) / det, rtol=1e-8)
+        np.testing.assert_allclose(y_c - y, -math.log(c) * (ba1 - ba2) / det, rtol=1e-8)
+        shifted = loglik_g2pp(G2, steep_curve, scaled)
+        assert shifted == pytest.approx(
+            scalar_loglik_g2pp(G2, steep_curve, scaled), rel=1e-10)
 
     def test_correlation_at_unity_rejected(self, g2_panel, steep_curve):
         bad = G2Params(a=0.13, b=0.3526, sigma=0.2, eta=0.4, rho=1.0)

@@ -31,6 +31,7 @@ from curveforge.errors import (
 from curveforge.estimation import (
     _ML_MODELS,
     FitConfig,
+    PricePanel,
     _gaussian_logpdf,
     _PanelData,
     _states,
@@ -176,9 +177,14 @@ def _schedule(kind):
     return [START + dt.timedelta(days=int(d)) for d in days]
 
 
-def _panel(kind):
+def _panel(kind, scale):
+    """The synthetic panel with every price multiplied by ``scale``."""
     instruments = [("L", dt.date(2038, 1, 4)), ("XL", dt.date(2054, 1, 5))]
-    return synth_panel("g2pp", README_G2, _schedule(kind), instruments, curve=CURVE, seed=9)
+    base = synth_panel("g2pp", README_G2, _schedule(kind), instruments, curve=CURVE, seed=9)
+    return PricePanel(
+        observations=[(d, {k: scale * v for k, v in q.items()}) for d, q in base.observations],
+        instruments=list(base.instruments),
+    )
 
 
 def _random_params(rng, n):
@@ -218,9 +224,11 @@ def _assert_same_value(got, want):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.01])
 @pytest.mark.parametrize("kind", ["uniform", "weekly", "irregular"])
-def test_loglik_and_states_bit_identical_on_random_params(kind):
-    panel = _panel(kind)
+def test_loglik_and_states_bit_identical_on_random_params(kind, scale):
+    # scale 0.01 lowers every log price by log 100
+    panel = _panel(kind, scale)
     gaps = panel.gaps
     distinct = np.unique(gaps).size
     assert (distinct == 1) == (kind == "uniform")
@@ -257,7 +265,7 @@ def test_loglik_and_states_bit_identical_on_random_params(kind):
 
 def test_distinct_gaps_gather_back_to_the_panel_gaps():
     for kind in ("uniform", "weekly", "irregular"):
-        panel = _panel(kind)
+        panel = _panel(kind, 1.0)
         data = _PanelData.of(panel, 2, curve=CURVE)
         np.testing.assert_array_equal(data.gaps[data.gap_index], panel.gaps)
         assert np.all(np.diff(data.gaps) > 0)

@@ -34,6 +34,7 @@ from curveforge.errors import BoundaryError, DegenerateStepError, SingularInvers
 from curveforge.estimation import (
     _ML_MODELS,
     LOG2PI,
+    PricePanel,
     _PanelData,
     _states,
     loglik_g2pp,
@@ -282,6 +283,15 @@ def _schedule(kind, n):
     return [START + dt.timedelta(days=int(d)) for d in days]
 
 
+def _scaled(panel, scale):
+    return PricePanel(
+        observations=[
+            (d, {k: scale * v for k, v in quotes.items()}) for d, quotes in panel.observations
+        ],
+        instruments=list(panel.instruments),
+    )
+
+
 @pytest.fixture(scope="module", params=["uniform", "irregular"])
 def gaps_kind(request):
     return request.param
@@ -325,8 +335,11 @@ def _random_vas(rng):
 
 
 class TestLikelihoodAgainstReference:
-    def test_g2pp_loglik_and_states_bit_identical(self, gaps_kind):
-        panel = _g2_panel(gaps_kind)
+    # scale 100 divides every price by 100, lowering every log price by log 100
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_g2pp_loglik_and_states_bit_identical(self, gaps_kind, scale):
+        base = _g2_panel(gaps_kind)
+        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
         gaps = panel.gaps
         assert bool(np.all(gaps == gaps[0])) == (gaps_kind == "uniform")
         (n1, _), (n2, _) = panel.instruments
@@ -344,8 +357,10 @@ class TestLikelihoodAgainstReference:
             np.testing.assert_array_equal(gx, x)
             np.testing.assert_array_equal(gy, y)
 
-    def test_vasicek_loglik_close_and_states_bit_identical(self, gaps_kind):
-        panel = _vas_panel(gaps_kind)
+    @pytest.mark.parametrize("scale", [1.0, 100.0])
+    def test_vasicek_loglik_close_and_states_bit_identical(self, gaps_kind, scale):
+        base = _vas_panel(gaps_kind)
+        panel = base if scale == 1.0 else _scaled(base, 1.0 / scale)
         gaps = panel.gaps
         name = panel.instruments[0][0]
         rng = np.random.default_rng(12)

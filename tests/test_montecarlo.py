@@ -265,6 +265,18 @@ class TestMcZeroPrice:
         with pytest.raises(OrderingError):
             mc_zero_price("vasicek", VAS, ShortRateState(r=0.05, t=2.0), 1.0, config)
 
+    def test_horizon_cap_enforced(self):
+        # the horizon is the maturity less the state time: the grid stops at
+        # the maturity, and a step must resolve that span in 50 steps
+        params = VasicekParams(a=1.7051, b=0.0937, sigma=1e-12)
+        config = SimConfig(n_paths=2, step=0.013, seed=0)  # 1.5 / 0.013 is no integer
+        est = mc_zero_price("vasicek", params, ShortRateState(r=0.0937, t=0.5), 2.0, config)
+        assert est.value == pytest.approx(math.exp(-0.0937 * 1.5), rel=1e-12)
+        coarse = SimConfig(n_paths=2, step=0.031, seed=0)
+        mc_zero_price("vasicek", params, ShortRateState(r=0.0937), 2.0, coarse)
+        with pytest.raises(ResolutionError):
+            mc_zero_price("vasicek", params, ShortRateState(r=0.0937, t=0.5), 2.0, coarse)
+
     def test_curve_required_for_curve_models(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
         with pytest.raises(ValueError):

@@ -126,7 +126,8 @@ def random_params(rng, model):
     return HullWhiteParams(a=a, sigma=sigma)
 
 
-@pytest.mark.parametrize("model", ["holee", "hullwhite"])
+# "none": every quote weighs the same, the one weighting the objective has
+@pytest.mark.parametrize("model", ["holee", "hullwhite"], ids=lambda m: f"none-{m}")
 def test_objective_equals_per_quote_loop(model):
     rng = np.random.default_rng(10 * (model == "hullwhite"))
     for i in range(1500):
