@@ -60,21 +60,29 @@ class DiscountCurve:
         """Largest pillar maturity."""
         return float(self._knots[-1])
 
+    def _past_span(self, t: np.ndarray, lookup: str, beyond: str) -> bool:
+        """Whether any t lies past the span.  A negative t is refused first,
+        then, without flat extrapolation, a t past the span; NaN passes.
+        ``lookup`` and ``beyond`` open the two errors' messages."""
+        # fmin and fmax skip NaN, and their initial 0 covers an empty t
+        lo, hi = ((np.fmin.reduce(t, None, initial=0.0), np.fmax.reduce(t, None, initial=0.0))
+                  if t.ndim else (float(t),) * 2)
+        if lo < 0:
+            raise OrderingError(f"{lookup} requested at negative maturity")
+        past = hi > self.span
+        if past and not self.flat_extrapolation:
+            raise ExtrapolationError(f"{beyond} beyond curve span {self.span:.6g} "
+                                     "(enable flat extrapolation to allow)")
+        return past
+
     def log_discount(self, t):
         """log P(0, t); scalar in, scalar out (arrays broadcast)."""
         t_arr = np.asarray(t, dtype=float)
-        if (t_arr < 0).any():
-            raise OrderingError("discount requested at negative maturity")
-        span = self.span
-        out = np.interp(np.minimum(t_arr, span), self._knots, self._logdfs)
-        over = t_arr > span
-        if over.any():
-            if not self.flat_extrapolation:
-                raise ExtrapolationError(
-                    f"maturity beyond curve span {span:.6g} "
-                    "(enable flat extrapolation to allow)"
-                )
-            out = out - self._fwds[-1] * np.where(over, t_arr - span, 0.0)
+        past = self._past_span(t_arr, "discount", "maturity")
+        # np.interp holds the last knot's value at and beyond the span
+        out = np.interp(t_arr, self._knots, self._logdfs)
+        if past:
+            out = out - self._fwds[-1] * np.where(t_arr > self.span, t_arr - self.span, 0.0)
         return out if t_arr.ndim else float(out)
 
     def discount(self, t):
@@ -89,16 +97,9 @@ class DiscountCurve:
         flat-extrapolation flag governs.
         """
         t_arr = np.asarray(t, dtype=float)
-        if (t_arr < 0).any():
-            raise OrderingError("forward requested at negative maturity")
-        span = self.span
-        if (t_arr > span).any() and not self.flat_extrapolation:
-            raise ExtrapolationError(
-                f"forward beyond curve span {span:.6g} "
-                "(enable flat extrapolation to allow)"
-            )
-        idx = np.searchsorted(self._knots, t_arr, side="right") - 1
-        out = self._fwds[np.minimum(np.maximum(idx, 0), len(self._fwds) - 1)]
+        self._past_span(t_arr, "forward", "forward")
+        # t's segment among the interior knots; the last holds from the span on
+        out = self._fwds[self._knots[1:-1].searchsorted(t_arr, side="right")]
         return out if t_arr.ndim else float(out)
 
 

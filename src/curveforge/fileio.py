@@ -326,7 +326,7 @@ def ingest_cross_sections(
     path: str | os.PathLike,
 ) -> list[tuple[dt.date, list[tuple[float, float]]]]:
     """Read dated zero quotes, grouped by date in ascending order."""
-    by_date: dict[dt.date, list[tuple[float, float]]] = {}
+    by_date: dict[dt.date, dict[float, float]] = {}
 
     def row(date, maturity_years, zero_price):
         date = parse_date(date)
@@ -336,12 +336,12 @@ def ingest_cross_sections(
         price = _parse_float(zero_price, "price")
         if not 0.0 < price <= 1.0:
             raise ValueError(f"price {price} outside (0, 1]")
-        if any(existing == tau for existing, _ in by_date.get(date, [])):
+        if tau in by_date.setdefault(date, {}):
             raise ValueError(f"duplicate maturity {tau} on {date}")
-        by_date.setdefault(date, []).append((tau, price))
+        by_date[date][tau] = price
 
     _read_table(path, "cross-section", _columns(SECTION_COLUMNS, row))
-    return [(d, sorted(by_date[d])) for d in sorted(by_date)]
+    return [(d, sorted(by_date[d].items())) for d in sorted(by_date)]
 
 
 def write_cross_sections(

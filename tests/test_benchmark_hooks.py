@@ -19,6 +19,7 @@ from curveforge import fileio
 from curveforge.curve import flat_curve
 from curveforge.daycount import year_fraction
 from curveforge.diagnostics import (
+    _BISECT_LEVELS,
     _BISECT_STEPS,
     MATURITY_GRID,
     find_increasing_price_state,
@@ -165,7 +166,8 @@ def test_traced_surface_and_audits_count_writes_and_derivative_calls(
 ):
     """The surface workload's counters: one surface write per surface, two
     writes per audit (the CSV and the text), and one derivative call for
-    the scan plus at most one per bisection step.  The CLI reaches every
+    the scan plus at most one per _BISECT_LEVELS bisection steps, so at most
+    1 + ceil(_BISECT_STEPS / _BISECT_LEVELS) = 9.  The CLI reaches every
     writer through the fileio module, so replacing a module attribute sees
     the call."""
     asof = dt.date(2013, 1, 7)
@@ -212,8 +214,10 @@ def test_traced_surface_and_audits_count_writes_and_derivative_calls(
         assert tracer.calls["fileio.write_arbitrage"] == 1
         assert tracer.count["fileio.write_calls"] == 2
         assert len(rendered) == j + 1
-        assert 1 <= tracer.calls["diagnostics.g2pp_dPdT"] <= 1 + _BISECT_STEPS
-    # the inverting state has brackets to bisect, all in one call per step
+        assert 1 <= tracer.calls["diagnostics.g2pp_dPdT"] <= 1 + math.ceil(
+            _BISECT_STEPS / _BISECT_LEVELS)
+    # the inverting state has brackets to bisect, all in one call per
+    # _BISECT_LEVELS steps
     assert rendered[-1].derivative_sign_changes
     assert tracer.calls["diagnostics.g2pp_dPdT"] > 1
 

@@ -112,6 +112,15 @@ def _valid_files():
         f"2013-01-07,1e1,{quotes[4]}\n\n2013-01-21,30,{quotes[5]}\n"
         f"2013-01-14,2.5,{quotes[6]}\n2013-01-21,0.5,{quotes[7]}\n",
     )
+    # one maturity on every date, and each date's quotes out of order
+    files["cross_sections_shared"] = (
+        "ingest_cross_sections",
+        (),
+        "date,maturity_years,zero_price\n"
+        f"2013-01-14,5.0,{quotes[8]}\n2013-01-07,5.0,{quotes[1]}\n"
+        f"2013-01-07,0.25,{quotes[3]}\n2013-01-14,0.5,{quotes[7]}\n"
+        f"2013-01-07,2.0,{quotes[2]}\n2013-01-14,1.0,{quotes[0]}\n",
+    )
     files["bonds_anchor"] = (
         "ingest_bonds",
         (),
@@ -226,6 +235,7 @@ VALID_DIGESTS = {
     'curve_meta': '5aa66c698dec2634181e938be5df61540e5b83c58f46061762e4025a464d704e',
     'curve_bare': '56dec9d3bf3c42782ae5ed3e15cc812d5bbc887c1876a9f16139fb29423e81b3',
     'cross_sections': 'c5e98d78ca7a30ca53ffa39fdd54bac9ddd965fedcc9c81316b3d6c335c3e614',
+    'cross_sections_shared': '276758330a7212adcd134a7ef6412956d5640b310f112d34476f5c39d3186176',
     'bonds_anchor': 'a21445bd96d3fa3e08a4e64e829f2c8ed34c39cad38e60c6787e1cee16ff070f',
     'bonds_plain': '58c5ec60277e280880feaac0a53d7a8b6007ee18ce27e6b8043df2c366bd3eb6',
     'bond_quotes': '944f3827dd3e0c65d2731a848228c6150992047dc2049c583a48cb72e0b72f20',
@@ -297,6 +307,9 @@ MALFORMED = [
         "2013-01-07,x,0.95\n2013-01-07,nan,0.95\n2013-01-07,-1,0.95\n"
         "2013-01-07,1.0,inf\n2013-01-07,1.0,0\n2013-01-07,2.0,0.9\n"
         "2013-01-07,2.0,0.8\n2013-13-07,1.0,0.9\n"),
+    ("sections_triplicate", "ingest_cross_sections", (), "date,maturity_years,zero_price\n"
+        "2013-01-07,2.0,0.9\n2013-01-14,2.0,0.9\n2013-01-07,2.0,0.8\n"
+        "2013-01-07,1.0,0.95\n2013-01-07,2e0,0.7\n"),
     ("sections_short", "ingest_cross_sections", (), "date,maturity_years,zero_price\n"
         "2013-01-07,x,0.95\n2013-01-07,1.0\n"),
     ("sections_long", "ingest_cross_sections", (), "date,maturity_years,zero_price\n"
@@ -387,6 +400,7 @@ MALFORMED_MESSAGES = {
     'curve_price_range': 'curve file rejected (line 2: discount factor 1.5 outside (0, 1])',
     'curve_nonpositive_tau': 'curve file rejected (line 2: tau 0.0 not positive; line 3: tau -1.0 not positive)',
     'sections_bad': "cross-section file rejected (line 2: unparseable maturity 'x'; line 3: non-finite maturity 'nan'; line 4: maturity -1.0 not positive; line 5: non-finite price 'inf'; line 6: price 0.0 outside (0, 1]; line 8: duplicate maturity 2.0 on 2013-01-07; line 9: month must be in 1..12)",
+    'sections_triplicate': 'cross-section file rejected (line 4: duplicate maturity 2.0 on 2013-01-07; line 6: duplicate maturity 2.0 on 2013-01-07)',
     'sections_short': 'line 3: expected 3 cells, found 2',
     'sections_long': 'line 2: expected 3 cells, found 4',
     'sections_header': "line 1: header ['date', 'maturity', 'zero_price'] does not match schema ['date', 'maturity_years', 'zero_price']",
