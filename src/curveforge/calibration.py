@@ -61,6 +61,8 @@ class CrossSection:
     quotes: list[tuple[float, float]]
     curve: DiscountCurve
     short_rate: float | None = None
+    _taus: np.ndarray = field(init=False, repr=False, compare=False)
+    _prices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.quotes:
@@ -73,12 +75,14 @@ class CrossSection:
         if any(p <= 0 for _, p in self.quotes):
             raise ValueError("quoted prices must be positive")
         self.quotes = sorted(self.quotes, key=lambda q: q[0])
+        self._taus = np.array([t for t, _ in self.quotes], dtype=float)
+        self._prices = np.array([p for _, p in self.quotes], dtype=float)
         if self.short_rate is None:
             self.short_rate = self._proxy_short_rate()
 
     def _proxy_short_rate(self) -> float:
-        taus = np.array([t for t, _ in self.quotes])
-        logp = np.log([p for _, p in self.quotes])
+        taus = self._taus
+        logp = np.log(self._prices)
         if taus[0] >= SHORT_RATE_TENOR:
             return float(-logp[0] / taus[0])
         u = min(SHORT_RATE_TENOR, taus[-1])
@@ -166,8 +170,8 @@ def ls_objective(model: str, params, xs: CrossSection) -> float:
     raises where and what the scalar arithmetic raises.
     """
     t = _identified_offset(xs)
-    taus, prices = np.array(xs.quotes).T
-    model_p = _model_price(model, params, xs, t + taus)
+    prices = xs._prices
+    model_p = _model_price(model, params, xs, t + xs._taus)
     # libm.square: pow(x, 2) as a float's ** computes it, inf on overflow
     with np.errstate(over="ignore"):
         err = np.cumsum(libm.square(prices - model_p))[-1]
@@ -195,10 +199,9 @@ def section_objective(model: str, xs: CrossSection):
     t = _identified_offset(xs)
     if model != "hullwhite":
         raise ValueError(f"unknown model {model!r}")
-    taus, prices = np.array(xs.quotes).T
-    tau, market, fwd = curve_terms(xs.curve, t, t + taus)
-    r, n = float(xs.short_rate), float(len(taus))
-    terms = list(zip(market.tolist(), prices.tolist()))
+    tau, market, fwd = curve_terms(xs.curve, t, t + xs._taus)
+    r, n = float(xs.short_rate), float(len(xs.quotes))
+    terms = list(zip(market.tolist(), xs._prices.tolist()))
 
     def hullwhite(a: float, sigma: float) -> float:
         variance = sigma**2 * (-math.expm1(-2.0 * a * t)) / (4.0 * a)
@@ -223,9 +226,9 @@ def _holee_loops(xs: CrossSection):
     sum tau^2 (ln A - ln p) / sum tau^4.
     """
     t = _identified_offset(xs)
-    taus, prices = np.array(xs.quotes).T
-    tau, market, fwd = curve_terms(xs.curve, t, t + taus)
-    r, n = float(xs.short_rate), float(len(taus))
+    prices = xs._prices
+    tau, market, fwd = curve_terms(xs.curve, t, t + xs._taus)
+    r, n = float(xs.short_rate), float(len(prices))
     tau_fwd, tau2, tau_rate = tau * fwd, libm.square(tau), tau * r
     k0 = float(np.dot(tau2, market + tau_fwd - tau_rate - np.log(prices))
                / np.dot(tau2, tau2))

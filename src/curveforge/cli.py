@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 
 import click
 import numpy as np
@@ -117,6 +118,13 @@ def _out(ctx: click.Context, name: str) -> str:
     return os.path.join(ctx.obj["output_dir"], name)
 
 
+def _echo(text: str) -> None:
+    """Print one line to the current sys.stdout.  Named explicitly, the
+    stream is not kept in click's per-stream cache, which would hold every
+    stream a caller ever redirected stdout to."""
+    click.echo(text, file=sys.stdout)
+
+
 def _load_params(model: str, path: str | None):
     if path is None:
         return _DEFAULT_PARAMS[model]
@@ -206,7 +214,7 @@ def bootstrap(ctx, bonds, quotes, clean, flat_extrapolation):
         None,
         {"pillars": len(curve.pillars), "span": curve.span},
     )
-    click.echo(f"wrote {out} ({len(curve.pillars)} pillars, span {curve.span:g}y)")
+    _echo(f"wrote {out} ({len(curve.pillars)} pillars, span {curve.span:g}y)")
 
 
 @main.command("fit-ml")
@@ -259,7 +267,7 @@ def fit_ml_cmd(ctx, model, panel, curve, negotiated_only, restarts, seed):
         {"loglik": result.loglik, "converged": result.report.converged,
          "params": params_map},
     )
-    click.echo(
+    _echo(
         f"loglik {result.loglik:.6f} converged={result.report.converged} "
         + " ".join(f"{k}={v:.6g}" for k, v in params_map.items())
     )
@@ -315,7 +323,7 @@ def calibrate_cmd(ctx, model, section_path, curve, per_date_curve):
         None,
         {k: v for k, v in summary_map.items() if k != "model"},
     )
-    click.echo(
+    _echo(
         f"calibrated {len(series.records)} dates; "
         + " ".join(
             f"{name}={mean:.6g}" for name, (mean, _) in series.summary.items()
@@ -353,7 +361,7 @@ def price_cmd(ctx, model, params_path, state_path, maturity, curve):
         None,
         {"price": value},
     )
-    click.echo(fileio._fmt(value))
+    _echo(fileio._fmt(value))
 
 
 @main.command("surface")
@@ -389,7 +397,7 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
         None,
         {"dates": len(result.dates), "missing_cells": len(result.failures)},
     )
-    click.echo(
+    _echo(
         f"wrote {out} ({len(result.dates)} dates, "
         f"{len(result.failures)} missing cells)"
     )
@@ -438,7 +446,7 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
         {"violations": len(report.violations),
          "sign_changes": len(report.derivative_sign_changes)},
     )
-    click.echo(
+    _echo(
         f"{len(report.violations)} violations, "
         f"{len(report.derivative_sign_changes)} derivative sign changes"
     )
@@ -497,7 +505,7 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
         seed,
         {k: results[k] for k in ("closed", "mc_value", "mc_stderr", "within_3se")},
     )
-    click.echo(
+    _echo(
         f"closed {closed:.8f} vs mc {estimate.value:.8f} "
         f"(se {estimate.stderr:.2e}, z {z:+.2f})"
     )
@@ -555,7 +563,7 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
         {"observations": len(panel.observations),
          "instruments": len(panel.instruments)},
     )
-    click.echo(
+    _echo(
         f"wrote {out} ({len(panel.observations)} dates x "
         f"{len(panel.instruments)} instruments)"
     )

@@ -7,9 +7,14 @@ atomic: content goes to a temp file in the target directory and is renamed
 into place, so a crashed run never leaves a partial file at the final path.
 
 One reader parses every CSV schema: leading '# key=value' lines are
-metadata, blank records are skipped and a quoted field may span lines.  One
-IngestionError lists every offending line.  Params and state files accept
-only the fields of their class (and ``model`` in a params file).
+metadata, blank records are skipped and a quoted field may span lines.  It
+hands the schema the whole table at once, as stripped columns with the line
+each record starts on.  Each schema checks a column at a time, in the order
+a record's checks go, and the checks that depend on earlier records (pillar
+order, repeats, conflicts, grouping) in record order; every record reports
+only its first failed check.  One IngestionError lists every offending
+line.  Params and state files accept only the fields of their class (and
+``model`` in a params file).
 
 Schemas
 -------
@@ -90,19 +95,95 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
         raise
 
 
-def _read_table(
-    path: str | os.PathLike, what: str, schema, group=None, allow_empty=False
-):
-    """Read a CSV file in one pass; return (meta, header, results).
+class _Table:
+    """The data records of a CSV table, column by column.
+
+    ``columns[j]`` holds column j's stripped cells and ``lines[i]`` the line
+    where record i starts.  Checks run over whole columns in the order a
+    record is checked in; ``failed`` keeps each record's first failure
+    (record -> message), and a check of values that need an earlier check
+    to pass runs over the ``live`` records only.  ``later`` holds failures
+    of groups of records, reported after the records' own.
+    """
+
+    def __init__(self, columns: list[list[str]], lines: list[int]):
+        self.columns = columns
+        self.lines = lines
+        self.failed: dict[int, str] = {}
+        self.later: list[tuple[int, str]] = []
+
+    def fail(self, i: int, message: str) -> None:
+        self.failed.setdefault(i, message)
+
+    def live(self):
+        """Indices of the records that have not failed, ascending."""
+        failed = self.failed
+        return [i for i in range(len(self.lines)) if i not in failed]
+
+    def parsed(self, j: int, parse) -> list:
+        """``parse`` of column j's cells; each record whose cell raises a
+        ValueError fails with its message and reads as None."""
+        values, errors = _parse_each(self.columns[j], parse)
+        for i, message in errors.items():
+            self.fail(i, message)
+        return values
+
+    def floats(self, j: int, what: str, blank_nan: bool = False) -> list[float]:
+        """Column j as finite floats, as _parse_float reads a cell; a record
+        whose cell is not one fails and reads as nan.  With ``blank_nan``
+        an empty cell reads as nan and passes."""
+        texts = self.columns[j]
+        try:
+            values = list(map(float, texts))
+        except ValueError:
+            values = []
+            for i, text in enumerate(texts):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    values.append(math.nan)
+                    if not (blank_nan and text == ""):
+                        self.fail(i, f"unparseable {what} {text!r}")
+        if not all(map(math.isfinite, values)):
+            for i, (text, value) in enumerate(zip(texts, values)):
+                if not math.isfinite(value) and not (blank_nan and text == ""):
+                    self.fail(i, f"non-finite {what} {text!r}")
+        return values
+
+    def positive(self, values: list[float], message: str, top: float = math.inf):
+        """Fail each record whose value v is not 0 < v <= top, with
+        ``message.format(v)``."""
+        for i, value in enumerate(values):
+            if not 0.0 < value <= top:
+                self.fail(i, message.format(value))
+
+
+def _parse_each(texts: list[str], parse) -> tuple[list, dict[int, str]]:
+    """(values, errors): ``parse`` of each text, each distinct text parsed
+    once; errors maps the index of each text that raised a ValueError to
+    its message, and its value is None."""
+    parsed: dict[str, object] = {}
+    bad: dict[str, str] = {}
+    for text in dict.fromkeys(texts):
+        try:
+            parsed[text] = parse(text)
+        except ValueError as exc:
+            bad[text] = str(exc)
+    errors = {i: bad[text] for i, text in enumerate(texts) if text in bad} if bad else {}
+    return list(map(parsed.get, texts)), errors
+
+
+def _read_table(path: str | os.PathLike, what: str, schema, allow_empty=False):
+    """Read a CSV file in one pass; return (meta, header, result).
 
     Leading '#' lines are metadata, key -> (line, value).  ``schema`` takes
-    the stripped header and returns the row function or raises ValueError.
-    Blank records are skipped; the others need one cell per column and go
-    to ``row(*stripped cells)``.  ``group(key, rests)`` then runs, if given,
-    on the results gathered by their first element, under the line of the
-    first.  Every ValueError is kept under the line where its record starts
-    and all are raised in one IngestionError; so is a file without data
-    records, unless ``allow_empty``.
+    the stripped header and returns the table function or raises
+    ValueError.  Blank records are skipped; the others need one cell per
+    column, and all of them go to the table function at once, as one
+    _Table; it returns the result.  A file without data records is
+    rejected unless ``allow_empty``.  The failures the table function
+    marks are raised in one IngestionError, each under the line where its
+    record starts.
     """
     with open(path, newline="") as handle:
         lines = handle.readlines()  # split at \r, \n and \r\n only, as csv does
@@ -114,15 +195,8 @@ def _read_table(
         if eq:
             meta[key.strip()] = (start, value.strip())
     records = csv.reader(lines[start:])
-    problems: list[tuple[int, str]] = []
-    done: list[tuple[int, object]] = []
-
-    def attempt(lineno, fn, args):
-        try:
-            done.append((lineno, fn(*args)))
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-
+    rows: list[list[str]] = []
+    starts: list[int] = []
     next_line = start + 1
     try:
         cells = next(records, None)
@@ -130,7 +204,7 @@ def _read_table(
             raise IngestionError("file has no header row", line=next_line)
         header = [cell.strip() for cell in cells]
         try:
-            row = schema(header)
+            table = schema(header)
         except ValueError as exc:
             raise IngestionError(str(exc), line=next_line) from None
         next_line = start + records.line_num + 1
@@ -142,32 +216,30 @@ def _read_table(
                 raise IngestionError(
                     f"expected {len(header)} cells, found {len(cells)}", line=lineno
                 )
-            attempt(lineno, row, map(str.strip, cells))
+            rows.append(cells)
+            starts.append(lineno)
     except csv.Error as exc:
         raise IngestionError(str(exc), line=next_line) from exc
-    if group is not None:
-        gathered: dict[object, tuple[int, list]] = {}
-        for lineno, (key, *rest) in done:
-            gathered.setdefault(key, (lineno, []))[1].append(rest)
-        done.clear()
-        for key, (lineno, rests) in gathered.items():
-            attempt(lineno, group, (key, rests))
-    if problems:
-        raise IngestionError(f"{what} file rejected", lines=problems)
-    if not done and not allow_empty:
+    if not rows and not allow_empty:
         raise IngestionError(f"{what} file has no data rows")
-    return meta, header, [result for _, result in done]
+    columns = [list(map(str.strip, column)) for column in zip(*rows)]
+    data = _Table(columns or [[] for _ in header], starts)
+    result = table(data)
+    if data.failed or data.later:
+        problems = [(starts[i], m) for i, m in sorted(data.failed.items())]
+        raise IngestionError(f"{what} file rejected", lines=problems + data.later)
+    return meta, header, result
 
 
-def _columns(columns: tuple[str, ...], row, optional=()):
+def _columns(columns: tuple[str, ...], table, optional=()):
     """Schema for a header of ``columns`` followed by any of the
-    ``optional`` trailing columns, each record read by ``row``."""
+    ``optional`` trailing columns, the records read by ``table``."""
 
     def schema(header):
         allowed = list(columns) + [c for c in optional if c in header]
         if header != allowed:
             raise ValueError(f"header {header!r} does not match schema {allowed!r}")
-        return row
+        return table
 
     return schema
 
@@ -204,41 +276,51 @@ def _parse_flag(text: str) -> bool:
 # price panels
 
 
+def _panel_table(t: _Table):
+    dates = t.parsed(0, parse_date)
+    names = t.columns[1]
+    for i, name in enumerate(names):
+        if not name:
+            t.fail(i, "empty instrument_id")
+    prices = t.floats(2, "price")
+    t.positive(prices, "price {} outside (0, 1]", top=1.0)
+    ends = t.parsed(3, parse_date)
+    for i in t.live():
+        if ends[i] <= dates[i]:
+            t.fail(i, f"maturity {ends[i]} not after quote date {dates[i]}")
+    flagged = len(t.columns) > 4
+    if flagged:
+        marks, unparsed = _parse_each(t.columns[4], _parse_flag)
+    maturities: dict[str, dt.date] = {}
+    by_date: dict[dt.date, dict[str, float]] = {}
+    flags: dict[dt.date, bool] = {}
+    for i in t.live():
+        date, name, maturity = dates[i], names[i], ends[i]
+        if name in maturities and maturities[name] != maturity:
+            problem = (f"instrument {name!r} maturity {maturity} conflicts with "
+                       f"earlier {maturities[name]}")
+        elif name in by_date.get(date, {}):
+            problem = f"duplicate quote for {name!r} on {date}"
+        elif flagged and i in unparsed:
+            problem = unparsed[i]
+        elif flagged and flags.setdefault(date, marks[i]) != marks[i]:
+            problem = f"conflicting negotiated flags on {date}"
+        else:
+            maturities.setdefault(name, maturity)
+            by_date.setdefault(date, {})[name] = prices[i]
+            continue
+        t.fail(i, problem)
+    return maturities, by_date, flags
+
+
 def ingest_panel(path: str | os.PathLike) -> PricePanel:
     """Read a long-format price panel, validating every row.
 
     All malformed rows are collected and reported together, each with its
     line number, rather than stopping at the first.
     """
-    maturities: dict[str, dt.date] = {}
-    by_date: dict[dt.date, dict[str, float]] = {}
-    flags: dict[dt.date, bool] = {}
-
-    def row(date, name, price, maturity, *negotiated):
-        date = parse_date(date)
-        if not name:
-            raise ValueError("empty instrument_id")
-        price = _parse_float(price, "price")
-        if not 0.0 < price <= 1.0:
-            raise ValueError(f"price {price} outside (0, 1]")
-        maturity = parse_date(maturity)
-        if maturity <= date:
-            raise ValueError(f"maturity {maturity} not after quote date {date}")
-        if name in maturities and maturities[name] != maturity:
-            raise ValueError(
-                f"instrument {name!r} maturity {maturity} conflicts with "
-                f"earlier {maturities[name]}"
-            )
-        if name in by_date.get(date, {}):
-            raise ValueError(f"duplicate quote for {name!r} on {date}")
-        if negotiated:
-            flag = _parse_flag(negotiated[0])
-            if flags.setdefault(date, flag) != flag:
-                raise ValueError(f"conflicting negotiated flags on {date}")
-        maturities.setdefault(name, maturity)
-        by_date.setdefault(date, {})[name] = price
-
-    _read_table(path, "panel", _columns(PANEL_COLUMNS, row, ("negotiated",)))
+    schema = _columns(PANEL_COLUMNS, _panel_table, ("negotiated",))
+    maturities, by_date, flags = _read_table(path, "panel", schema)[2]
     dates = sorted(by_date)
     observations = [(d, by_date[d]) for d in dates]
     instruments = sorted(maturities.items())
@@ -274,25 +356,25 @@ def write_panel(path: str | os.PathLike, panel: PricePanel) -> None:
 # discount curves
 
 
-def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
+def _curve_table(t: _Table):
+    taus = t.floats(0, "tau")
+    t.positive(taus, "tau {} not positive")
     previous = -math.inf
-
-    def pillar(tau, discount_factor):
-        nonlocal previous
-        tau = _parse_float(tau, "tau")
-        if tau <= 0:
-            raise ValueError(f"tau {tau} not positive")
+    for i in t.live():
+        tau = taus[i]
         if tau < previous:
-            raise ValueError(f"tau {tau} below the previous pillar's {previous}")
-        if tau == previous:
-            raise ValueError(f"tau {tau} repeats the previous pillar")
-        previous = tau
-        discount_factor = _parse_float(discount_factor, "discount factor")
-        if not 0.0 < discount_factor <= 1.0:
-            raise ValueError(f"discount factor {discount_factor} outside (0, 1]")
-        return tau, discount_factor
+            t.fail(i, f"tau {tau} below the previous pillar's {previous}")
+        elif tau == previous:
+            t.fail(i, f"tau {tau} repeats the previous pillar")
+        else:
+            previous = tau
+    dfs = t.floats(1, "discount factor")
+    t.positive(dfs, "discount factor {} outside (0, 1]", top=1.0)
+    return tuple(zip(taus, dfs))
 
-    schema = _columns(CURVE_COLUMNS, pillar)
+
+def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
+    schema = _columns(CURVE_COLUMNS, _curve_table)
     meta, _, pillars = _read_table(path, "curve", schema, allow_empty=True)
     settings = {}
     for key, parse in (("asof", parse_date), ("flat_extrapolation", _parse_flag)):
@@ -302,7 +384,7 @@ def ingest_curve(path: str | os.PathLike) -> DiscountCurve:
                 settings[key] = parse(text)
             except ValueError as exc:
                 raise IngestionError(f"{key}: {exc}", line=lineno) from exc
-    return _build(DiscountCurve, pillars=tuple(pillars), **settings)
+    return _build(DiscountCurve, pillars=pillars, **settings)
 
 
 def write_curve(path: str | os.PathLike, curve: DiscountCurve) -> None:
@@ -322,25 +404,29 @@ def write_curve(path: str | os.PathLike, curve: DiscountCurve) -> None:
 # cross-sections
 
 
+def _section_table(t: _Table):
+    dates = t.parsed(0, parse_date)
+    taus = t.floats(1, "maturity")
+    t.positive(taus, "maturity {} not positive")
+    prices = t.floats(2, "price")
+    t.positive(prices, "price {} outside (0, 1]", top=1.0)
+    by_date: dict[dt.date, dict[float, float]] = {}
+    for i in t.live():
+        date, tau = dates[i], taus[i]
+        quotes = by_date.setdefault(date, {})
+        if tau in quotes:
+            t.fail(i, f"duplicate maturity {tau} on {date}")
+        else:
+            quotes[tau] = prices[i]
+    return by_date
+
+
 def ingest_cross_sections(
     path: str | os.PathLike,
 ) -> list[tuple[dt.date, list[tuple[float, float]]]]:
     """Read dated zero quotes, grouped by date in ascending order."""
-    by_date: dict[dt.date, dict[float, float]] = {}
-
-    def row(date, maturity_years, zero_price):
-        date = parse_date(date)
-        tau = _parse_float(maturity_years, "maturity")
-        if tau <= 0:
-            raise ValueError(f"maturity {tau} not positive")
-        price = _parse_float(zero_price, "price")
-        if not 0.0 < price <= 1.0:
-            raise ValueError(f"price {price} outside (0, 1]")
-        if tau in by_date.setdefault(date, {}):
-            raise ValueError(f"duplicate maturity {tau} on {date}")
-        by_date[date][tau] = price
-
-    _read_table(path, "cross-section", _columns(SECTION_COLUMNS, row))
+    schema = _columns(SECTION_COLUMNS, _section_table)
+    by_date = _read_table(path, "cross-section", schema)[2]
     return [(d, sorted(by_date[d].items())) for d in sorted(by_date)]
 
 
@@ -361,43 +447,54 @@ def write_cross_sections(
 # coupon bonds and their quotes
 
 
-def ingest_bonds(path: str | os.PathLike) -> list[CouponBond]:
+def _bond_table(t: _Table):
+    # a repeated id is checked second but only against the bonds that
+    # passed every check, so each bond is read whole, in record order
+    bonds: list[CouponBond] = []
     seen: set[str] = set()
-
-    def row(bond_id, face, coupon_rate, frequency, maturity, *first_coupon):
-        if not bond_id:
-            raise ValueError("empty bond id")
-        if bond_id in seen:
-            raise ValueError(f"duplicate bond id {bond_id!r}")
-        anchor = None
-        if first_coupon and first_coupon[0]:
-            anchor = parse_date(first_coupon[0])
-        bond = CouponBond(
-            bond_id=bond_id,
-            face=_parse_float(face, "face"),
-            coupon_rate=_parse_float(coupon_rate, "coupon rate"),
-            frequency=int(frequency),
-            maturity=parse_date(maturity),
-            schedule_anchor=anchor,
-        )
+    for i, (bond_id, face, coupon_rate, frequency, maturity, *first_coupon) in (
+        enumerate(zip(*t.columns))
+    ):
+        try:
+            if not bond_id:
+                raise ValueError("empty bond id")
+            if bond_id in seen:
+                raise ValueError(f"duplicate bond id {bond_id!r}")
+            anchor = None
+            if first_coupon and first_coupon[0]:
+                anchor = parse_date(first_coupon[0])
+            bond = CouponBond(
+                bond_id=bond_id,
+                face=_parse_float(face, "face"),
+                coupon_rate=_parse_float(coupon_rate, "coupon rate"),
+                frequency=int(frequency),
+                maturity=parse_date(maturity),
+                schedule_anchor=anchor,
+            )
+        except ValueError as exc:
+            t.fail(i, str(exc))
+            continue
         seen.add(bond_id)
-        return bond
+        bonds.append(bond)
+    return bonds
 
-    schema = _columns(BOND_COLUMNS, row, optional=("first_coupon",))
+
+def ingest_bonds(path: str | os.PathLike) -> list[CouponBond]:
+    schema = _columns(BOND_COLUMNS, _bond_table, optional=("first_coupon",))
     return _read_table(path, "bond", schema, allow_empty=True)[2]
 
 
-def _quote(bond_id, settlement, price):
-    price = _parse_float(price, "price")
-    if price <= 0:
-        raise ValueError(f"price {price} not positive")
-    return bond_id, parse_date(settlement), price
+def _quote_table(t: _Table) -> list[tuple[str, dt.date, float]]:
+    prices = t.floats(2, "price")
+    t.positive(prices, "price {} not positive")
+    settlements = t.parsed(1, parse_date)
+    return list(zip(t.columns[0], settlements, prices))
 
 
 def ingest_bond_quotes(
     path: str | os.PathLike,
 ) -> list[tuple[str, dt.date, float]]:
-    schema = _columns(QUOTE_COLUMNS, _quote)
+    schema = _columns(QUOTE_COLUMNS, _quote_table)
     return _read_table(path, "quote", schema, allow_empty=True)[2]
 
 
@@ -415,31 +512,30 @@ def write_surface(path: str | os.PathLike, surface: PriceSurface) -> None:
     atomic_write_text(path, "\r\n".join(lines) + "\r\n")
 
 
-def _surface_price(cell: str, label: str) -> float:
-    if cell == "":
-        return math.nan
-    price = _parse_float(cell, label)
-    if not 0.0 < price <= 1.0:
-        raise ValueError(f"{label} {price} outside (0, 1]")
-    return price
-
-
-def _surface_row(date, *cells):
+def _surface_date(text: str) -> dt.date | float:
     try:
-        date = parse_date(date)
+        return parse_date(text)
     except ValueError:
-        date = _parse_float(date, "date")
-    return date, list(map(_surface_price, cells, SURFACE_COLUMNS[1:]))
+        return _parse_float(text, "date")
+
+
+def _surface_table(t: _Table):
+    dates = t.parsed(0, _surface_date)
+    columns = []
+    for j, label in enumerate(SURFACE_COLUMNS[1:], start=1):
+        prices = t.floats(j, label, blank_nan=True)
+        for i, price in enumerate(prices):
+            if price <= 0.0 or price > 1.0:  # a blank or failed cell is nan
+                t.fail(i, f"{label} {price} outside (0, 1]")
+        columns.append(prices)
+    return dates, np.array(columns).T.copy()
 
 
 def ingest_surface(path: str | os.PathLike) -> PriceSurface:
-    _, _, rows = _read_table(path, "surface", _columns(SURFACE_COLUMNS, _surface_row))
-    return _build(
-        PriceSurface,
-        dates=[date for date, _ in rows],
-        maturities=MATURITY_GRID,
-        values=np.array([cells for _, cells in rows]),
+    _, _, (dates, values) = _read_table(
+        path, "surface", _columns(SURFACE_COLUMNS, _surface_table)
     )
+    return _build(PriceSurface, dates=dates, maturities=MATURITY_GRID, values=values)
 
 
 def _join_violations(report: ArbitrageReport, seps: tuple[str, ...]) -> str:
@@ -469,14 +565,18 @@ def write_arbitrage(path: str | os.PathLike, report: ArbitrageReport) -> None:
     atomic_write_text(path, header + rows)
 
 
-def _violation(*cells):
-    violation = tuple(_parse_float(c, name) for c, name in zip(cells, ARBITRAGE_COLUMNS))
-    check_violation(*violation)
-    return violation
+def _violation_table(t: _Table) -> list[tuple[float, float, float, float]]:
+    violations = list(zip(*(t.floats(j, name) for j, name in enumerate(ARBITRAGE_COLUMNS))))
+    for i in t.live():
+        try:
+            check_violation(*violations[i])
+        except ValueError as exc:
+            t.fail(i, str(exc))
+    return violations
 
 
 def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
-    schema = _columns(ARBITRAGE_COLUMNS, _violation)
+    schema = _columns(ARBITRAGE_COLUMNS, _violation_table)
     _, _, violations = _read_table(path, "arbitrage", schema, allow_empty=True)
     return _build(ArbitrageReport, violations=violations)
 
@@ -520,10 +620,6 @@ def write_calibration(path: str | os.PathLike, series: CalibrationSeries) -> Non
     atomic_write_text(path, out.getvalue())
 
 
-def _calibration_row(date, *rest):
-    return (parse_date(date), *rest)
-
-
 def _calibration_record(date: dt.date, rows) -> CalibrationRecord:
     """One date's rows, each [param_name, value, objective, converged]."""
     names = [name for name, *_ in rows]
@@ -555,11 +651,27 @@ def _calibration_record(date: dt.date, rows) -> CalibrationRecord:
     )
 
 
+def _calibration_table(t: _Table) -> list[CalibrationRecord]:
+    """Each date's rows, in the order of their first row, read as one
+    record under the line of that row."""
+    dates = t.parsed(0, parse_date)
+    groups: dict[dt.date, tuple[int, list]] = {}
+    rows = list(zip(*t.columns[1:]))
+    for i in t.live():
+        groups.setdefault(dates[i], (t.lines[i], []))[1].append(rows[i])
+    records = []
+    for date, (lineno, group) in groups.items():
+        try:
+            records.append(_calibration_record(date, group))
+        except ValueError as exc:
+            t.later.append((lineno, str(exc)))
+    return records
+
+
 def ingest_calibration(path: str | os.PathLike) -> CalibrationSeries:
     """Read a calibration series written by write_calibration."""
-    schema = _columns(CALIBRATION_COLUMNS, _calibration_row)
-    _, _, records = _read_table(path, "calibration", schema, group=_calibration_record)
-    return CalibrationSeries(records=records)
+    schema = _columns(CALIBRATION_COLUMNS, _calibration_table)
+    return CalibrationSeries(records=_read_table(path, "calibration", schema)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -588,30 +700,28 @@ def write_states(path: str | os.PathLike, states) -> None:
 
 
 def _state_schema(header):
-    """Row function for a state header: an optional date column, then one
-    of STATE_COLUMNS.  A row reads as (date or None, time, r or [x, y])."""
+    """Table function for a state header: an optional date column, then
+    one of STATE_COLUMNS.  It returns (dates or None, times, values), the
+    values an (n,) array of r or an (n, 2) array of x, y."""
     has_dates = header[:1] == ["date"]
     names = tuple(header[1:] if has_dates else header)
     if names not in STATE_COLUMNS:
         raise ValueError(f"header {header!r} matches neither state schema")
 
-    def row(*cells):
-        date = parse_date(cells[0]) if has_dates else None
-        time, *factors = map(_parse_float, cells[1:] if has_dates else cells, names)
-        return date, time, factors if len(factors) == 2 else factors[0]
+    def table(t: _Table):
+        dates = t.parsed(0, parse_date) if has_dates else None
+        first = 1 if has_dates else 0
+        time, *factors = [t.floats(j, name) for j, name in enumerate(names, first)]
+        values = np.column_stack(factors) if len(factors) == 2 else np.array(factors[0])
+        return dates, np.array(time), values
 
-    return row
+    return table
 
 
 def ingest_states(path: str | os.PathLike):
     """Read a state series written by write_states."""
-    _, header, rows = _read_table(path, "state", _state_schema)
-    dates, times, values = zip(*rows)
-    return StateSeries(
-        times=np.array(times),
-        values=np.array(values),
-        dates=list(dates) if header[0] == "date" else None,
-    )
+    _, _, (dates, times, values) = _read_table(path, "state", _state_schema)
+    return StateSeries(times=times, values=values, dates=dates)
 
 
 # ---------------------------------------------------------------------------

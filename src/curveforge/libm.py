@@ -11,32 +11,30 @@ equal the scalar price bit for bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 
-def _square(v):
-    return v ** 2
-
-
-def _or_inf(fn, v):
+def _or_inf(fn, *args):
     try:
-        return fn(v)
+        return fn(*args)
     except OverflowError:
         return math.inf
 
 
-def _pointwise(fn, x: np.ndarray):
-    """fn of each element of an array, where an element that overflows
-    becomes inf instead of raising; a 0-d array counts as a scalar."""
+def _pointwise(fn, x: np.ndarray, *rest):
+    """fn(element, *rest) of each element of an array, where an element
+    that overflows becomes inf instead of raising; a 0-d array counts as a
+    scalar."""
     if not x.ndim:
-        return fn(float(x))
+        return fn(float(x), *rest)
     flat = x.ravel().tolist()
     try:
-        out = list(map(fn, flat))
+        out = list(map(fn, flat, *map(itertools.repeat, rest)))
     except OverflowError:
-        out = [_or_inf(fn, v) for v in flat]
+        out = [_or_inf(fn, v, *rest) for v in flat]
     return np.array(out, dtype=float).reshape(x.shape)
 
 
@@ -56,9 +54,9 @@ def expm1(x):
 
 def square(x):
     """x ** 2 through libm's pow, as Python floats compute it; element by
-    element on arrays."""
+    element on arrays, as pow(v, 2.0): the same float power as v ** 2."""
     if isinstance(x, np.ndarray):
-        return _pointwise(_square, x)
+        return _pointwise(pow, x, 2.0)
     return x ** 2
 
 

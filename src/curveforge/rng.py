@@ -63,6 +63,9 @@ def normal_block(
     gen = path_generator(seed, first_path)
     bitgen = gen.bit_generator
     fresh = bitgen.state
+    # plain ints set faster than the uint64 arrays the state comes in
+    fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     fresh["state"]["counter"][0] = first_draw // 4
     key = fresh["state"]["key"]
     u = np.empty((n_paths, n_draws))

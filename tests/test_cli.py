@@ -1,7 +1,11 @@
+import contextlib
 import datetime as dt
+import gc
+import io
 import json
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -318,6 +322,23 @@ class TestPrice:
         out = fileio.read_keyvalues(tmp_path / "price.txt")
         assert float(result.output) == float(out["price"])
         assert 0.0 < float(out["price"]) <= 1.0
+
+    def test_redirected_output_is_not_retained(self, inputs, tmp_path):
+        # click.echo without a file keeps a wrapper per sys.stdout it has
+        # seen, and the wrapper holds the stream
+        argv = ["--output-dir", str(tmp_path), "price",
+                "--model", "vasicek", "--params", str(inputs / "vasicek.params"),
+                "--state", str(inputs / "short.state"), "--maturity", "3.0"]
+        buffers = []
+        for _ in range(200):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(argv, standalone_mode=False)
+            assert float(out.getvalue()) > 0.0
+            buffers.append(weakref.ref(out))
+            del out
+        gc.collect()
+        assert [ref for ref in buffers if ref() is not None] == []
 
     def test_curve_required_for_forward_models(self, runner, inputs, tmp_path):
         result = runner.invoke(
