@@ -485,6 +485,9 @@ def ingest_bonds(path: str | os.PathLike) -> list[CouponBond]:
 
 
 def _quote_table(t: _Table) -> list[tuple[str, dt.date, float]]:
+    for i, bond_id in enumerate(t.columns[0]):
+        if not bond_id:
+            t.fail(i, "empty bond id")
     prices = t.floats(2, "price")
     t.positive(prices, "price {} not positive")
     settlements = t.parsed(1, parse_date)
@@ -520,7 +523,14 @@ def _surface_date(text: str) -> dt.date | float:
 
 
 def _surface_table(t: _Table):
+    # the first record whose date reads decides the column's kind: ISO
+    # dates or numeric times
     dates = t.parsed(0, _surface_date)
+    kind = next((type(d) for d in dates if d is not None), None)
+    name = "an ISO date" if kind is dt.date else "a numeric time"
+    for i, date in enumerate(dates):
+        if date is not None and type(date) is not kind:
+            t.fail(i, f"date {t.columns[0][i]!r} is not {name} like the first record's")
     columns = []
     for j, label in enumerate(SURFACE_COLUMNS[1:], start=1):
         prices = t.floats(j, label, blank_nan=True)

@@ -1,24 +1,27 @@
 """Monte-Carlo pricing oracle and synthetic panel generation.
 
 State paths use the exact Gaussian transition over each grid step (no Euler
-bias), with the step moments of the model's record in ``models.MODELS``.
-One k-factor step function, ``_exact_steps``, serves both uses: each step
-takes factor i to x_i decay_i (+ drift_i) plus its row of the lower
-Cholesky factor of the step covariance times the step's normals (k = 1 for
-vasicek and for the stochastic part of the forward-curve models, whose row
-is the shock sd; k = 2 for g2pp, whose rows come from one
-``g2pp_cholesky`` call over all steps).  The oracle integrates the short
-rate along many paths by the trapezoidal rule, the only discretization
-left in its discount factor; a synthetic panel prices one path
-closed-form at each observation date.
+bias), with the step moments of the model's record in ``models.MODELS``:
+each step takes factor i to x_i decay_i (+ drift_i) plus its row of the
+lower Cholesky factor of the step covariance times the step's normals
+(k = 1 for vasicek and for the stochastic part of the forward-curve
+models, whose row is the shock sd; k = 2 for g2pp, whose rows come from
+one ``g2pp_cholesky`` call over all steps).  A synthetic panel steps one
+path (``_exact_steps``) and prices it closed-form at each observation date.
+The oracle integrates the short rate along many paths by the trapezoidal
+rule, the only discretization left in its discount factor.  On an exactly
+stepped path that integral is a fixed linear form in the path's normals,
+so the oracle never steps the factor values: ``_trapezoid_weights`` gives
+each normal its weight and the form its constant once per price, and each
+path's integral is the constant plus its weighted normals.
 The oracle runs in tiles of at most _TILE_PATHS paths by as many steps as
-keep a tile within _BLOCK_ELEMENTS normals; each path tile carries its
-factor values, short-rate level and integral from one step chunk to the
-next, and a tile's normals are released before the next tile is drawn, so
-memory does not grow with the path count or the maturity.  Per-path
-counter-based seeding makes every estimate reproducible bit for bit and
-independent of the tiling; accumulation relies on numpy's pairwise
-summation.
+keep a tile within _BLOCK_ELEMENTS normals; each path tile carries only its
+integral from one step chunk to the next, and a tile's normals are
+released before the next tile is drawn, so memory does not grow with the
+path count or the maturity.  Per-path counter-based seeding, and sums that
+add each path's draws one at a time in draw order, make every estimate
+reproducible bit for bit and independent of the tiling; the mean and
+standard deviation over paths rely on numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ def _tile_steps(n_paths: int, k: int) -> int:
 
     A multiple of 4 starts every chunk on a Philox counter (four draws).
     An odd one keeps the tile's row stride, 8 k steps bytes, free of large
-    powers of two: the kernel reads one step of every row at a time, and
-    at a stride of 2^14 bytes those reads share a few cache sets (a
-    30-year two-factor oracle ran its steps about a quarter slower).
+    powers of two: the kernel's running sums read one draw of every row at
+    a time, and at a stride of 2^14 bytes those reads share a few cache
+    sets (a 30-year two-factor oracle ran its steps about a quarter slower).
     """
     paths = min(n_paths, _TILE_PATHS)
     steps = max(4, _BLOCK_ELEMENTS // (paths * k) // 4 * 4)
@@ -129,55 +132,89 @@ def _check_state(model: str, state0) -> None:
         raise TypeError(f"{model} model needs a {state.__name__} starting state")
 
 
-def _exact_steps(decay, drift, chol, x0, z, s0=0):
+def _exact_steps(decay, drift, chol, x0, z):
     """Yield the k factor values, one array over paths each, after every
-    exact step from step s0 on, from the values x0 at step s0 (k floats, or
-    k arrays over paths) and the normals z of shape (paths, steps, k).
+    exact step, from the values x0 (k floats) and the normals z of shape
+    (paths, steps, k).
 
     Over step s, factor i moves to x_i decay[i][s] (+ drift[i][s] unless
-    drift is None) + sum_{j <= i} chol[i][j][s] z_j, where chol is the lower
-    Cholesky factor of the step's shock covariance and z_j the path's
-    normal j of that step, column s - s0 of z.
+    drift is None) + sum_{j <= i} chol[i][j][s] z[:, s, j], where chol is
+    the lower Cholesky factor of the step's shock covariance.
     """
     x = [np.full(z.shape[0], v, dtype=float) for v in x0]
-    for c in range(z.shape[1]):
-        s = s0 + c
+    for s in range(z.shape[1]):
         x_new = []
         for i in range(len(x)):
             v = x[i] * decay[i][s]
             if drift is not None:
                 v = v + drift[i][s]
             for j in range(i + 1):
-                v = v + chol[i][j][s] * z[:, c, j]
+                v = v + chol[i][j][s] * z[:, s, j]
             x_new.append(v)
         x = x_new
         yield x
 
 
-def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
-    """exp(-trapz of the factor sum) over exactly sampled k-factor paths
-    (``_exact_steps``), path i drawing the normals of stream (seed, i).
+def _trapezoid_weights(decay, drift, chol, x0, steps):
+    """(D, w) such that the trapezoid integral of the factor sum along an
+    exactly stepped path (``_exact_steps``) is D + sum_c w[c] z_c over the
+    path's normals z_c in draw order (step-major, factor-minor).
 
-    Paths run in tiles of at most _TILE_PATHS; each path tile runs its
-    steps in chunks of ``_tile_steps``, carrying the factor values, the
-    level and the integral from chunk to chunk, so every path sees the
-    same operations as in one pass over all its steps.
+    The rule weighs node q by W_0 = h_0/2, W_q = (h_{q-1} + h_q)/2 and
+    W_n = h_{n-1}/2.  A shock to factor i at step s reaches every later
+    node q through the decays of steps s+1 .. q-1, so its weight is
+    G_i(s) = W_{s+1} + decay_i(s+1) G_i(s+1), with G_i(n-1) = W_n; normal j
+    of step s weighs sum_{i >= j} chol[i][j][s] G_i(s).  D collects x0 and
+    the drifts the same way.
+    """
+    k, n = len(x0), steps.size
+    h = steps.tolist()
+    node = [0.5 * h[0]] + [0.5 * (a + b) for a, b in zip(h, h[1:])] + [0.5 * h[-1]]
+    D = 0.0
+    G = []
+    for i in range(k):
+        d = decay[i].tolist()
+        g = [0.0] * n
+        acc = g[-1] = node[n]
+        for s in range(n - 2, -1, -1):
+            acc = g[s] = node[s + 1] + d[s + 1] * acc
+        g = np.array(g)
+        D += x0[i] * (node[0] + d[0] * g[0])
+        if drift is not None:
+            D += float(np.dot(drift[i], g))
+        G.append(g)
+    w = np.empty((n, k))
+    for j in range(k):
+        w[:, j] = sum(chol[i][j] * G[i] for i in range(j, k))
+    return float(D), w.ravel()
+
+
+def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
+    """exp(-trapz of the factor sum) over exactly sampled k-factor paths,
+    path i drawing the normals of stream (seed, i).
+
+    The integral is the linear form of ``_trapezoid_weights`` in the
+    normals: each tile's normals are scaled by their weights in place and
+    summed along each row one draw at a time, after the integral the path
+    carries from its earlier chunks, so every path adds its draws in draw
+    order whatever the tiling.  Paths run in tiles of at most _TILE_PATHS,
+    each path tile its steps in chunks of ``_tile_steps``.
     """
     k, n_steps = len(x0), steps.size
+    D, weights = _trapezoid_weights(decay, drift, chol, x0, steps)
     chunk = _tile_steps(n_paths, k)
     out = np.empty(n_paths)
     for first in range(0, n_paths, _TILE_PATHS):
         count = min(_TILE_PATHS, n_paths - first)
-        x = x0  # the factor values at the first step of the next chunk
-        level = sum(x0[1:], x0[0])
-        integral = np.zeros(count)
+        integral = np.full(count, D)
         for s0 in range(0, n_steps, chunk):
             m = min(chunk, n_steps - s0)
-            z = normal_block(seed, first, count, k * m, k * s0).reshape(count, m, k)
-            for h, x in zip(steps[s0 : s0 + m], _exact_steps(decay, drift, chol, x, z, s0)):
-                new_level = sum(x[1:], x[0])
-                integral += 0.5 * h * (level + new_level)
-                level = new_level
+            z = normal_block(seed, first, count, k * m, k * s0)
+            z *= weights[k * s0 : k * (s0 + m)]
+            z[:, 0] += integral
+            # a running sum along each row, one draw at a time
+            np.add.accumulate(z, axis=1, out=z)
+            integral = z[:, -1].copy()
             # release this tile before the next one is drawn
             del z
         out[first : first + count] = np.exp(-integral)

@@ -9,14 +9,18 @@ and a block may start any row at a later draw by setting its counter: one
 counter step covers four draws.
 Normals come from the inverse CDF applied to uniforms, which is bit-stable
 across platforms, unlike rejection samplers.  The inverse CDF is scipy's
-``ndtri``; scipy is imported on the first draw, not with this module, so
-commands that never simulate do not load it.
+``ndtri``.  scipy and ``numpy.random`` are imported on first use, not with
+this module, so commands that never simulate load neither.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from numpy.random import Generator, Philox
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 _U_FLOOR = 1e-300  # random() can return exactly 0.0; ndtri(0) is -inf
 
@@ -30,6 +34,8 @@ def ndtri(u, out=None):
 
 def path_generator(seed: int, path_index: int = 0) -> Generator:
     """Generator for one path's private stream."""
+    from numpy.random import Generator, Philox
+
     if seed < 0 or path_index < 0:
         raise ValueError("seed and path index must be non-negative")
     key = np.array([seed, path_index], dtype=np.uint64)

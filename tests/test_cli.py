@@ -128,6 +128,17 @@ class TestBootstrap:
         )
         assert result.exit_code == 2
 
+    def test_empty_quote_id_is_a_data_error_with_its_line(self, runner, inputs, tmp_path):
+        quotes = tmp_path / "bad_quotes.csv"
+        quotes.write_text("id,settlement,price\nA,2013-01-07,98.1\n,2013-01-07,99.0\n")
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "bootstrap",
+             "--bonds", str(inputs / "bonds.csv"), "--quotes", str(quotes)],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: quote file rejected (line 3: empty bond id)\n"
+
     def test_missing_file_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main,

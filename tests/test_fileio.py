@@ -247,6 +247,22 @@ class TestSurfaceRoundTrip:
         )
         assert back.dates == [1.25]
 
+    @pytest.mark.parametrize("first, second, kind", [
+        ("2013-01-07", "0.5", "an ISO date"),
+        ("0.5", "2013-01-07", "a numeric time"),
+    ])
+    def test_date_column_of_mixed_kinds_rejected(self, tmp_path, first, second, kind):
+        path = tmp_path / "surface.csv"
+        cells = ",".join(["0.9"] * len(MATURITY_GRID))
+        path.write_text(
+            ",".join(fileio.SURFACE_COLUMNS) + f"\n{first},{cells}\n{second},{cells}\n"
+        )
+        with pytest.raises(IngestionError) as excinfo:
+            fileio.ingest_surface(path)
+        assert excinfo.value.lines == [
+            (3, f"date {second!r} is not {kind} like the first record's")
+        ]
+
     def test_header_carries_tenor_labels(self, tmp_path):
         path = tmp_path / "surface.csv"
         surface = PriceSurface(

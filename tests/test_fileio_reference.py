@@ -412,7 +412,9 @@ MALFORMED_MESSAGES = {
     'quotes_bad': "quote file rejected (line 2: unparseable price 'x'; line 3: non-finite price 'inf'; line 4: price -3.0 not positive; line 5: Invalid isoformat string: '07/01/2013'; line 6: price 0.0 not positive)",
     'quotes_short': 'line 2: expected 3 cells, found 2',
     'quotes_header': "line 1: header ['id', 'date', 'price'] does not match schema ['id', 'settlement', 'price']",
-    'surface_bad': "surface file rejected (line 2: unparseable P_25y 'x'; line 4: unparseable date 'soon'; line 5: non-finite P_1m 'nan')",
+    # line 5 read "non-finite P_1m 'nan'" until a surface date column took
+    # the kind of its first record (here an ISO date)
+    'surface_bad': "surface file rejected (line 2: unparseable P_25y 'x'; line 4: unparseable date 'soon'; line 5: date '1.5' is not an ISO date like the first record's)",
     'surface_short': 'line 2: expected 15 cells, found 14',
     'surface_header': "line 1: header ['date', 'P_1m'] does not match schema ['date', 'P_1m', 'P_2m', 'P_3m', 'P_6m', 'P_9m', 'P_1y', 'P_2y', 'P_3y', 'P_5y', 'P_7y', 'P_10y', 'P_15y', 'P_20y', 'P_25y']",
     'surface_header_only': 'surface file has no data rows',

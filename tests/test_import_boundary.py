@@ -1,13 +1,14 @@
-"""Which commands load scipy.
+"""Which commands load scipy and ``numpy.random``.
 
 scipy.optimize takes about half a second to import, and only the optimizers
 (``estimation.minimize``, ``calibration.minimize``) and the inverse normal
-CDF (``rng.ndtri``) use scipy.  Each of them imports its routine on first
-call, so importing the package, and running a command that neither fits nor
-simulates, must leave every ``scipy`` module unloaded.  So must a Ho-Lee
-``calibrate``: its one-parameter search is the package's own.  Each check
-runs in a fresh interpreter, since this test process has scipy loaded
-already.
+CDF (``rng.ndtri``) use scipy.  ``numpy.random`` serves only the random
+streams (``rng.path_generator``) and fit-ml's restart draws.  Each of them
+is imported on first call, so importing the package, and running a command
+that neither fits nor simulates, must leave every ``scipy`` and
+``numpy.random`` module unloaded.  So must a Ho-Lee ``calibrate``: its
+one-parameter search is the package's own.  Each check runs in a fresh
+interpreter, since this test process has both loaded already.
 """
 
 import datetime as dt
@@ -33,7 +34,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ASOF = dt.date(2013, 1, 7)
 
 # runs the commands given as a JSON list of argument lists through cli.main,
-# then prints the loaded scipy modules as the last line of output
+# then prints the loaded scipy and numpy.random modules as the last line of
+# output
 _RUN = """
 import json, sys
 {preload}
@@ -41,12 +43,14 @@ import curveforge
 from curveforge.cli import main
 for args in json.loads(sys.argv[1]):
     main(args, standalone_mode=False)
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.partition(".")[0] == "scipy" or m.startswith("numpy.random"))))
 """
 
 
-def scipy_modules_after(commands=(), preload=""):
-    """scipy modules loaded in a fresh interpreter after ``commands``."""
+def lazy_modules_after(commands=(), preload=""):
+    """scipy and numpy.random modules loaded in a fresh interpreter after
+    ``commands``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
@@ -87,7 +91,7 @@ def inputs(tmp_path_factory):
 
 
 def test_importing_the_package_loads_no_scipy():
-    assert scipy_modules_after() == []
+    assert lazy_modules_after() == []
 
 
 def _scipy_free_commands(inputs):
@@ -106,13 +110,14 @@ def _scipy_free_commands(inputs):
 @pytest.mark.parametrize("command", ["surface", "price", "check-arbitrage", "calibrate"])
 def test_command_without_fit_or_simulation_loads_no_scipy(inputs, tmp_path, command):
     args = ["--output-dir", str(tmp_path), *_scipy_free_commands(inputs)[command]]
-    assert scipy_modules_after([args]) == []
+    assert lazy_modules_after([args]) == []
     assert (tmp_path / "run_log.jsonl").exists()
 
 
 ARTIFACTS = {
     "oracle": ["oracle.txt", "run_log.jsonl"],
     "fit-ml": ["fit_params.txt", "fit_states.csv", "fit_report.txt", "run_log.jsonl"],
+    "synth": ["panel.csv", "run_log.jsonl"],
 }
 
 
@@ -122,6 +127,7 @@ def _scipy_commands(inputs):
                    "--paths", "2000", "--step", "0.02", "--seed", "7"],
         "fit-ml": ["fit-ml", "--model", "vasicek", "--panel", str(inputs / "panel.csv"),
                    "--restarts", "2", "--seed", "1"],
+        "synth": ["synth", "--model", "vasicek", "--n-obs", "20", "--seed", "5"],
     }
 
 
@@ -130,12 +136,13 @@ def test_command_that_needs_scipy_loads_it_and_writes_the_same_artifacts(
     inputs, tmp_path, command
 ):
     outputs = {}
-    for name, preload in (("deferred", ""), ("preloaded", "import scipy.optimize, scipy.special")):
+    preloaded = "import numpy.random, scipy.optimize, scipy.special"
+    for name, preload in (("deferred", ""), ("preloaded", preloaded)):
         outdir = tmp_path / name
-        loaded = scipy_modules_after(
+        loaded = lazy_modules_after(
             [["--output-dir", str(outdir), *_scipy_commands(inputs)[command]]], preload
         )
-        assert "scipy" in loaded
+        assert "scipy" in loaded and "numpy.random" in loaded
         outputs[name] = {a: (outdir / a).read_bytes() for a in ARTIFACTS[command]}
     assert outputs["deferred"] == outputs["preloaded"]
 

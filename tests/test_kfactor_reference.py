@@ -3,11 +3,10 @@ frozen copies of the separate one- and two-factor code they replaced.
 
 The ``_ref_*`` functions below are verbatim copies of the earlier
 per-model implementations, kept here as differential oracles.  The
-two-factor likelihood and states, the one-factor states and every
-Monte-Carlo discount array must be equal bit for bit.  The one-factor
-log-likelihood may differ in the last bits on equal gaps, where its single
-transition now comes from numpy's exp and expm1 instead of the math
-module's.
+two-factor likelihood and states and the one-factor states must be equal
+bit for bit.  The one-factor log-likelihood may differ in the last bits on
+equal gaps, where its single transition now comes from numpy's exp and
+expm1 instead of the math module's.
 
 The simulators' step moments now come from the model records
 (``models.MODELS``), the ones the likelihood uses, and are checked against
@@ -17,8 +16,12 @@ frozen copies of the per-model step code they replaced: the scalar
 error types must agree on every step.  The one-factor shock sd is now
 sqrt(sigma^2 q / 2a) instead of sigma sqrt(q / 2a), and the two-factor
 covariance takes numpy's expm1 instead of the math module's, so those
-agree to a rounding bound derived below; given the reference's steps, every
-Monte-Carlo discount array is still equal bit for bit.
+agree to a rounding bound derived below.
+
+The references integrate each path by stepping its factor values; the
+merged kernel sums the path's normals with fixed weights instead.  Given
+the reference's steps, every Monte-Carlo discount array agrees with the
+reference's to a rounding bound derived below from the step count.
 """
 
 import dataclasses
@@ -438,6 +441,59 @@ COV_RTOL = 7 * EPS
 L22_SCALE = math.sqrt(16 * COV_RTOL)
 
 
+def _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed):
+    """The kernel's discounts ``got`` within rounding of the reference's
+    ``want`` for the same steps, paths 0, 1, ... of ``seed``.
+
+    Both integrals are one linear form in x0, the drifts and the normals z:
+    the reference steps the factor values and adds h/2 (level + new level)
+    per step, the kernel adds weighted normals to a constant.  A computed
+    sum of terms, each of which passes through at most m roundings, differs
+    from the exact sum by at most gamma_m = m u / (1 - m u) (u = EPS / 2)
+    times the sum of the terms' magnitudes (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 3.1-3.3).  That sum is the
+    integral of a path stepped from |x0| with |drift|, |chol| and |z|, all
+    other inputs being non-negative; it is computed below with at most
+    gamma_m relative error of its own.  Roundings per term, n steps of k
+    factors:
+    - reference: the shock's product (1) and its step's adds (k + 1), then
+      per later step a decay product and k + 1 adds (k + 2), the level sums
+      (k), the product with h/2 (1) and the adds into the integral (n):
+      (k + 3) n + k + 1 at most;
+    - kernel: a node weight (1) and its backward recursion (2 per step), the
+      Cholesky products and their sum (k), the product with z (1) and the
+      running sum over the k n draws: (k + 2) n + k; the constant's drift
+      terms take 3 n - 1 before the running sum and 2 k adds into it:
+      (k + 3) n + 2 k - 1 at most.
+    So the integrals differ by delta <= 2 gamma_m (1 + gamma_m) I_abs with
+    m = (k + 3) n + 2 k.  exp(-I) then differs by at most exp(-I) expm1(delta),
+    and numpy's exp errs by at most 4 ulp (as its expm1 above) on each side.
+    """
+    k, n, count = len(x0), steps.size, got.size
+    z = np.abs(normal_block(seed, 0, count, k * n).reshape(count, n, k))
+    x = [np.full(count, abs(float(v))) for v in x0]
+    level = sum(x[1:], x[0])
+    magnitude = np.zeros(count)
+    for s in range(n):
+        for i in range(k):
+            v = x[i] * decay[i][s]
+            if drift is not None:
+                v = v + abs(drift[i][s])
+            for j in range(i + 1):
+                v = v + abs(chol[i][j][s]) * z[:, s, j]
+            x[i] = v
+        new_level = sum(x[1:], x[0])
+        magnitude += 0.5 * steps[s] * (level + new_level)
+        level = new_level
+    m = (k + 3) * n + 2 * k
+    gamma = m * EPS / 2 / (1 - m * EPS / 2)
+    delta = 2 * gamma * (1 + gamma) * magnitude
+    tol = want * (np.expm1(delta) + 4 * EPS * (np.exp(delta) + 1)) / (1 - 4 * EPS)
+    assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / tol)
+    # the bound stays far below the effect of any wrong weight
+    assert np.all(tol <= 1e-11 * want)
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Record the inputs and output of every merged-kernel call that
@@ -504,7 +560,7 @@ class TestDiscountsAgainstReference:
         model, params, state0, T = CASES[case]
         n_paths = 600
         if blocks == "several":
-            # 256-path blocks: three normals blocks per call
+            # 4-step chunks: a normals block per chunk
             monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 1)
         config = SimConfig(n_paths=n_paths, step=0.02, seed=9)
         mc_zero_price(model, params, state0, T, config, curve=CURVE)
@@ -513,7 +569,7 @@ class TestDiscountsAgainstReference:
         want = _reference_for(model, params, x0, steps, seed, count, state0.t)
         if model == "g2pp":
             # numpy's and the math module's expm1 agree on these steps
-            np.testing.assert_array_equal(got, want)
+            _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed)
             return
         a = 0.0 if model == "holee" else params.a
         want_decay, want_sd = _ref_ou_steps(a, params.sigma, steps)
@@ -524,7 +580,7 @@ class TestDiscountsAgainstReference:
             assert drift is None
         np.testing.assert_allclose(chol[0][0], want_sd, rtol=SD_RTOL, atol=0.0)
         got = _trapezoid_discounts(decay, drift, [[want_sd]], x0, steps, seed, count)
-        np.testing.assert_array_equal(got, want)
+        _assert_discounts_close(got, want, decay, drift, [[want_sd]], x0, steps, seed)
 
     def test_shortened_last_step(self):
         steps = np.full(60, 0.02)
@@ -532,20 +588,21 @@ class TestDiscountsAgainstReference:
         seed, n = 4, 300
         a, b, sigma, r0 = 1.7, 0.09, 0.37, 0.02
         decay, sd = _ref_ou_steps(a, sigma, steps)
-        got = _trapezoid_discounts([decay], [b * (1.0 - decay)], [[sd]], [r0], steps, seed, n)
+        drift = [b * (1.0 - decay)]
+        got = _trapezoid_discounts([decay], drift, [[sd]], [r0], steps, seed, n)
         want = _ref_trapezoid_discounts_ou(a, b, sigma, r0, steps, seed, n)
-        np.testing.assert_array_equal(got, want)
+        _assert_discounts_close(got, want, [decay], drift, [[sd]], [r0], steps, seed)
         for a_conv in (0.0, 0.4):
             decay, sd = _ref_ou_steps(a_conv, 0.02, steps)
             got = _trapezoid_discounts([decay], None, [[sd]], [0.001], steps, seed, n)
             want = _ref_trapezoid_discounts_brownian_conv(a_conv, 0.02, 0.001, steps, seed, n)
-            np.testing.assert_array_equal(got, want)
+            _assert_discounts_close(got, want, [decay], None, [[sd]], [0.001], steps, seed)
         g2 = CASES["g2pp-rho-0.99"][1]
         state0 = G2State(x=0.01, y=-0.02, t=0.0)
         decay, chol = _ref_g2pp_steps(g2, state0, steps)
         got = _trapezoid_discounts(decay, None, chol, [0.01, -0.02], steps, seed, n)
         want = _ref_trapezoid_discounts_g2(g2, state0, steps, seed, n)
-        np.testing.assert_array_equal(got, want)
+        _assert_discounts_close(got, want, decay, None, chol, [0.01, -0.02], steps, seed)
 
 
 # ---------------------------------------------------------------------------

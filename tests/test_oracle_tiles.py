@@ -2,11 +2,11 @@
 
 ``_trapezoid_discounts`` draws its normals in tiles of at most
 ``_TILE_PATHS`` paths by as many steps as keep a tile within
-``_BLOCK_ELEMENTS`` normals, and carries each path tile's factor values,
-level and integral from one step chunk to the next.  Every path sees the
-same operations whatever the tiling, so an estimate must not move by a bit
-when the tiles shrink; and only one tile may be alive at a time, which a
-fresh ``oracle`` process shows in its peak memory.
+``_BLOCK_ELEMENTS`` normals, and carries each path tile's integral from
+one step chunk to the next.  Every path adds its weighted normals in draw
+order whatever the tiling, so an estimate must not move by a bit when the
+tiles shrink; and only one tile may be alive at a time, which a fresh
+``oracle`` process shows in its peak memory.
 """
 
 import os
@@ -40,9 +40,10 @@ CONFIG = SimConfig(n_paths=700, step=0.02, seed=11)
 HORIZON = 1.5
 
 
-def discounts(model, monkeypatch, tiles):
-    """The estimate and the discount array of a 75-step price, recording
-    each tile drawn as (first path, paths, draws, first draw)."""
+def discounts(model, monkeypatch, tiles, horizon=HORIZON):
+    """The estimate and the discount array of a 75-step price (or of
+    ``horizon``), recording each tile drawn as (first path, paths, draws,
+    first draw)."""
     params, state0 = MODELS[model]
     kernel = montecarlo._trapezoid_discounts
     out = []
@@ -58,7 +59,7 @@ def discounts(model, monkeypatch, tiles):
     with monkeypatch.context() as patch:
         patch.setattr(montecarlo, "_trapezoid_discounts", spy)
         patch.setattr(montecarlo, "normal_block", counted)
-        est = mc_zero_price(model, params, state0, state0.t + HORIZON, CONFIG, curve=CURVE)
+        est = mc_zero_price(model, params, state0, state0.t + horizon, CONFIG, curve=CURVE)
     return est, out[0]
 
 
@@ -89,6 +90,23 @@ def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
         for first, count in ((0, 256), (256, 256), (512, 188))
         for n_draws, first_draw in chunks
     ]
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("budget", [1, 256 * 36])
+def test_one_step_last_chunk_is_bit_identical(monkeypatch, model, budget):
+    # 73 steps: chunks of 4, 36 or 12 steps all leave a last chunk of one
+    whole = []
+    want, want_out = discounts(model, monkeypatch, whole, horizon=1.45)
+    k = 2 if model == "g2pp" else 1
+    assert whole == [(0, 700, 73 * k, 0)]
+    monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
+    tiles = []
+    got, got_out = discounts(model, monkeypatch, tiles, horizon=1.45)
+    assert got_out.tobytes() == want_out.tobytes()
+    assert got == want
+    assert tiles[-1] == (512, 188, k, 72 * k)
 
 
 @pytest.mark.parametrize(

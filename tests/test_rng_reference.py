@@ -82,7 +82,8 @@ def test_negative_key_is_rejected_before_any_bit_generator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Philox built for a rejected key")
 
-    monkeypatch.setattr(rng, "Philox", refuse)
+    # rng imports Philox from numpy.random on first use
+    monkeypatch.setattr(np.random, "Philox", refuse)
     for seed, first_path in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="non-negative"):
             normal_block(seed, first_path, 3, 4)
@@ -95,7 +96,7 @@ def test_one_bit_generator_per_block(monkeypatch):
         built.append(kwargs.get("key"))
         return Philox(*args, **kwargs)
 
-    monkeypatch.setattr(rng, "Philox", counting)
+    monkeypatch.setattr(np.random, "Philox", counting)
     block = normal_block(3, 10, 50, 7)
     assert len(built) == 1
     np.testing.assert_array_equal(block, _ref_normal_block(3, 10, 50, 7))

@@ -5,13 +5,16 @@ Every fileio CSV reader hands its schema the whole table at once and checks
 it column by column.  The reference below is a verbatim copy of the earlier
 ``_read_table``, which called one row function per record (and a group
 function per calibration date), with the nine readers and their row
-functions as they were.  Both read the same seeded random tables, valid and
-malformed: several bad records failing different checks, one record
-failing two checks, blank and whitespace-only records, quoted fields that
-span lines, CRLF line ends, metadata lines, repeated and out-of-order curve
-pillars, duplicate quotes and conflicting panel maturities and flags.  Each
-table must read to the same result, or fail with the same IngestionError
-text and lines.
+functions as they were, save two rules added to both since: a bond quote
+with an empty id fails, and a surface date column takes the kind (ISO
+dates or numeric times) of the first record whose date reads, a later
+record of the other kind failing.  Both read the same seeded random
+tables, valid and malformed: several bad records failing different checks,
+one record failing two checks, blank and whitespace-only records, quoted
+fields that span lines, CRLF line ends, metadata lines, repeated and
+out-of-order curve pillars, duplicate quotes and conflicting panel
+maturities and flags.  Each table must read to the same result, or fail
+with the same IngestionError text and lines.
 """
 
 import csv
@@ -290,6 +293,8 @@ def ingest_bonds(path: str | os.PathLike) -> list[CouponBond]:
 
 
 def _quote(bond_id, settlement, price):
+    if not bond_id:
+        raise ValueError("empty bond id")
     price = _parse_float(price, "price")
     if price <= 0:
         raise ValueError(f"price {price} not positive")
@@ -312,16 +317,22 @@ def _surface_price(cell: str, label: str) -> float:
     return price
 
 
-def _surface_row(date, *cells):
-    try:
-        date = parse_date(date)
-    except ValueError:
-        date = _parse_float(date, "date")
-    return date, list(map(_surface_price, cells, SURFACE_COLUMNS[1:]))
-
-
 def ingest_surface(path: str | os.PathLike) -> PriceSurface:
-    _, _, rows = _read_table(path, "surface", _columns(SURFACE_COLUMNS, _surface_row))
+    kinds = []
+
+    def row(date, *cells):
+        text = date
+        try:
+            date = parse_date(text)
+        except ValueError:
+            date = _parse_float(text, "date")
+        kinds.append(type(date))
+        if type(date) is not kinds[0]:
+            kind = "an ISO date" if kinds[0] is dt.date else "a numeric time"
+            raise ValueError(f"date {text!r} is not {kind} like the first record's")
+        return date, list(map(_surface_price, cells, SURFACE_COLUMNS[1:]))
+
+    _, _, rows = _read_table(path, "surface", _columns(SURFACE_COLUMNS, row))
     return _build(
         PriceSurface,
         dates=[date for date, _ in rows],
