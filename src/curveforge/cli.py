@@ -87,6 +87,20 @@ class _FiniteFloat(click.FloatRange):
 _FINITE = _FiniteFloat()
 
 
+class _PathCount(click.IntRange):
+    """An even path count of at least 4: the oracle draws antithetic pairs,
+    and a standard error needs two of them."""
+
+    def __init__(self):
+        super().__init__(min=4)
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if number % 2:
+            self.fail(f"{number} is odd; paths come in antithetic pairs", param, ctx)
+        return number
+
+
 def domain_errors(fn):
     """Convert package domain errors into exit-code-1 CLI failures."""
 
@@ -460,7 +474,7 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
               type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--maturity", type=_FINITE, default=3.0, show_default=True)
-@click.option("--paths", "n_paths", type=click.IntRange(min=2), default=100_000,
+@click.option("--paths", "n_paths", type=_PathCount(), default=100_000,
               show_default=True)
 @click.option("--step", type=_FiniteFloat(min=0.0, min_open=True),
               default=1.0 / 252.0, help="Simulation step in years [default: 1/252].")

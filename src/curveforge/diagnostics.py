@@ -90,6 +90,8 @@ class PriceSurface:
 
     values[i, j] is the model price at dates[i] for tenor maturities[j];
     cells whose evaluation failed hold nan and carry an entry in failures.
+    The dates are all ``datetime.date`` or all numeric times, as
+    ``fileio.ingest_surface`` reads them back.
     """
 
     dates: list[dt.date] | list[float]
@@ -98,6 +100,8 @@ class PriceSurface:
     failures: list[tuple[int, float, str]] = field(default_factory=list)
 
     def __post_init__(self):
+        if len({isinstance(d, dt.date) for d in self.dates}) > 1:
+            raise ValueError("surface dates mix calendar dates and numeric times")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (len(self.dates), len(self.maturities)):
             raise ValueError(

@@ -10,18 +10,24 @@ one ``g2pp_cholesky`` call over all steps).  A synthetic panel steps one
 path (``_exact_steps``) and prices it closed-form at each observation date.
 The oracle integrates the short rate along many paths by the trapezoidal
 rule, the only discretization left in its discount factor.  On an exactly
-stepped path that integral is a fixed linear form in the path's normals,
-so the oracle never steps the factor values: ``_trapezoid_weights`` gives
-each normal its weight and the form its constant once per price, and each
-path's integral is the constant plus its weighted normals.
-The oracle runs in tiles of at most _TILE_PATHS paths by as many steps as
-keep a tile within _BLOCK_ELEMENTS normals; each path tile carries only its
+stepped path that integral is a fixed linear form D + w.z in the path's
+normals z, so the oracle never steps the factor values:
+``_trapezoid_weights`` gives each normal its weight and the form its
+constant once per price, and each path's integral is the constant plus
+its weighted normals.  The paths come in antithetic pairs: the mirror
+path -z has integral 2D - I and needs no draws of its own, and the
+estimate and its standard error are those of the pair means (the two
+discounts of a pair are not independent, so a standard error over the n
+discounts would be wrong).  A path count is therefore even, and at least
+two pairs.
+The oracle runs in tiles of at most _TILE_PATHS pairs by as many steps as
+keep a tile within _BLOCK_ELEMENTS normals; each pair tile carries only its
 integral from one step chunk to the next, and a tile's normals are
 released before the next tile is drawn, so memory does not grow with the
-path count or the maturity.  Per-path counter-based seeding, and sums that
-add each path's draws one at a time in draw order, make every estimate
+path count or the maturity.  Per-pair counter-based seeding, and sums that
+add each pair's draws one at a time in draw order, make every estimate
 reproducible bit for bit and independent of the tiling; the mean and
-standard deviation over paths rely on numpy's pairwise summation.
+standard deviation over pairs rely on numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -37,7 +43,14 @@ from .daycount import year_fraction
 from .errors import OrderingError, ResolutionError, SingularInversionError
 from .models import MODELS, fitted_by, record
 from .rng import normal_block, path_generator, standard_normals
-from .shortrate import G2State, g2pp_cholesky, g2pp_price, g2pp_variance, vasicek_price
+from .shortrate import (
+    G2State,
+    decay_loading,
+    g2pp_cholesky,
+    g2pp_price,
+    g2pp_variance,
+    vasicek_price,
+)
 
 MIN_STEPS_PER_HORIZON = 50
 # normals per tile (one normal_block call): at most 2^22 doubles, 32 MiB,
@@ -45,7 +58,7 @@ MIN_STEPS_PER_HORIZON = 50
 # uniforms in place and a tile is released before the next is drawn, so one
 # tile is resident at a time
 _BLOCK_ELEMENTS = 2**22
-# paths per tile; the steps per tile follow from _BLOCK_ELEMENTS
+# antithetic pairs per tile; the steps per tile follow from _BLOCK_ELEMENTS
 _TILE_PATHS = 2048
 # the run-length limit of _check_block_size: min(n_paths, _MIN_BLOCK_PATHS)
 # paths of all their draws may hold at most _MAX_BLOCK_ELEMENTS normals
@@ -102,8 +115,8 @@ def _check_block_size(n_paths: int, n_draws: int) -> None:
         )
 
 
-def _tile_steps(n_paths: int, k: int) -> int:
-    """Steps per tile: as many as keep min(n_paths, _TILE_PATHS) paths of k
+def _tile_steps(n_pairs: int, k: int) -> int:
+    """Steps per tile: as many as keep min(n_pairs, _TILE_PATHS) pairs of k
     normals per step within _BLOCK_ELEMENTS, rounded down to an odd
     multiple of 4, and at least 4.
 
@@ -113,8 +126,8 @@ def _tile_steps(n_paths: int, k: int) -> int:
     a time, and at a stride of 2^14 bytes those reads share a few cache
     sets (a 30-year two-factor oracle ran its steps about a quarter slower).
     """
-    paths = min(n_paths, _TILE_PATHS)
-    steps = max(4, _BLOCK_ELEMENTS // (paths * k) // 4 * 4)
+    pairs = min(n_pairs, _TILE_PATHS)
+    steps = max(4, _BLOCK_ELEMENTS // (pairs * k) // 4 * 4)
     return steps - 4 if steps % 8 == 0 else steps
 
 
@@ -189,23 +202,25 @@ def _trapezoid_weights(decay, drift, chol, x0, steps):
     return float(D), w.ravel()
 
 
-def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
-    """exp(-trapz of the factor sum) over exactly sampled k-factor paths,
-    path i drawing the normals of stream (seed, i).
+def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_pairs):
+    """exp(-trapz of the factor sum) over antithetic pairs of exactly
+    sampled k-factor paths, one row per pair: pair p's path draws the
+    normals z of stream (seed, p), its mirror takes -z.
 
-    The integral is the linear form of ``_trapezoid_weights`` in the
-    normals: each tile's normals are scaled by their weights in place and
-    summed along each row one draw at a time, after the integral the path
-    carries from its earlier chunks, so every path adds its draws in draw
-    order whatever the tiling.  Paths run in tiles of at most _TILE_PATHS,
-    each path tile its steps in chunks of ``_tile_steps``.
+    The integral is the linear form D + w.z of ``_trapezoid_weights``:
+    each tile's normals are scaled by their weights in place and summed
+    along each row one draw at a time, after the integral the pair carries
+    from its earlier chunks, so every pair adds its draws in draw order
+    whatever the tiling.  The mirror's integral is then 2D - I.  Pairs run
+    in tiles of at most _TILE_PATHS, each pair tile its steps in chunks of
+    ``_tile_steps``.
     """
     k, n_steps = len(x0), steps.size
     D, weights = _trapezoid_weights(decay, drift, chol, x0, steps)
-    chunk = _tile_steps(n_paths, k)
-    out = np.empty(n_paths)
-    for first in range(0, n_paths, _TILE_PATHS):
-        count = min(_TILE_PATHS, n_paths - first)
+    chunk = _tile_steps(n_pairs, k)
+    out = np.empty((n_pairs, 2))
+    for first in range(0, n_pairs, _TILE_PATHS):
+        count = min(_TILE_PATHS, n_pairs - first)
         integral = np.full(count, D)
         for s0 in range(0, n_steps, chunk):
             m = min(chunk, n_steps - s0)
@@ -217,15 +232,18 @@ def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths):
             integral = z[:, -1].copy()
             # release this tile before the next one is drawn
             del z
-        out[first : first + count] = np.exp(-integral)
+        out[first : first + count, 0] = np.exp(-integral)
+        out[first : first + count, 1] = np.exp(integral - 2.0 * D)
     return out
 
 
-def _estimate(discounts: np.ndarray, scale: float = 1.0) -> McEstimate:
-    n = discounts.size
-    value = float(np.mean(discounts)) * scale
-    stderr = float(np.std(discounts, ddof=1)) / math.sqrt(n) * scale
-    return McEstimate(value=value, stderr=stderr, n_paths=n)
+def _estimate(discounts: np.ndarray, scale: float) -> McEstimate:
+    """The mean and standard error of the pair means of ``discounts``
+    (one row per antithetic pair), times ``scale``."""
+    pairs = 0.5 * (discounts[:, 0] + discounts[:, 1])
+    value = float(np.mean(pairs)) * scale
+    stderr = float(np.std(pairs, ddof=1)) / math.sqrt(pairs.size) * scale
+    return McEstimate(value=value, stderr=stderr, n_paths=2 * pairs.size)
 
 
 def mc_zero_price(
@@ -240,10 +258,12 @@ def mc_zero_price(
 
     The short-rate path is sampled exactly on a uniform grid from the state
     time to T (ceil(horizon / step) equal steps, none longer than the
-    configured step) and discounted by the trapezoidal rule.  Models quoted off a market curve absorb their
-    deterministic shift analytically, so only the stochastic part is
-    simulated.  Raises ResolutionError when the step is coarser than a 50th
-    of the horizon.
+    configured step) and discounted by the trapezoidal rule, in
+    ``config.n_paths / 2`` antithetic pairs; the path count must be even
+    and at least 4 (ValueError otherwise).  Models quoted off a market
+    curve absorb their deterministic shift analytically, so only the
+    stochastic part is simulated.  Raises ResolutionError when the step is
+    coarser than a 50th of the horizon.
     """
     spec = record(model, params)
     _check_state(model, state0)
@@ -251,8 +271,11 @@ def mc_zero_price(
 
     if T <= t0:
         raise OrderingError(f"maturity {T} must lie after the state time {t0}")
-    if config.n_paths < 2:
-        raise ValueError("a standard error needs at least 2 paths")
+    if config.n_paths < 4 or config.n_paths % 2:
+        raise ValueError(
+            f"need an even path count of at least 4 (two antithetic pairs "
+            f"for a standard error), got {config.n_paths}"
+        )
     horizon = T - t0
     if config.step > horizon / MIN_STEPS_PER_HORIZON:
         raise ResolutionError(
@@ -268,27 +291,25 @@ def mc_zero_price(
 
     x0 = spec.factor_values(state0)
     log_scale = 0.0
+    if spec.needs_curve:
+        # the market forward, absorbed exactly through the observed curve
+        log_scale = curve.log_discount(T) - curve.log_discount(t0)
     if model == "g2pp":
-        # deterministic shift, absorbed via the observed curve:
         # P(t,T) = ratio * exp((V(0,t)-V(0,T))/2) * E[exp(-int (x+y))]
-        log_scale = (
-            curve.log_discount(T)
-            - curve.log_discount(t0)
-            + 0.5 * (g2pp_variance(params, 0.0, t0) - g2pp_variance(params, 0.0, T))
-        )
+        log_scale += 0.5 * (g2pp_variance(params, 0.0, t0) - g2pp_variance(params, 0.0, T))
     elif spec.needs_curve:
-        # forward-curve models: r(t) = deterministic(t) + convolution(t)
-        fwd = curve.forward(times)
-        if model == "holee":
-            deterministic = fwd + 0.5 * params.sigma**2 * times**2
-        else:
-            loading = -np.expm1(-params.a * times) / params.a
-            deterministic = fwd + 0.5 * params.sigma**2 * loading**2
-        x0 = [x0[0] - deterministic[0]]
-        log_scale = -float(np.trapezoid(deterministic, times))
+        # forward-curve models: r(t) = f(0,t) + sigma^2 B(t)^2 / 2 + x(t),
+        # B(t) = t for Ho-Lee.  The curve is log-linear, so its forward is
+        # piecewise constant and a trapezoid over it would err by h/2 times
+        # the jump at every pillar; only the smooth convexity term is left
+        # to the trapezoid rule
+        loading = times if model == "holee" else decay_loading(params.a, times)
+        convexity = 0.5 * params.sigma**2 * loading**2
+        x0 = [x0[0] - (curve.forward(t0) + convexity[0])]
+        log_scale -= float(np.trapezoid(convexity, times))
     decay, drift, cov = spec.moments(params, steps)
     discounts = _trapezoid_discounts(
-        decay, drift, _cholesky_rows(cov), x0, steps, config.seed, config.n_paths
+        decay, drift, _cholesky_rows(cov), x0, steps, config.seed, config.n_paths // 2
     )
     return _estimate(discounts, scale=math.exp(log_scale))
 

@@ -7,8 +7,9 @@ package's writers) into the current directory, runs every command of
 own output directory, and hashes every file there, run logs included.  The
 cases cover:
 
-* ``oracle`` for all four models at more than one path tile (2,048 paths),
-  the two-factor one also over more than one step chunk;
+* ``oracle`` for all four models at more than one tile of antithetic
+  pairs (2,048 pairs), the two-factor one also over more than one step
+  chunk;
 * ``synth`` and ``fit-ml`` (2 restarts) for both models;
 * Ho-Lee and Hull-White ``calibrate`` on a few dates, and Ho-Lee again
   with ``--per-date-curve`` (each date anchored on the previous date's
@@ -55,8 +56,8 @@ PARAMS = {
 ARBITRAGE_PARAMS = {"a": 0.13, "b": 0.3526, "sigma": 0.2062, "eta": 0.4892, "rho": -0.99}
 TENORS = (0.25, 1.0, 2.0, 5.0, 10.0, 20.0)
 SURFACE_WEEKS = 12
-# more paths than one 2,048-path tile
-ORACLE_PATHS = "2100"
+# more antithetic pairs (2,050) than one 2,048-pair tile
+ORACLE_PATHS = "4100"
 
 
 def _write(path: str, lines) -> str:

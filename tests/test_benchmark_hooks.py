@@ -130,8 +130,8 @@ def test_traced_calibrate_looks_each_curve_up_once_per_search(monkeypatch, tmp_p
 @pytest.mark.parametrize("model, factors", [("vasicek", 1), ("g2pp", 2)])
 def test_traced_oracle_counts_every_normal(monkeypatch, tmp_path, model, factors):
     """The oracle workload's rng counters must move: mc_zero_price draws its
-    normals through montecarlo's normal_block, one per path, step and
-    factor."""
+    normals through montecarlo's normal_block, one per antithetic pair (two
+    paths), step and factor."""
     n_paths, maturity, step = 600, 3.0, 1.0 / 252.0
     tracer = new_tracer(monkeypatch)
     try:
@@ -147,7 +147,7 @@ def test_traced_oracle_counts_every_normal(monkeypatch, tmp_path, model, factors
     assert tracer.calls["rng.normal_block"] > 0
     n_steps = math.ceil(maturity / step)
     assert tracer.count["montecarlo.path_steps"] == n_paths * n_steps
-    assert tracer.count["rng.normals"] == n_paths * n_steps * factors
+    assert tracer.count["rng.normals"] == n_paths // 2 * n_steps * factors
 
 
 def traced_command(monkeypatch, argv):

@@ -702,6 +702,10 @@ class TestArgumentRanges:
         "args, option",
         [
             (["oracle", "--model", "vasicek", "--paths", "1"], "--paths"),
+            # paths come in antithetic pairs, and a standard error needs two
+            (["oracle", "--model", "vasicek", "--paths", "2"], "--paths"),
+            (["oracle", "--model", "vasicek", "--paths", "3"], "--paths"),
+            (["oracle", "--model", "vasicek", "--paths", "4001"], "--paths"),
             (["oracle", "--model", "vasicek", "--step", "0"], "--step"),
             (["oracle", "--model", "vasicek", "--step", "-0.01"], "--step"),
             (["oracle", "--model", "vasicek", "--seed", "-1"], "--seed"),

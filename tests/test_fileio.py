@@ -263,6 +263,17 @@ class TestSurfaceRoundTrip:
             (3, f"date {second!r} is not {kind} like the first record's")
         ]
 
+    @pytest.mark.parametrize("dates", [
+        [dt.date(2013, 1, 7), 0.5],
+        [0.5, dt.date(2013, 1, 7)],
+    ])
+    def test_surface_of_mixed_date_kinds_is_refused_when_built(self, dates):
+        # the reader takes one kind per file, so a surface that mixed them
+        # would be written and then not read back
+        values = np.full((2, len(MATURITY_GRID)), 0.9)
+        with pytest.raises(ValueError, match="mix calendar dates and numeric times"):
+            PriceSurface(dates=dates, maturities=MATURITY_GRID, values=values)
+
     def test_header_carries_tenor_labels(self, tmp_path):
         path = tmp_path / "surface.csv"
         surface = PriceSurface(

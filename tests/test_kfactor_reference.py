@@ -19,14 +19,17 @@ covariance takes numpy's expm1 instead of the math module's, so those
 agree to a rounding bound derived below.
 
 The references integrate each path by stepping its factor values; the
-merged kernel sums the path's normals with fixed weights instead.  Given
-the reference's steps, every Monte-Carlo discount array agrees with the
-reference's to a rounding bound derived below from the step count.
+merged kernel sums the path's normals with fixed weights instead, and
+returns each antithetic pair's path and its mirror.  Given the
+reference's steps, the kernel's first column agrees with the reference's
+discounts, and its second with the reference's driven by the negated
+normals, to rounding bounds derived below from the step count.
 """
 
 import dataclasses
 import datetime as dt
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -441,9 +444,11 @@ COV_RTOL = 7 * EPS
 L22_SCALE = math.sqrt(16 * COV_RTOL)
 
 
-def _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed):
+def _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed, mirror=False):
     """The kernel's discounts ``got`` within rounding of the reference's
-    ``want`` for the same steps, paths 0, 1, ... of ``seed``.
+    ``want`` for the same steps, paths 0, 1, ... of ``seed``; with
+    ``mirror``, the kernel's mirror paths against the reference driven by
+    the negated normals.
 
     Both integrals are one linear form in x0, the drifts and the normals z:
     the reference steps the factor values and adds h/2 (level + new level)
@@ -468,6 +473,15 @@ def _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed):
     So the integrals differ by delta <= 2 gamma_m (1 + gamma_m) I_abs with
     m = (k + 3) n + 2 k.  exp(-I) then differs by at most exp(-I) expm1(delta),
     and numpy's exp errs by at most 4 ulp (as its expm1 above) on each side.
+
+    The kernel takes a mirror's integral as 2D - I from its constant D and
+    its integral I.  D is a sum of some of I's terms, so each errs by at
+    most gamma_m I_abs, and 2D - I by at most 3 gamma_m I_abs before its
+    one rounding, which adds u |2D - I|.  The mirror's exact integral sums
+    the same terms with z negated, so it is at most I_abs in magnitude, and
+    the computed 2D - I errs by at most (3 gamma_m (1 + u) + u) I_abs.  The
+    reference driven by -z errs by gamma_m I_abs as above, and |-z| = |z|,
+    so there delta <= (4 gamma_m + u (1 + 3 gamma_m)) (1 + gamma_m) I_abs.
     """
     k, n, count = len(x0), steps.size, got.size
     z = np.abs(normal_block(seed, 0, count, k * n).reshape(count, n, k))
@@ -486,12 +500,33 @@ def _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed):
         magnitude += 0.5 * steps[s] * (level + new_level)
         level = new_level
     m = (k + 3) * n + 2 * k
-    gamma = m * EPS / 2 / (1 - m * EPS / 2)
-    delta = 2 * gamma * (1 + gamma) * magnitude
+    u = EPS / 2
+    gamma = m * u / (1 - m * u)
+    spread = 4 * gamma + u * (1 + 3 * gamma) if mirror else 2 * gamma
+    delta = spread * (1 + gamma) * magnitude
     tol = want * (np.expm1(delta) + 4 * EPS * (np.exp(delta) + 1)) / (1 - 4 * EPS)
     assert np.all(np.abs(got - want) <= tol), np.max(np.abs(got - want) / tol)
     # the bound stays far below the effect of any wrong weight
     assert np.all(tol <= 1e-11 * want)
+
+
+def _assert_pairs_close(got, want, decay, drift, chol, x0, steps, seed):
+    """The kernel's (pairs, 2) discounts ``got`` within rounding of the
+    reference's pair ``want`` of discounts (``_reference_pair``)."""
+    plain, mirror = want
+    _assert_discounts_close(got[:, 0], plain, decay, drift, chol, x0, steps, seed)
+    _assert_discounts_close(got[:, 1], mirror, decay, drift, chol, x0, steps, seed, mirror=True)
+
+
+def _reference_pair(monkeypatch, reference, *args):
+    """A reference's discounts for the paths of its normals z, and for the
+    same paths driven by -z."""
+    draw = normal_block
+    plain = reference(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(sys.modules[__name__], "normal_block", lambda *a: -draw(*a))
+        mirror = reference(*args)
+    return plain, mirror
 
 
 @pytest.fixture
@@ -500,9 +535,9 @@ def kernel_calls(monkeypatch):
     mc_zero_price makes."""
     calls = []
 
-    def spy(decay, drift, chol, x0, steps, seed, n_paths):
-        out = _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_paths)
-        calls.append((decay, drift, chol, list(x0), steps, seed, n_paths, out))
+    def spy(decay, drift, chol, x0, steps, seed, n_pairs):
+        out = _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_pairs)
+        calls.append((decay, drift, chol, list(x0), steps, seed, n_pairs, out))
         return out
 
     monkeypatch.setattr(montecarlo, "_trapezoid_discounts", spy)
@@ -565,11 +600,14 @@ class TestDiscountsAgainstReference:
         config = SimConfig(n_paths=n_paths, step=0.02, seed=9)
         mc_zero_price(model, params, state0, T, config, curve=CURVE)
         ((decay, drift, chol, x0, steps, seed, count, got),) = kernel_calls
-        assert (seed, count) == (9, n_paths)
-        want = _reference_for(model, params, x0, steps, seed, count, state0.t)
+        assert (seed, count) == (9, n_paths // 2)
+        assert got.shape == (count, 2)
+        want = _reference_pair(
+            monkeypatch, _reference_for, model, params, x0, steps, seed, count, state0.t
+        )
         if model == "g2pp":
             # numpy's and the math module's expm1 agree on these steps
-            _assert_discounts_close(got, want, decay, drift, chol, x0, steps, seed)
+            _assert_pairs_close(got, want, decay, drift, chol, x0, steps, seed)
             return
         a = 0.0 if model == "holee" else params.a
         want_decay, want_sd = _ref_ou_steps(a, params.sigma, steps)
@@ -580,9 +618,9 @@ class TestDiscountsAgainstReference:
             assert drift is None
         np.testing.assert_allclose(chol[0][0], want_sd, rtol=SD_RTOL, atol=0.0)
         got = _trapezoid_discounts(decay, drift, [[want_sd]], x0, steps, seed, count)
-        _assert_discounts_close(got, want, decay, drift, [[want_sd]], x0, steps, seed)
+        _assert_pairs_close(got, want, decay, drift, [[want_sd]], x0, steps, seed)
 
-    def test_shortened_last_step(self):
+    def test_shortened_last_step(self, monkeypatch):
         steps = np.full(60, 0.02)
         steps[-1] = 0.0071
         seed, n = 4, 300
@@ -590,19 +628,26 @@ class TestDiscountsAgainstReference:
         decay, sd = _ref_ou_steps(a, sigma, steps)
         drift = [b * (1.0 - decay)]
         got = _trapezoid_discounts([decay], drift, [[sd]], [r0], steps, seed, n)
-        want = _ref_trapezoid_discounts_ou(a, b, sigma, r0, steps, seed, n)
-        _assert_discounts_close(got, want, [decay], drift, [[sd]], [r0], steps, seed)
+        want = _reference_pair(
+            monkeypatch, _ref_trapezoid_discounts_ou, a, b, sigma, r0, steps, seed, n
+        )
+        _assert_pairs_close(got, want, [decay], drift, [[sd]], [r0], steps, seed)
         for a_conv in (0.0, 0.4):
             decay, sd = _ref_ou_steps(a_conv, 0.02, steps)
             got = _trapezoid_discounts([decay], None, [[sd]], [0.001], steps, seed, n)
-            want = _ref_trapezoid_discounts_brownian_conv(a_conv, 0.02, 0.001, steps, seed, n)
-            _assert_discounts_close(got, want, [decay], None, [[sd]], [0.001], steps, seed)
+            want = _reference_pair(
+                monkeypatch, _ref_trapezoid_discounts_brownian_conv,
+                a_conv, 0.02, 0.001, steps, seed, n,
+            )
+            _assert_pairs_close(got, want, [decay], None, [[sd]], [0.001], steps, seed)
         g2 = CASES["g2pp-rho-0.99"][1]
         state0 = G2State(x=0.01, y=-0.02, t=0.0)
         decay, chol = _ref_g2pp_steps(g2, state0, steps)
         got = _trapezoid_discounts(decay, None, chol, [0.01, -0.02], steps, seed, n)
-        want = _ref_trapezoid_discounts_g2(g2, state0, steps, seed, n)
-        _assert_discounts_close(got, want, decay, None, chol, [0.01, -0.02], steps, seed)
+        want = _reference_pair(
+            monkeypatch, _ref_trapezoid_discounts_g2, g2, state0, steps, seed, n
+        )
+        _assert_pairs_close(got, want, decay, None, chol, [0.01, -0.02], steps, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from curveforge.curve import flat_curve
+from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.errors import (
     OrderingError,
     ResolutionError,
@@ -197,7 +197,7 @@ class TestMcZeroPrice:
     def test_vasicek_tiny_vol_is_deterministic(self):
         # started at its long-run level, every path stays there
         params = VasicekParams(a=1.7051, b=0.0937, sigma=1e-12)
-        config = SimConfig(n_paths=2, step=1 / 252, seed=0)
+        config = SimConfig(n_paths=4, step=1 / 252, seed=0)
         est = mc_zero_price("vasicek", params, ShortRateState(r=0.0937), 2.0, config)
         assert est.stderr < 1e-12
         assert est.value == pytest.approx(math.exp(-0.0937 * 2.0), rel=1e-12)
@@ -269,10 +269,10 @@ class TestMcZeroPrice:
         # the horizon is the maturity less the state time: the grid stops at
         # the maturity, and a step must resolve that span in 50 steps
         params = VasicekParams(a=1.7051, b=0.0937, sigma=1e-12)
-        config = SimConfig(n_paths=2, step=0.013, seed=0)  # 1.5 / 0.013 is no integer
+        config = SimConfig(n_paths=4, step=0.013, seed=0)  # 1.5 / 0.013 is no integer
         est = mc_zero_price("vasicek", params, ShortRateState(r=0.0937, t=0.5), 2.0, config)
         assert est.value == pytest.approx(math.exp(-0.0937 * 1.5), rel=1e-12)
-        coarse = SimConfig(n_paths=2, step=0.031, seed=0)
+        coarse = SimConfig(n_paths=4, step=0.031, seed=0)
         mc_zero_price("vasicek", params, ShortRateState(r=0.0937), 2.0, coarse)
         with pytest.raises(ResolutionError):
             mc_zero_price("vasicek", params, ShortRateState(r=0.0937, t=0.5), 2.0, coarse)
@@ -287,6 +287,42 @@ class TestMcZeroPrice:
         with pytest.raises(ValueError):
             mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
 
+    @pytest.mark.parametrize("n_paths", [2, 3, 5])
+    def test_odd_or_fewer_than_two_pairs_rejected(self, monkeypatch, n_paths):
+        # a standard error needs two antithetic pairs; refused before any draw
+        def no_draws(*args):
+            raise AssertionError("normals drawn")
+
+        monkeypatch.setattr(montecarlo, "normal_block", no_draws)
+        config = SimConfig(n_paths=n_paths, step=1 / 252, seed=0)
+        with pytest.raises(ValueError, match=f"even path count of at least 4.*got {n_paths}"):
+            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
+
+    def test_estimate_and_stderr_come_from_pair_means(self, monkeypatch):
+        kernel = montecarlo._trapezoid_discounts
+        out = []
+
+        def spy(*args):
+            out.append(kernel(*args))
+            return out[-1]
+
+        monkeypatch.setattr(montecarlo, "_trapezoid_discounts", spy)
+        config = SimConfig(n_paths=2_000, step=1 / 252, seed=3)
+        est = mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
+        (discounts,) = out
+        assert discounts.shape == (1_000, 2)
+        # the mirror of a path takes -z, so its discount differs
+        assert np.all(discounts[:, 0] != discounts[:, 1])
+        pairs = (discounts[:, 0] + discounts[:, 1]) / 2
+        assert est.n_paths == 2_000
+        assert est.value == float(np.mean(pairs))
+        assert est.stderr == float(np.std(pairs, ddof=1)) / math.sqrt(1_000)
+        # a pair's two discounts are negatively correlated, so the 2,000
+        # discounts taken as independent would report a wider standard error
+        naive = float(np.std(discounts, ddof=1)) / math.sqrt(2_000)
+        assert np.corrcoef(discounts[:, 0], discounts[:, 1])[0, 1] < 0
+        assert est.stderr < naive
+
     def test_params_of_the_other_forward_curve_model_rejected(self):
         config = SimConfig(n_paths=100, step=1 / 252, seed=0)
         curve = flat_curve(0.04, span=30.0)
@@ -295,6 +331,64 @@ class TestMcZeroPrice:
             mc_zero_price("holee", HullWhiteParams(a=0.5, sigma=0.01), state, 2.0, config, curve)
         with pytest.raises(TypeError, match="hullwhite model needs HullWhiteParams"):
             mc_zero_price("hullwhite", HoLeeParams(sigma=0.01), state, 2.0, config, curve)
+
+
+# yearly pillars whose forward jumps by up to 6% at every pillar
+JUMPY_FORWARDS = (0.02, 0.05, 0.03, 0.08, 0.02, 0.06, 0.04)
+JUMPY_CURVE = DiscountCurve(tuple(
+    (float(year), math.exp(-sum(JUMPY_FORWARDS[:year])))
+    for year in range(1, len(JUMPY_FORWARDS) + 1)
+))
+
+
+def _convexity_integral(model, params, t0, T):
+    """The exact integral over [t0, T] of sigma^2 B(t)^2 / 2, B(t) = t for
+    Ho-Lee and (1 - exp(-a t)) / a for Hull-White."""
+    if model == "holee":
+        return params.sigma**2 * (T**3 - t0**3) / 6.0
+    a = params.a
+
+    def antiderivative(t):
+        return (t + 2.0 * math.exp(-a * t) / a - math.exp(-2.0 * a * t) / (2.0 * a)) / a**2
+
+    return 0.5 * params.sigma**2 * (antiderivative(T) - antiderivative(t0))
+
+
+class TestForwardCurveShift:
+    """Ho-Lee and Hull-White simulate x = r - f(0, t) - sigma^2 B(t)^2 / 2
+    and absorb the rest in a deterministic factor.  The curve's forward is
+    piecewise constant, so its integral must come from the curve's own log
+    discounts: a trapezoid over the grid errs by up to h/2 times the jump
+    at every pillar it crosses."""
+
+    @pytest.mark.parametrize("model, params", [
+        ("holee", HoLeeParams(sigma=0.02)),
+        ("hullwhite", HullWhiteParams(a=0.4, sigma=0.015)),
+    ])
+    def test_shift_is_exact_on_a_curve_with_pillar_jumps(self, monkeypatch, model, params):
+        x0s = []
+
+        def no_stochastic_part(decay, drift, chol, x0, steps, seed, n_pairs):
+            x0s.append(list(x0))
+            return np.ones((n_pairs, 2))
+
+        monkeypatch.setattr(montecarlo, "_trapezoid_discounts", no_stochastic_part)
+        t0, T, step = 0.3, 6.85, 1 / 252
+        state = ShortRateState(r=0.05, t=t0)
+        est = mc_zero_price(model, params, state, T, SimConfig(n_paths=4, step=step),
+                            curve=JUMPY_CURVE)
+        # with every discount 1, the estimate is the deterministic factor
+        want = (JUMPY_CURVE.log_discount(T) - JUMPY_CURVE.log_discount(t0)
+                - _convexity_integral(model, params, t0, T))
+        # the trapezoid of the convexity term c errs by at most
+        # (T - t0) h^2 max|c''| / 12, and |c''| <= sigma^2 (Ho-Lee: c'' =
+        # sigma^2; Hull-White: sigma^2 (e^{-2at} - a B e^{-at}), with
+        # 0 <= a B <= 1); the rest is rounding in sums of size ~0.3
+        h = (T - t0) / math.ceil((T - t0) / step)
+        tol = (T - t0) * h**2 * params.sigma**2 / 12 + 1e-14
+        assert abs(math.log(est.value) - want) <= tol
+        loading = t0 if model == "holee" else -math.expm1(-params.a * t0) / params.a
+        assert x0s == [[0.05 - (JUMPY_CURVE.forward(t0) + 0.5 * params.sigma**2 * loading**2)]]
 
 
 class TestSynthPanel:

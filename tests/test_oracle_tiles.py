@@ -1,11 +1,11 @@
 """The Monte-Carlo oracle in path x step tiles.
 
-``_trapezoid_discounts`` draws its normals in tiles of at most
-``_TILE_PATHS`` paths by as many steps as keep a tile within
-``_BLOCK_ELEMENTS`` normals, and carries each path tile's integral from
-one step chunk to the next.  Every path adds its weighted normals in draw
-order whatever the tiling, so an estimate must not move by a bit when the
-tiles shrink; and only one tile may be alive at a time, which a fresh
+``_trapezoid_discounts`` draws the normals of its antithetic pairs in
+tiles of at most ``_TILE_PATHS`` pairs by as many steps as keep a tile
+within ``_BLOCK_ELEMENTS`` normals, and carries each pair tile's integral
+from one step chunk to the next.  Every pair adds its weighted normals in
+draw order whatever the tiling, so an estimate must not move by a bit when
+the tiles shrink; and only one tile may be alive at a time, which a fresh
 ``oracle`` process shows in its peak memory.
 """
 
@@ -35,15 +35,15 @@ MODELS = {
         G2State(0.01, -0.01, 0.0),
     ),
 }
-# 700 paths of 75 steps: one tile at the default sizes
+# 700 paths (350 antithetic pairs) of 75 steps: one tile at the default sizes
 CONFIG = SimConfig(n_paths=700, step=0.02, seed=11)
 HORIZON = 1.5
 
 
 def discounts(model, monkeypatch, tiles, horizon=HORIZON):
-    """The estimate and the discount array of a 75-step price (or of
-    ``horizon``), recording each tile drawn as (first path, paths, draws,
-    first draw)."""
+    """The estimate and the (pairs, 2) discount array of a 75-step price
+    (or of ``horizon``), recording each tile drawn as (first pair, pairs,
+    draws, first draw)."""
     params, state0 = MODELS[model]
     kernel = montecarlo._trapezoid_discounts
     out = []
@@ -69,10 +69,11 @@ def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
     whole = []
     want, want_out = discounts(model, monkeypatch, whole)
     k = 2 if model == "g2pp" else 1
-    assert whole == [(0, 700, 75 * k, 0)]
-    # 256 + 256 + 188 paths; steps in chunks of 4 (budget 1), or of 36 for
-    # one factor and 12 for two (18 rounded down to an odd multiple of 4),
-    # the last chunk short
+    assert whole == [(0, 350, 75 * k, 0)]
+    assert want_out.shape == (350, 2)
+    # 256 + 94 pairs; steps in chunks of 4 (budget 1), or of 36 for one
+    # factor and 12 for two (18 rounded down to an odd multiple of 4), the
+    # last chunk short
     monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
     tiles = []
@@ -80,14 +81,14 @@ def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
     assert got_out.tobytes() == want_out.tobytes()
     assert got == want
     assert sorted({(first, count) for first, count, _, _ in tiles}) == [
-        (0, 256), (256, 256), (512, 188)
+        (0, 256), (256, 94)
     ]
     chunk = 4 if budget == 1 else {1: 36, 2: 12}[k]
     chunks = [(k * min(chunk, 75 - s0), k * s0) for s0 in range(0, 75, chunk)]
     assert len(chunks) >= 3 and chunks[-1][0] < k * chunk
     assert tiles == [
         (first, count, n_draws, first_draw)
-        for first, count in ((0, 256), (256, 256), (512, 188))
+        for first, count in ((0, 256), (256, 94))
         for n_draws, first_draw in chunks
     ]
 
@@ -99,14 +100,14 @@ def test_one_step_last_chunk_is_bit_identical(monkeypatch, model, budget):
     whole = []
     want, want_out = discounts(model, monkeypatch, whole, horizon=1.45)
     k = 2 if model == "g2pp" else 1
-    assert whole == [(0, 700, 73 * k, 0)]
+    assert whole == [(0, 350, 73 * k, 0)]
     monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", budget)
     tiles = []
     got, got_out = discounts(model, monkeypatch, tiles, horizon=1.45)
     assert got_out.tobytes() == want_out.tobytes()
     assert got == want
-    assert tiles[-1] == (512, 188, k, 72 * k)
+    assert tiles[-1] == (256, 94, k, 72 * k)
 
 
 @pytest.mark.parametrize(
@@ -122,7 +123,8 @@ def test_tile_steps_fill_the_budget_with_an_odd_multiple_of_4(n_paths, k, steps)
 
 
 def test_one_tile_alive_at_a_time(monkeypatch):
-    # 4 path tiles x 7 step chunks; each draw finds every earlier tile gone
+    # 2 pair tiles (350 pairs) x 7 step chunks; each draw finds every
+    # earlier tile gone
     monkeypatch.setattr(montecarlo, "_TILE_PATHS", 200)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 200 * 2 * 12)
     drawn = []
@@ -137,7 +139,7 @@ def test_one_tile_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(montecarlo, "normal_block", watched)
     params, state0 = MODELS["g2pp"]
     mc_zero_price("g2pp", params, state0, HORIZON, CONFIG, curve=CURVE)
-    assert len(drawn) == 4 * 7
+    assert len(drawn) == 2 * 7
 
 
 # runs one oracle command in a child of its own and prints that child's peak

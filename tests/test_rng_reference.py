@@ -146,9 +146,9 @@ def test_standard_normals_match_reference():
     ],
 )
 def test_multi_block_estimate_matches_reference_block(monkeypatch, model, params, state0, curve):
-    # 256-path tiles of at most 10,240 normals make 700 paths of 50 steps
-    # run as 256 + 256 + 188 paths, each in chunks of 36 + 14 one-factor
-    # steps or 20 + 20 + 10 two-factor steps
+    # 256-pair tiles of at most 10,240 normals make 700 paths (350
+    # antithetic pairs) of 50 steps run as 256 + 94 pairs, each in chunks
+    # of 36 + 14 one-factor steps or 20 + 20 + 10 two-factor steps
     monkeypatch.setattr(montecarlo, "_TILE_PATHS", 256)
     monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 256 * 40)
     tiles = []
@@ -163,7 +163,7 @@ def test_multi_block_estimate_matches_reference_block(monkeypatch, model, params
     chunks = {"vasicek": [(36, 0), (14, 36)], "g2pp": [(40, 0), (40, 40), (20, 80)]}[model]
     assert tiles == [
         (first, count, n_draws, first_draw)
-        for first, count in ((0, 256), (256, 256), (512, 188))
+        for first, count in ((0, 256), (256, 94))
         for n_draws, first_draw in chunks
     ]
 
