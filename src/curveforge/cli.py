@@ -475,7 +475,8 @@ def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_
 @click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--maturity", type=_FINITE, default=3.0, show_default=True)
 @click.option("--paths", "n_paths", type=_PathCount(), default=100_000,
-              show_default=True)
+              show_default=True,
+              help="Even number of Monte-Carlo paths, drawn in antithetic pairs.")
 @click.option("--step", type=_FiniteFloat(min=0.0, min_open=True),
               default=1.0 / 252.0, help="Simulation step in years [default: 1/252].")
 @click.option("--seed", type=_SIM_SEED, default=0, show_default=True)

@@ -21,13 +21,14 @@ discounts of a pair are not independent, so a standard error over the n
 discounts would be wrong).  A path count is therefore even, and at least
 two pairs.
 The oracle runs in tiles of at most _TILE_PATHS pairs by as many steps as
-keep a tile within _BLOCK_ELEMENTS normals; each pair tile carries only its
-integral from one step chunk to the next, and a tile's normals are
-released before the next tile is drawn, so memory does not grow with the
-path count or the maturity.  Per-pair counter-based seeding, and sums that
-add each pair's draws one at a time in draw order, make every estimate
-reproducible bit for bit and independent of the tiling; the mean and
-standard deviation over pairs rely on numpy's pairwise summation.
+keep a tile within _BLOCK_ELEMENTS normals (128 pairs and 1 MiB, a tile
+one core's L2 cache holds); each pair tile carries only its integral from
+one step chunk to the next, and a tile's normals are released before the
+next tile is drawn, so memory does not grow with the path count or the
+maturity.  Per-pair counter-based seeding, and sums that add each pair's
+draws one at a time in draw order, make every estimate reproducible bit
+for bit and independent of the tiling; the mean and standard deviation
+over pairs rely on numpy's pairwise summation.
 """
 
 from __future__ import annotations
@@ -53,13 +54,16 @@ from .shortrate import (
 )
 
 MIN_STEPS_PER_HORIZON = 50
-# normals per tile (one normal_block call): at most 2^22 doubles, 32 MiB,
-# unless the 4-step floor of a chunk exceeds it.  normal_block inverts its
-# uniforms in place and a tile is released before the next is drawn, so one
-# tile is resident at a time
-_BLOCK_ELEMENTS = 2**22
-# antithetic pairs per tile; the steps per tile follow from _BLOCK_ELEMENTS
-_TILE_PATHS = 2048
+# normals per tile (one normal_block call): at most 2^17 doubles, 1 MiB, so
+# a tile fits in one core's L2 cache, unless the 4-step floor of a chunk
+# exceeds it.  normal_block inverts its uniforms in place and a tile is
+# released before the next is drawn, so one tile is resident at a time.  A
+# 2^22-normal (32 MiB) tile raised the oracle's peak by ~24 MB
+_BLOCK_ELEMENTS = 2**17
+# antithetic pairs per tile; the steps per tile follow from _BLOCK_ELEMENTS.
+# Every tile pays normal_block's set-up (a new Philox, and a state reset per
+# row), so smaller tiles run slower
+_TILE_PATHS = 128
 # the run-length limit of _check_block_size: min(n_paths, _MIN_BLOCK_PATHS)
 # paths of all their draws may hold at most _MAX_BLOCK_ELEMENTS normals
 _MIN_BLOCK_PATHS = 256
@@ -76,8 +80,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError(f"need at least 1 path, got {self.n_paths}")
+        if self.n_paths < 4 or self.n_paths % 2:
+            raise ValueError(
+                f"need an even path count of at least 4 (two antithetic pairs "
+                f"for a standard error), got {self.n_paths}"
+            )
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.seed < 0:
@@ -123,8 +130,9 @@ def _tile_steps(n_pairs: int, k: int) -> int:
     A multiple of 4 starts every chunk on a Philox counter (four draws).
     An odd one keeps the tile's row stride, 8 k steps bytes, free of large
     powers of two: the kernel's running sums read one draw of every row at
-    a time, and at a stride of 2^14 bytes those reads share a few cache
-    sets (a 30-year two-factor oracle ran its steps about a quarter slower).
+    a time, and at a power-of-two stride (2^13 bytes for 2^17 // (128 k)
+    steps) those reads share a few cache sets (at 2^14 bytes, a 30-year
+    two-factor oracle ran its steps about a quarter slower).
     """
     pairs = min(n_pairs, _TILE_PATHS)
     steps = max(4, _BLOCK_ELEMENTS // (pairs * k) // 4 * 4)
@@ -259,8 +267,8 @@ def mc_zero_price(
     The short-rate path is sampled exactly on a uniform grid from the state
     time to T (ceil(horizon / step) equal steps, none longer than the
     configured step) and discounted by the trapezoidal rule, in
-    ``config.n_paths / 2`` antithetic pairs; the path count must be even
-    and at least 4 (ValueError otherwise).  Models quoted off a market
+    ``config.n_paths / 2`` antithetic pairs (``SimConfig`` holds the path
+    count to an even number of at least 4).  Models quoted off a market
     curve absorb their deterministic shift analytically, so only the
     stochastic part is simulated.  Raises ResolutionError when the step is
     coarser than a 50th of the horizon.
@@ -271,11 +279,6 @@ def mc_zero_price(
 
     if T <= t0:
         raise OrderingError(f"maturity {T} must lie after the state time {t0}")
-    if config.n_paths < 4 or config.n_paths % 2:
-        raise ValueError(
-            f"need an even path count of at least 4 (two antithetic pairs "
-            f"for a standard error), got {config.n_paths}"
-        )
     horizon = T - t0
     if config.step > horizon / MIN_STEPS_PER_HORIZON:
         raise ResolutionError(

@@ -7,8 +7,8 @@ package's writers) into the current directory, runs every command of
 own output directory, and hashes every file there, run logs included.  The
 cases cover:
 
-* ``oracle`` for all four models at more than one tile of antithetic
-  pairs (2,048 pairs), the two-factor one also over more than one step
+* ``oracle`` for all four models over more than one tile of antithetic
+  pairs (128 pairs), the two-factor one also over more than one step
   chunk;
 * ``synth`` and ``fit-ml`` (2 restarts) for both models;
 * Ho-Lee and Hull-White ``calibrate`` on a few dates, and Ho-Lee again
@@ -56,7 +56,7 @@ PARAMS = {
 ARBITRAGE_PARAMS = {"a": 0.13, "b": 0.3526, "sigma": 0.2062, "eta": 0.4892, "rho": -0.99}
 TENORS = (0.25, 1.0, 2.0, 5.0, 10.0, 20.0)
 SURFACE_WEEKS = 12
-# more antithetic pairs (2,050) than one 2,048-pair tile
+# 2,050 antithetic pairs: 16 full 128-pair tiles and one of 2 pairs
 ORACLE_PATHS = "4100"
 
 
@@ -120,7 +120,8 @@ def _cases():
         cases[f"oracle-{model}"] = [
             "oracle", "--model", model, "--paths", ORACLE_PATHS, "--seed", "5",
             "--curve", "inputs/curve.csv"]
-    # 1,260 daily steps: two step chunks of a two-factor tile
+    # 1,260 daily steps: three step chunks (508 + 508 + 244) of a two-factor
+    # tile
     cases["oracle-g2pp"] = [
         "oracle", "--model", "g2pp", "--paths", ORACLE_PATHS, "--seed", "6",
         "--maturity", "5.0", "--curve", "inputs/curve.csv"]

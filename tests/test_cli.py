@@ -741,6 +741,26 @@ class TestArgumentRanges:
         assert "Traceback" not in result.output
         assert not (tmp_path / "run_log.jsonl").exists()
 
+    def test_odd_path_count_names_the_pairs(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "oracle", "--model", "vasicek", "--paths", "5"],
+        )
+        assert result.exit_code == 2
+        assert "Invalid value for '--paths': 5 is odd; paths come in antithetic pairs" in (
+            result.output
+        )
+
+    def test_paths_help_says_the_count_is_even(self, runner):
+        result = runner.invoke(main, ["oracle", "--help"])
+        assert result.exit_code == 0, result.output
+        # click wraps the help column; compare it with the wrapping undone
+        text = " ".join(result.output.split())
+        assert (
+            "--paths INTEGER RANGE Even number of Monte-Carlo paths, drawn in "
+            "antithetic pairs. [default: 100000; x>=4]"
+        ) in text
+
     def test_config_value_is_range_checked(self, runner, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n_paths=1\n")

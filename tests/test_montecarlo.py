@@ -71,8 +71,11 @@ class TestSimConfig:
             SimConfig(n_paths=10, step=0.0, seed=0)
         with pytest.raises(ValueError):
             SimConfig(n_paths=10, step=0.01, seed=-1)
-        cfg = SimConfig(n_paths=1, step=0.5, seed=0)
-        assert cfg.n_paths == 1
+        # paths come in antithetic pairs, and a standard error needs two
+        with pytest.raises(ValueError, match="even path count of at least 4.*got 1"):
+            SimConfig(n_paths=1, step=0.5, seed=0)
+        cfg = SimConfig(n_paths=4, step=0.5, seed=0)
+        assert cfg.n_paths == 4
 
 
 def record_steps(model, params, steps):
@@ -283,9 +286,9 @@ class TestMcZeroPrice:
             mc_zero_price("g2pp", G2, G2State(0.0, 0.0, 0.0), 2.0, config)
 
     def test_single_path_rejected(self):
-        config = SimConfig(n_paths=1, step=1 / 252, seed=0)
-        with pytest.raises(ValueError):
-            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
+        # refused when the configuration is built, before any price starts
+        with pytest.raises(ValueError, match="even path count of at least 4.*got 1"):
+            SimConfig(n_paths=1, step=1 / 252, seed=0)
 
     @pytest.mark.parametrize("n_paths", [2, 3, 5])
     def test_odd_or_fewer_than_two_pairs_rejected(self, monkeypatch, n_paths):
@@ -294,9 +297,8 @@ class TestMcZeroPrice:
             raise AssertionError("normals drawn")
 
         monkeypatch.setattr(montecarlo, "normal_block", no_draws)
-        config = SimConfig(n_paths=n_paths, step=1 / 252, seed=0)
         with pytest.raises(ValueError, match=f"even path count of at least 4.*got {n_paths}"):
-            mc_zero_price("vasicek", VAS, ShortRateState(r=0.05), 2.0, config)
+            SimConfig(n_paths=n_paths, step=1 / 252, seed=0)
 
     def test_estimate_and_stderr_come_from_pair_means(self, monkeypatch):
         kernel = montecarlo._trapezoid_discounts

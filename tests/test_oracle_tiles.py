@@ -1,12 +1,14 @@
 """The Monte-Carlo oracle in path x step tiles.
 
 ``_trapezoid_discounts`` draws the normals of its antithetic pairs in
-tiles of at most ``_TILE_PATHS`` pairs by as many steps as keep a tile
-within ``_BLOCK_ELEMENTS`` normals, and carries each pair tile's integral
-from one step chunk to the next.  Every pair adds its weighted normals in
-draw order whatever the tiling, so an estimate must not move by a bit when
-the tiles shrink; and only one tile may be alive at a time, which a fresh
-``oracle`` process shows in its peak memory.
+tiles of at most ``_TILE_PATHS`` pairs (128) by as many steps as keep a
+tile within ``_BLOCK_ELEMENTS`` normals (2^17, 1 MiB), and carries each
+pair tile's integral from one step chunk to the next.  Every pair adds its
+weighted normals in draw order whatever the tiling, so an estimate must not
+move by a bit when the tiles change; and only one tile may be alive at a
+time, which a fresh ``oracle`` process shows in its peak memory: the
+tiles add no more than a few MB to that of the same command at 4 paths,
+whatever the path count or the maturity.
 """
 
 import os
@@ -35,9 +37,16 @@ MODELS = {
         G2State(0.01, -0.01, 0.0),
     ),
 }
-# 700 paths (350 antithetic pairs) of 75 steps: one tile at the default sizes
+# 700 paths (350 antithetic pairs) of 75 steps: 128 + 128 + 94 pairs of
+# one step chunk each at the default sizes
 CONFIG = SimConfig(n_paths=700, step=0.02, seed=11)
 HORIZON = 1.5
+
+
+def one_tile(monkeypatch):
+    """Make one tile hold all of CONFIG's pairs; the default step budget
+    already holds all of its steps."""
+    monkeypatch.setattr(montecarlo, "_TILE_PATHS", CONFIG.n_paths // 2)
 
 
 def discounts(model, monkeypatch, tiles, horizon=HORIZON):
@@ -66,11 +75,18 @@ def discounts(model, monkeypatch, tiles, horizon=HORIZON):
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("budget", [1, 256 * 36])
 def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
+    k = 2 if model == "g2pp" else 1
+    # the default sizes against one tile of the whole price
+    default = []
+    got, got_out = discounts(model, monkeypatch, default)
+    assert default == [(0, 128, 75 * k, 0), (128, 128, 75 * k, 0), (256, 94, 75 * k, 0)]
+    one_tile(monkeypatch)
     whole = []
     want, want_out = discounts(model, monkeypatch, whole)
-    k = 2 if model == "g2pp" else 1
     assert whole == [(0, 350, 75 * k, 0)]
     assert want_out.shape == (350, 2)
+    assert got_out.tobytes() == want_out.tobytes()
+    assert got == want
     # 256 + 94 pairs; steps in chunks of 4 (budget 1), or of 36 for one
     # factor and 12 for two (18 rounded down to an odd multiple of 4), the
     # last chunk short
@@ -97,6 +113,7 @@ def test_shrunken_tiles_are_bit_identical(monkeypatch, model, budget):
 @pytest.mark.parametrize("budget", [1, 256 * 36])
 def test_one_step_last_chunk_is_bit_identical(monkeypatch, model, budget):
     # 73 steps: chunks of 4, 36 or 12 steps all leave a last chunk of one
+    one_tile(monkeypatch)
     whole = []
     want, want_out = discounts(model, monkeypatch, whole, horizon=1.45)
     k = 2 if model == "g2pp" else 1
@@ -112,14 +129,14 @@ def test_one_step_last_chunk_is_bit_identical(monkeypatch, model, budget):
 
 @pytest.mark.parametrize(
     "n_paths, k, steps",
-    [(45000, 1, 2044), (45000, 2, 1020), (2048, 2, 1020), (1000, 1, 4188), (10, 2, 209708)],
+    [(45000, 1, 1020), (45000, 2, 508), (128, 2, 508), (100, 1, 1308), (10, 2, 6548)],
 )
 def test_tile_steps_fill_the_budget_with_an_odd_multiple_of_4(n_paths, k, steps):
-    # 2^22 // (2048 k) steps, a power of two, would give every row of a
-    # tile a 2^14-byte stride
+    # 2^17 // (128 k) steps, a power of two, would give every row of a
+    # tile a 2^13-byte stride
     assert montecarlo._tile_steps(n_paths, k) == steps
     assert steps % 8 == 4
-    assert min(n_paths, 2048) * k * steps <= montecarlo._BLOCK_ELEMENTS
+    assert min(n_paths, montecarlo._TILE_PATHS) * k * steps <= montecarlo._BLOCK_ELEMENTS
 
 
 def test_one_tile_alive_at_a_time(monkeypatch):
@@ -153,19 +170,42 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_oracle_peak_memory(tmp_path):
-    # the benchmark's g2pp oracle: 45,000 paths of 756 two-factor steps
+def oracle_peak_mb(out_dir, *args):
+    """The peak resident set, in MB, of one g2pp ``oracle`` command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-c", _PEAK, "--output-dir", str(tmp_path),
-         "oracle", "--model", "g2pp", "--paths", "45000"],
+        [sys.executable, "-c", _PEAK, "--output-dir", str(out_dir),
+         "oracle", "--model", "g2pp", *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout.split()[-1]) / 1024
-    assert peak_mb < 150, f"oracle peak resident set {peak_mb:.1f} MB"
-    assert (tmp_path / "oracle.txt").exists()
+    assert (out_dir / "oracle.txt").exists()
+    return int(done.stdout.split()[-1]) / 1024
+
+
+@pytest.fixture(scope="module")
+def floor_mb(tmp_path_factory):
+    """The peak of the same command at 4 paths: the imports, the closed
+    form and two pairs of normals, with no tile worth the name."""
+    return oracle_peak_mb(tmp_path_factory.mktemp("floor"), "--paths", "4")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.parametrize(
+    "args",
+    [
+        # the benchmark's g2pp oracle: 45,000 paths of 756 two-factor steps
+        ("--paths", "45000"),
+        # 4,000 paths of 7,560 two-factor steps: the peak must not grow
+        # with the maturity either
+        ("--maturity", "30", "--paths", "4000"),
+    ],
+    ids=["45000-paths", "30-years"],
+)
+def test_oracle_peak_memory(tmp_path, floor_mb, args):
+    # one 1 MiB tile and its per-pair sums; 2^22-normal tiles added ~24 MB
+    extra_mb = oracle_peak_mb(tmp_path, *args) - floor_mb
+    assert extra_mb < 8, f"the tiles added {extra_mb:.1f} MB to a {floor_mb:.1f} MB peak"
