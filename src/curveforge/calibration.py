@@ -6,11 +6,13 @@ minimizes the unweighted mean squared error between quoted and model prices
 curve it carries; choosing that curve (one fixed initial curve for a whole
 window, or a rolling anchor) is the caller's business.
 
-Ho-Lee has one parameter, which enters the objective only through
-k = sigma^2 t / 2, and is fitted by a safeguarded Newton iteration on the
-objective's closed-form slope in k; only Hull-White runs
-``scipy.optimize.minimize``, which is imported on its first call
-(``minimize`` below), so loading this module does not load scipy.
+At a fixed reversion speed a both models' prices take one form, in which
+sigma enters only through a variance v, and sigma is fitted by one
+safeguarded Newton iteration on the objective's closed-form slope in v.
+Ho-Lee is that one search.  Hull-White profiles sigma out and searches the
+profile over a; only its refine in a runs ``scipy.optimize.minimize``,
+which is imported on its first call (``minimize`` below), so loading this
+module does not load scipy.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ SIGMA_BOUNDS = (1e-5, 2.0)
 SHORT_RATE_TENOR = 0.25
 _NEWTON_RTOL = 1e-12
 _NEWTON_MAXITER = 100
-_HW_MAXITER = 4000
+# Hull-White's profile in a: grid points over A_BOUNDS, and the refine's
+# tolerance in log a (bounded Brent adds sqrt(eps) |log a| to it)
+_A_GRID = 100
+_A_XTOL = 1e-10
 _EPS = sys.float_info.epsilon
 
 
@@ -68,12 +73,12 @@ class CrossSection:
         if not self.quotes:
             raise ValueError("cross-section has no quotes")
         taus = [t for t, _ in self.quotes]
-        if any(t <= 0 for t in taus):
+        if not all(t > 0 for t in taus):
             raise OrderingError("quote maturities must lie strictly after asof")
         if len(set(taus)) != len(taus):
             raise AmbiguityError("two quotes share a maturity; drop one")
-        if any(p <= 0 for _, p in self.quotes):
-            raise ValueError("quoted prices must be positive")
+        if not all(0 < p < math.inf for _, p in self.quotes):
+            raise ValueError("quoted prices must be positive and finite")
         self.quotes = sorted(self.quotes, key=lambda q: q[0])
         self._taus = np.array([t for t, _ in self.quotes], dtype=float)
         self._prices = np.array([p for _, p in self.quotes], dtype=float)
@@ -182,79 +187,71 @@ def ls_objective(model: str, params, xs: CrossSection) -> float:
     return err / float(len(xs.quotes))
 
 
-def section_objective(model: str, xs: CrossSection):
-    """The ``ls_objective`` of one cross-section as a function of
-    the volatility parameters alone: f(sigma) for holee, f(a, sigma) for
-    hullwhite.
+def _section_loops(xs: CrossSection):
+    """A section's objective at a fixed reversion speed a, with its curve
+    looked up once.
 
-    The curve terms, which no parameter moves, are computed here once, as
-    the arrays the broadcast pricing computes them.  Each evaluation is
-    then one loop over the quotes in Python floats that repeats the
-    per-quote path's operations in its order (math.exp, ** 2, a left to
-    right sum), so the value equals ``ls_objective`` bit for bit, and an
-    overflow raises what the per-quote path raises, at the same quote.
-    """
-    if model == "holee":
-        return _holee_loops(xs)[0]
-    t = _identified_offset(xs)
-    if model != "hullwhite":
-        raise ValueError(f"unknown model {model!r}")
-    tau, market, fwd = curve_terms(xs.curve, t, t + xs._taus)
-    r, n = float(xs.short_rate), float(len(xs.quotes))
-    terms = list(zip(market.tolist(), xs._prices.tolist()))
-
-    def hullwhite(a: float, sigma: float) -> float:
-        variance = sigma**2 * (-math.expm1(-2.0 * a * t)) / (4.0 * a)
-        err = 0.0
-        for b, (m, price) in zip(decay_loading(a, tau).tolist(), terms):
-            err += (price - math.exp(m + (b * fwd - variance * b**2 - b * r))) ** 2
-        return err / n
-
-    return hullwhite
-
-
-def _holee_loops(xs: CrossSection):
-    """The two loops of a Ho-Lee section over one list of prepared terms.
-
-    Returns (value, slope, t, k0).  ``value(sigma)`` is the section
-    objective f.  The objective moves with sigma only through
-    k = sigma^2 t / 2: the model prices are q_i = A_i exp(-k tau_i^2), so
-    with d_i = p_i - q_i, f'(k) = (2/n) sum d_i q_i tau_i^2 and
-    f''(k) = (2/n) sum tau_i^4 q_i (q_i - d_i).  ``slope(k)`` returns
-    (f, f', f'') at k; its f is ``value``'s bit for bit when k is computed
-    as ``value`` computes it.  k0 is the linearised fit
-    sum tau^2 (ln A - ln p) / sum tau^4.
+    Returns ``loops``; ``loops(a)`` returns (value, slope, variance, v0)
+    over one list of prepared terms.  At a fixed a the model prices are
+    q_i = A_i exp(-v b_i^2) with ln A_i = m_i + b_i (f - r): Hull-White's
+    with loadings b = (1 - e^{-a tau}) / a and
+    v = variance(sigma) = sigma^2 (1 - e^{-2at}) / (4a), and at a = 0
+    Ho-Lee's, with b = tau and v = sigma^2 t / 2 (Brigo & Mercurio,
+    2nd ed., 3.3).  ``value(v)`` is the section objective f.  It repeats
+    the per-quote path's operations in its order (math.exp, ** 2, a left to
+    right sum), so f(variance(sigma)) equals ``ls_objective`` bit for bit,
+    and an overflow raises what the per-quote path raises, at the same
+    quote.  With d_i = p_i - q_i, f'(v) = (2/n) sum d_i q_i b_i^2 and
+    f''(v) = (2/n) sum b_i^4 q_i (q_i - d_i); ``slope(v)`` returns
+    (f, f', f''), its f ``value``'s bit for bit.  v0 is the linearised fit
+    sum b^2 (ln A - ln p) / sum b^4.
     """
     t = _identified_offset(xs)
     prices = xs._prices
     tau, market, fwd = curve_terms(xs.curve, t, t + xs._taus)
     r, n = float(xs.short_rate), float(len(prices))
-    tau_fwd, tau2, tau_rate = tau * fwd, libm.square(tau), tau * r
-    k0 = float(np.dot(tau2, market + tau_fwd - tau_rate - np.log(prices))
-               / np.dot(tau2, tau2))
-    terms = list(zip(
-        market.tolist(), tau_fwd.tolist(), tau2.tolist(), tau_rate.tolist(), prices.tolist(),
-    ))
+    log_prices = np.log(prices)
+    market_list, price_list = market.tolist(), prices.tolist()
 
-    def value(sigma: float) -> float:
-        k = 0.5 * sigma**2 * t
-        err = 0.0
-        for m, tau_f, tau_sq, tau_r, price in terms:
-            err += (price - math.exp(m + (tau_f - k * tau_sq - tau_r))) ** 2
-        return err / n
+    def loops(a: float):
+        if a == 0.0:
+            b = tau
 
-    def slope(k: float) -> tuple[float, float, float]:
-        err = grad = curv = 0.0
-        for m, tau_f, tau_sq, tau_r, price in terms:
-            q = math.exp(m + (tau_f - k * tau_sq - tau_r))
-            d = price - q
-            err += d**2
-            w = q * tau_sq
-            grad += d * w
-            curv += w * tau_sq * (q - d)
-        return err / n, 2.0 * grad / n, 2.0 * curv / n
+            def variance(sigma: float) -> float:
+                return 0.5 * sigma**2 * t
+        else:
+            b = decay_loading(a, tau)
+            scale = -math.expm1(-2.0 * a * t)
 
-    return value, slope, t, k0
+            def variance(sigma: float) -> float:
+                return sigma**2 * scale / (4.0 * a)
+
+        b_fwd, b2, b_rate = b * fwd, libm.square(b), b * r
+        v0 = float(np.dot(b2, market + b_fwd - b_rate - log_prices) / np.dot(b2, b2))
+        terms = list(zip(
+            market_list, b_fwd.tolist(), b2.tolist(), b_rate.tolist(), price_list,
+        ))
+
+        def value(v: float) -> float:
+            err = 0.0
+            for m, b_f, b_sq, b_r, price in terms:
+                err += (price - math.exp(m + (b_f - v * b_sq - b_r))) ** 2
+            return err / n
+
+        def slope(v: float) -> tuple[float, float, float]:
+            err = grad = curv = 0.0
+            for m, b_f, b_sq, b_r, price in terms:
+                q = math.exp(m + (b_f - v * b_sq - b_r))
+                d = price - q
+                err += d**2
+                w = q * b_sq
+                grad += d * w
+                curv += w * b_sq * (q - d)
+            return err / n, 2.0 * grad / n, 2.0 * curv / n
+
+        return value, slope, variance, v0
+
+    return loops
 
 
 def _safeguarded_newton(slope, a: float, b: float, k: float) -> float:
@@ -291,91 +288,85 @@ def _safeguarded_newton(slope, a: float, b: float, k: float) -> float:
     return k
 
 
+def _sigma_search(value, slope, variance, v0: float):
+    """The sigma in SIGMA_BOUNDS that minimizes value(variance(sigma)).
+
+    The arguments are what ``_section_loops`` returns for one a.  A
+    safeguarded Newton iteration on the slope in v, bracketed by the ends
+    of SIGMA_BOUNDS and started from v0; an end where the slope already
+    points outwards is not searched.  Returns (sigma, f, converged).  The
+    result counts as converged only when it beats both ends; otherwise the
+    better end is returned, unconverged, so a search that stalls on a bound
+    is flagged and never returns a sigma worse than that bound.
+    """
+    lo, hi = SIGMA_BOUNDS
+    v_lo, v_hi = variance(lo), variance(hi)
+    f_lo, grad_lo, _ = slope(v_lo)
+    f_hi, grad_hi, _ = slope(v_hi)
+    end_value, end = min((f_lo, lo), (f_hi, hi))
+    if grad_lo < 0.0 <= grad_hi:
+        v = _safeguarded_newton(slope, v_lo, v_hi, v0)
+        sigma = min(max(math.sqrt(v / variance(1.0)), lo), hi)
+        f = value(variance(sigma))
+        if f < end_value:
+            return sigma, f, True
+    return end, end_value, False
+
+
 def calibrate(model: str, xs: CrossSection) -> CalibrationResult:
     """Fit the volatility parameters to one cross-section.
 
-    Constant-vol model: a safeguarded Newton iteration on the slope of the
-    objective in k = sigma^2 t / 2, bracketed by the ends of sigma in
-    [1e-5, 2] and started from the linearised fit; an end where the slope
-    already points outwards is not searched.  The result counts as
-    converged only when it beats both ends of that range.  Otherwise the
-    better end is returned, unconverged, so a search that stalls on a
-    bound is flagged and never returns a sigma worse than that bound.
-    Damped-vol model: Nelder-Mead on (log a, log sigma) from 8
-    deterministic starts spread over the admissible box a in [1e-4, 5],
-    sigma in [1e-5, 2], each stopped after _HW_MAXITER iterations.
+    Both models go through ``_sigma_search``.  Constant-vol model: one
+    search, with loadings tau.  Damped-vol model: variable projection
+    (Golub & Pereyra, Inverse Problems 19, 2003).  The profile
+    f(a) = min_sigma f(a, sigma), each value one search with loadings
+    (1 - e^{-a tau}) / a, is evaluated on _A_GRID log-spaced a over
+    A_BOUNDS, and every local minimum of that grid is refined in log a
+    between its neighbours by ``minimize``.  The better end of A_BOUNDS
+    wins unless a refined minimum beats it.  A fit is converged when its
+    sigma search converged and a lies strictly inside A_BOUNDS.
     Non-convergence is flagged, not raised; the best point found is still
-    returned.
-
-    The searches evaluate ``section_objective`` (Ho-Lee: its loop and the
-    slope loop over the same prepared terms); the objective returned for
-    the chosen parameters is ``ls_objective``'s, the same value.
+    returned.  The objective returned for the chosen parameters is
+    ``ls_objective``'s, the value the searches minimized.
     """
     if model == "holee":
-        value, slope, t, k0 = _holee_loops(xs)
-        lo, hi = SIGMA_BOUNDS
-        k_lo, k_hi = 0.5 * lo**2 * t, 0.5 * hi**2 * t
-        f_lo, grad_lo, _ = slope(k_lo)
-        f_hi, grad_hi, _ = slope(k_hi)
-        end_value, end = min((f_lo, lo), (f_hi, hi))
-        converged = False
-        if grad_lo < 0.0 <= grad_hi:
-            k = _safeguarded_newton(slope, k_lo, k_hi, k0)
-            sigma = min(max(math.sqrt(k / (0.5 * t)), lo), hi)
-            converged = value(sigma) < end_value
-        params = HoLeeParams(sigma=sigma if converged else end)
-        return CalibrationResult(
-            params=params,
-            objective=ls_objective(model, params, xs),
-            converged=converged,
-        )
-
-    if model == "hullwhite":
+        sigma, _, converged = _sigma_search(*_section_loops(xs)(0.0))
+        params = HoLeeParams(sigma=sigma)
+    elif model == "hullwhite":
         if len(xs.quotes) < 2:
             raise ValueError("damped-vol calibration needs at least two quotes")
-        objective = section_objective(model, xs)
-        log_a_lo, log_a_hi = math.log(A_BOUNDS[0]), math.log(A_BOUNDS[1])
-        log_s_lo, log_s_hi = math.log(SIGMA_BOUNDS[0]), math.log(SIGMA_BOUNDS[1])
+        loops = _section_loops(xs)
 
-        def fun(theta) -> float:
-            la, ls = theta
-            if not (log_a_lo <= la <= log_a_hi and log_s_lo <= ls <= log_s_hi):
-                return np.inf
-            return objective(math.exp(la), math.exp(ls))
+        def profile(a: float):
+            return (a, *_sigma_search(*loops(a)))
 
-        starts = [
-            (math.log(a0), math.log(s0))
-            for a0 in (0.01, 0.08, 0.5, 2.0)
-            for s0 in (0.01, 0.3)
-        ]
-        best = None
-        any_success = False
-        for theta0 in starts:
-            res = minimize(
-                fun,
-                np.array(theta0),
-                method="Nelder-Mead",
-                options={
-                    "maxiter": _HW_MAXITER,
-                    "xatol": 1e-10,
-                    "fatol": 1e-22,
-                    "adaptive": False,
-                },
-            )
-            if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
-                best = res
-            if res.success and math.isfinite(res.fun):
-                any_success = True
-        if best is None:
-            raise OptimizationError("all calibration starts failed")
-        params = HullWhiteParams(a=math.exp(best.x[0]), sigma=math.exp(best.x[1]))
-        return CalibrationResult(
-            params=params,
-            objective=float(ls_objective(model, params, xs)),
-            converged=any_success,
-        )
+        def profile_value(x) -> float:
+            return profile(math.exp(x[0]))[2]
 
-    raise ValueError(f"unknown model {model!r}")
+        fits = [profile(a) for a in np.geomspace(*A_BOUNDS, _A_GRID).tolist()]
+        candidates = [fits[0], fits[-1]]
+        logs = [math.log(a) for a, *_ in fits]
+        values = [math.inf] + [f for _, _, f, _ in fits] + [math.inf]
+        for i in range(_A_GRID):
+            if values[i] > values[i + 1] <= values[i + 2]:
+                res = minimize(
+                    profile_value,
+                    np.array([logs[i]]),
+                    method="Powell",
+                    bounds=[(logs[max(i - 1, 0)], logs[min(i + 1, _A_GRID - 1)])],
+                    options={"xtol": _A_XTOL},
+                )
+                candidates.append(profile(math.exp(res.x[0])))
+        a, sigma, _, sigma_converged = min(candidates, key=lambda fit: fit[2])
+        converged = sigma_converged and A_BOUNDS[0] < a < A_BOUNDS[1]
+        params = HullWhiteParams(a=a, sigma=sigma)
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return CalibrationResult(
+        params=params,
+        objective=ls_objective(model, params, xs),
+        converged=converged,
+    )
 
 
 def calibrate_series(model: str, sections: list[CrossSection]) -> CalibrationSeries:

@@ -25,7 +25,7 @@ from curveforge.diagnostics import (
     find_increasing_price_state,
 )
 from curveforge.estimation import StateSeries
-from curveforge.hjm import HoLeeParams, holee_price
+from curveforge.hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
 from curveforge.montecarlo import synth_panel
 from curveforge.shortrate import G2Params, G2State
 
@@ -125,6 +125,44 @@ def test_traced_calibrate_looks_each_curve_up_once_per_search(monkeypatch, tmp_p
     assert tracer.calls["curve.log_discount"] == 2 * 2 * len(dates)
     assert tracer.calls["curve.forward"] == 2 * len(dates)
     assert tracer.count["calibration.nfev"] == len(dates)
+
+
+def test_traced_hullwhite_calibrate_counts_each_dates_refines(monkeypatch, tmp_path):
+    """A Hull-White calibrate refines its profile in a through calibration's
+    ``minimize``, which the tracer replaces: every date runs at least one
+    traced refine, each of whose evaluations is counted.  The curve is
+    still looked up once per search and once for the reference objective,
+    not once per a."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    params = HullWhiteParams(a=0.08, sigma=0.02)
+    dates = [asof + dt.timedelta(weeks=weeks) for weeks in (60, 61)]
+    sections = []
+    for date in dates:
+        t = year_fraction(asof, date)
+        quotes = [(tau, hullwhite_price(params, curve, 0.05, t, t + tau))
+                  for tau in (0.25, 1.0, 5.0, 10.0)]
+        sections.append((date, quotes))
+    fileio.write_cross_sections(tmp_path / "sections.csv", sections)
+    tracer = traced_command(
+        monkeypatch,
+        ["--output-dir", str(tmp_path), "calibrate", "--model", "hullwhite",
+         "--cross-section", str(tmp_path / "sections.csv"),
+         "--curve", str(tmp_path / "curve.csv")],
+    )
+    date_spans = [i for i, span in enumerate(tracer.spans) if span["name"] == "date"]
+    assert len(date_spans) == len(dates)
+    for i in date_spans:
+        assert any(span["name"] == "restart" and span["parent"] == i
+                   for span in tracer.spans)
+    assert tracer.count["calibration.nfev"] == tracer.calls["calibration.objective"]
+    assert tracer.count["calibration.nfev"] >= len(dates)
+    assert tracer.count["calibration.converged_dates"] == len(dates)
+    assert tracer.calls["calibration.ls_objective"] == len(dates)
+    assert tracer.calls["hjm.hullwhite_price"] == len(dates)
+    assert tracer.calls["curve.log_discount"] == 2 * 2 * len(dates)
+    assert tracer.calls["curve.forward"] == 2 * len(dates)
 
 
 @pytest.mark.parametrize("model, factors", [("vasicek", 1), ("g2pp", 2)])

@@ -63,6 +63,12 @@ class TestCrossSection:
         with pytest.raises(ValueError):
             CrossSection(asof=ASOF0, quotes=[(2.0, -0.5)], curve=curve)
 
+    @pytest.mark.parametrize("quote", [(math.nan, 0.9), (2.0, math.nan), (2.0, math.inf)])
+    def test_non_finite_quote_rejected(self, curve, quote):
+        # a non-finite quote would make every objective NaN or inf
+        with pytest.raises((OrderingError, ValueError)):
+            CrossSection(asof=ASOF0, quotes=[(1.0, 0.96), quote], curve=curve)
+
     def test_quotes_sorted(self, curve):
         xs = CrossSection(
             asof=ASOF0, quotes=[(5.0, 0.8), (1.0, 0.96)], curve=curve,

@@ -3,14 +3,14 @@ frozen copies of their earlier forms.
 
 ``ls_objective`` prices a cross-section with one broadcast call and adds the
 squares left to right; the per-quote loop below is the reference it
-must equal bit for bit, with the same result type.  ``section_objective``
-must in turn equal ``ls_objective`` bit for bit.  ``calibrate``, which
-searches with it, must find what the earlier ``calibrate`` found by
-evaluating ``ls_objective`` at every step: bit for bit for Hull-White, and
-for Ho-Lee, whose golden section became a Newton search in k, the same
-minimum up to the objective's rounding.  ``RefCurve`` keeps the earlier
-``log_discount`` and ``forward`` so that the reference does not lean on the
-curve code under test.
+must equal bit for bit, with the same result type.  The loops both models'
+searches share must in turn equal ``ls_objective`` bit for bit.
+``calibrate`` must find what the earlier ``calibrate`` found by evaluating
+``ls_objective`` at every step, up to the objective's rounding: for Ho-Lee a
+golden section, which became a Newton search in k, and for Hull-White a
+Nelder-Mead from 8 starts, which became a profile search over a.
+``RefCurve`` keeps the earlier ``log_discount`` and ``forward`` so that the
+reference does not lean on the curve code under test.
 """
 
 import datetime as dt
@@ -21,22 +21,21 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-import curveforge.calibration as calibration
 from curveforge.calibration import (
     A_BOUNDS,
     SIGMA_BOUNDS,
     CrossSection,
-    _holee_loops,
     _model_price,
+    _section_loops,
     calibrate,
     calibrate_series,
     ls_objective,
-    section_objective,
 )
 from curveforge.curve import DiscountCurve
 from curveforge.daycount import year_fraction
 from curveforge.errors import ExtrapolationError, OrderingError
 from curveforge.hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
+from curveforge.shortrate import decay_loading
 
 EPS = sys.float_info.epsilon
 
@@ -207,23 +206,33 @@ def test_overflow_error_text_reaches_the_calibration_record(model):
     assert series.records[1].params is not None
 
 
-# -- the per-section objective and calibrate -----------------------------------
+# -- the shared loops and calibrate ---------------------------------------------
 
 
-def evaluate(objective, params):
-    return objective(*vars(params).values())
+# Ho-Lee, then Hull-White at both ends of A_BOUNDS and in between
+LOOP_CASES = [("holee", 0.0)] + [("hullwhite", a) for a in (A_BOUNDS[0], 0.1, A_BOUNDS[1])]
 
 
-@pytest.mark.parametrize("model", ["holee", "hullwhite"])
-def test_section_objective_equals_ls_objective(model):
-    rng = np.random.default_rng(20 + (model == "hullwhite"))
-    for i in range(1500):
+def loop_params(model, a, sigma):
+    return HoLeeParams(sigma=sigma) if model == "holee" else HullWhiteParams(a=a, sigma=sigma)
+
+
+def loop_value(xs, a, sigma):
+    """The shared value loop at the variance the pricing computes."""
+    value, _, variance, _ = _section_loops(xs)(a)
+    return value(variance(sigma))
+
+
+@pytest.mark.parametrize("model, a", LOOP_CASES)
+def test_shared_loop_equals_ls_objective(model, a):
+    rng = np.random.default_rng(20 + LOOP_CASES.index((model, a)))
+    for i in range(1500 if model == "holee" else 500):
         xs, _ = section_pair(rng, random_pillars(rng), flat=rng.random() < 0.5,
                              short_given=i % 2 == 0)
-        objective = section_objective(model, xs)
+        value, _, variance, _ = _section_loops(xs)(a)
         for _ in range(4):
-            params = random_params(rng, model)
-            got = evaluate(objective, params)
+            params = loop_params(model, a, random_params(rng, "holee").sigma)
+            got = value(variance(params.sigma))
             assert type(got) is float
             assert got == ls_objective(model, params, xs), (xs, params)
 
@@ -242,50 +251,57 @@ def failing_sections():
     return [at_curve_date, before, beyond, bad_quote, bad_rate]
 
 
-@pytest.mark.parametrize("model", ["holee", "hullwhite"])
+def outcome(fn, xs):
+    """fn(xs), or the type and text of what it raised."""
+    try:
+        return fn(xs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("model, a", LOOP_CASES)
 @pytest.mark.parametrize("which", range(5))
-def test_section_objective_raises_what_ls_objective_raises(model, which):
+def test_shared_loop_raises_what_ls_objective_raises(model, a, which):
     xs = failing_sections()[which]
-    params = HoLeeParams(sigma=0.01) if model == "holee" else HullWhiteParams(0.1, 0.01)
-    want = lookup_error(lambda xs: ls_objective(model, params, xs), xs)
-    got = lookup_error(lambda xs: evaluate(section_objective(model, xs), params), xs)
-    assert isinstance(want, (OrderingError, ExtrapolationError, OverflowError))
-    assert type(got) is type(want)
-    assert str(got) == str(want)
+    params = loop_params(model, a, 0.01)
+    want = outcome(lambda xs: ls_objective(model, params, xs), xs)
+    got = outcome(lambda xs: loop_value(xs, a, params.sigma), xs)
+    assert got == want
+    # at a = 5 the loadings stay below 1/5, so the short rate of -100 no
+    # longer overflows; every other case raises
+    if not (which == 4 and a == A_BOUNDS[1]):
+        assert want[0] in (OrderingError, ExtrapolationError, OverflowError)
 
 
-def test_holee_slope_loop_matches_central_differences():
-    """f' and f'' of the Ho-Lee slope loop in k = sigma^2 t / 2 against
-    central differences of ``section_objective``, within the differences'
-    truncation (steps of at most 1e-4 / tau^2 and 1e-2 / tau^2) and
-    rounding; its f is the objective's bit for bit."""
-    rng = np.random.default_rng(25)
+@pytest.mark.parametrize("model, a", LOOP_CASES)
+def test_slope_loop_matches_central_differences(model, a):
+    """f' and f'' of the slope loop in v against central differences of the
+    value loop, within the differences' truncation (steps of at most
+    1e-4 / b^2 and 1e-2 / b^2) and rounding; its f is the value loop's bit
+    for bit."""
+    rng = np.random.default_rng(25 + LOOP_CASES.index((model, a)))
     for i in range(300):
         xs, _ = section_pair(rng, random_pillars(rng), flat=rng.random() < 0.5,
                              short_given=i % 2 == 0)
-        objective = section_objective("holee", xs)
-        _, slope, t, _ = _holee_loops(xs)
-
-        def f(k):
-            return objective(math.sqrt(k / (0.5 * t)))
-
-        sigma = random_params(rng, "holee").sigma
-        k = 0.5 * sigma**2 * t
-        value, grad, curv = slope(k)
-        assert value == objective(sigma)
-        # bounds on the derivatives of (1/n) sum (p - q)^2, q = A exp(-k tau^2):
+        f, slope, variance, _ = _section_loops(xs)(a)
+        params = loop_params(model, a, random_params(rng, "holee").sigma)
+        v = variance(params.sigma)
+        value, grad, curv = slope(v)
+        assert value == f(v)
+        # bounds on the derivatives of (1/n) sum (p - q)^2, q = A exp(-v b^2):
         # |f^(j)| <= scale[j] up to a constant of order one
         taus, prices = np.array(xs.quotes).T
-        q = holee_price(HoLeeParams(sigma=sigma), xs.curve, xs.short_rate, t, t + taus)
+        b = taus if model == "holee" else decay_loading(a, taus)
+        q = _model_price(model, params, xs, xs.t + taus)
         d = np.abs(prices - q)
-        scale = [2.0 * np.mean(taus ** (2 * j) * q * (q + d)) for j in range(5)]
+        scale = [2.0 * np.mean(b ** (2 * j) * q * (q + d)) for j in range(5)]
         noise = 1e-14 * (value + np.mean(prices * d))
-        tau_max = taus[-1]
-        h = min(1e-4 / tau_max**2, 0.5 * k)
-        central = (f(k + h) - f(k - h)) / (2.0 * h)
+        b_max = b[-1]
+        h = min(1e-4 / b_max**2, 0.5 * v)
+        central = (f(v + h) - f(v - h)) / (2.0 * h)
         assert abs(central - grad) <= 1e-12 * scale[1] + h**2 * scale[3] + noise / h
-        h = min(1e-2 / tau_max**2, 0.5 * k)
-        central = (f(k + h) - 2.0 * value + f(k - h)) / h**2
+        h = min(1e-2 / b_max**2, 0.5 * v)
+        central = (f(v + h) - 2.0 * value + f(v - h)) / h**2
         assert abs(central - curv) <= 1e-12 * scale[2] + h**2 * scale[4] + noise / h**2
 
 
@@ -308,7 +324,7 @@ def _golden_section_then_value(fun, lo, hi, tol=1e-12):
     return x, fun(x)
 
 
-def ref_calibrate(model, xs, maxiter=4000):
+def ref_calibrate(model, xs):
     """The earlier calibrate: ls_objective at every evaluation, and a
     constant-vol search that always reports convergence.  Returns
     (params, objective, converged)."""
@@ -333,7 +349,7 @@ def ref_calibrate(model, xs, maxiter=4000):
         for s0 in (0.01, 0.3):
             res = minimize(fun, np.array((math.log(a0), math.log(s0))),
                            method="Nelder-Mead",
-                           options={"maxiter": maxiter, "xatol": 1e-10,
+                           options={"maxiter": 4000, "xatol": 1e-10,
                                     "fatol": 1e-22, "adaptive": False})
             if math.isfinite(res.fun) and (best is None or res.fun < best.fun):
                 best = res
@@ -363,29 +379,44 @@ def model_section(rng, model):
                         short_rate=xs.short_rate)
 
 
-@pytest.mark.parametrize("model, n, maxiter", [("holee", 120, 4000),
-                                               ("hullwhite", 6, 150),
-                                               ("hullwhite", 1, 4000)])
-def test_calibrate_finds_what_the_earlier_calibrate_found(model, n, maxiter, monkeypatch):
-    # a 150-iteration cap stops some Nelder-Mead searches early, on both sides
-    monkeypatch.setattr(calibration, "_HW_MAXITER", maxiter)
-    rng = np.random.default_rng(30 + 7 * (model == "hullwhite") + maxiter)
+def test_hullwhite_fit_leaves_the_sigma_bound_the_earlier_search_stopped_on():
+    # the earlier Nelder-Mead (ref_calibrate) stopped here at
+    # sigma = 1.0000000104e-5, on its bound, with an objective of 6.8e-8, and
+    # called that converged; a = 4.9e-4, sigma = 7.5e-3 reach 4.6e-13
+    xs = model_section(np.random.default_rng(1), "hullwhite")
+    got = calibrate("hullwhite", xs)
+    assert got.objective <= 1e-12
+    assert got.converged
+    assert A_BOUNDS[0] < got.params.a < A_BOUNDS[1]
+    assert SIGMA_BOUNDS[0] < got.params.sigma < SIGMA_BOUNDS[1]
+
+
+@pytest.mark.parametrize("model, n", [("holee", 120), ("hullwhite", 40)])
+def test_calibrate_finds_what_the_earlier_calibrate_found(model, n):
+    rng = np.random.default_rng(4030 + 7 * (model == "hullwhite"))
     on_bound = 0
     for _ in range(n):
         xs = model_section(rng, model)
-        params, value, converged = ref_calibrate(model, xs, maxiter)
+        params, value, converged = ref_calibrate(model, xs)
         got = calibrate(model, xs)
-        assert type(got.objective) is type(value)
-        if model == "hullwhite":
-            assert got.params == params
-            assert got.objective == value
-            assert got.converged == converged
-            continue
-        # Ho-Lee: the Newton search in k finds the golden section's minimum
-        # up to the objective's rounding, B = (4 eps / n) sum(p) sqrt(n f)
+        assert type(got.objective) is np.float64
+        # the search finds the reference's minimum up to the objective's
+        # rounding, B = (4 eps / n) sum(p) sqrt(n f)
         quotes = len(xs.quotes)
         slack = (4.0 * EPS / quotes * sum(p for _, p in xs.quotes)
                  * math.sqrt(quotes * value))
+        if model == "hullwhite":
+            # where both fits reproduce the quotes, to residuals of at most
+            # 1e-12 of the largest price, the difference is where each
+            # search stopped, not a worse minimum
+            floor = (1e-12 * max(p for _, p in xs.quotes)) ** 2
+            assert got.objective <= value + max(slack, floor)
+            assert got.objective == ls_objective(model, got.params, xs)
+            # a fit on a bound of either parameter is never converged
+            if got.params.a in A_BOUNDS or got.params.sigma in SIGMA_BOUNDS:
+                on_bound += 1
+                assert not got.converged
+            continue
         assert got.objective <= value + slack
         assert got.objective == ls_objective(model, got.params, xs)
         # the bound rule applied to the golden section's result
@@ -402,8 +433,7 @@ def test_calibrate_finds_what_the_earlier_calibrate_found(model, n, maxiter, mon
             on_bound += 1
             assert got.params == HoLeeParams(sigma=end)
             assert got.objective == end_value
-    if model == "holee":
-        assert 0 < on_bound < n
+    assert 0 < on_bound < n
 
 
 # -- curve lookups -------------------------------------------------------------
