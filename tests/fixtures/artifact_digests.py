@@ -11,9 +11,10 @@ cases cover:
   pairs (128 pairs), the two-factor one also over more than one step
   chunk;
 * ``synth`` and ``fit-ml`` (2 restarts) for both models;
-* Ho-Lee and Hull-White ``calibrate`` on a few dates, and Ho-Lee again
-  with ``--per-date-curve`` (each date anchored on the previous date's
-  quotes);
+* Ho-Lee and Hull-White ``calibrate`` on a few dates of Ho-Lee quotes
+  (Hull-White's a lands on its lower bound), Hull-White on Hull-White
+  quotes at an interior a, and Ho-Lee again with ``--per-date-curve``
+  (each date anchored on the previous date's quotes);
 * ``surface`` for all four models;
 * ``check-arbitrage`` on a two-factor state whose dP/dT changes sign and on
   an inverted curve, ``price`` for all four models, and ``bootstrap``.
@@ -55,6 +56,8 @@ PARAMS = {
 # some states, so the state in "audit.state" shows a dP/dT sign change
 ARBITRAGE_PARAMS = {"a": 0.13, "b": 0.3526, "sigma": 0.2062, "eta": 0.4892, "rho": -0.99}
 TENORS = (0.25, 1.0, 2.0, 5.0, 10.0, 20.0)
+# the damped-vol parameters of "inputs/sections_hw.csv"
+HW_INTERIOR = {"a": 0.1, "sigma": 0.0215}
 SURFACE_WEEKS = 12
 # 2,050 antithetic pairs: 16 full 128-pair tiles and one of 2 pairs
 ORACLE_PATHS = "4100"
@@ -100,6 +103,20 @@ def write_inputs() -> None:
             price = math.exp(-0.5 * 0.0215**2 * t * tau * tau - tau * r)
             rows.append(f"{asof.isoformat()},{tau!r},{price + 1e-5 * math.cos(j + k)!r}")
     _write("inputs/sections.csv", rows)
+    # Hull-White quotes at an interior reversion speed, so the damped-vol
+    # fit lands inside A_BOUNDS, with a smaller wobble
+    a, sigma = HW_INTERIOR["a"], HW_INTERIOR["sigma"]
+    rows = ["date,maturity_years,zero_price"]
+    for k in range(3):
+        asof = ASOF + dt.timedelta(weeks=53 + 4 * k)
+        t = _years(asof)
+        r = RATE + 0.01 * math.sin(k)
+        variance = sigma**2 * -math.expm1(-2.0 * a * t) / (4.0 * a)
+        for j, tau in enumerate(TENORS):
+            b = -math.expm1(-a * tau) / a
+            price = math.exp(-RATE * tau + b * RATE - variance * b * b - b * r)
+            rows.append(f"{asof.isoformat()},{tau!r},{price + 1e-6 * math.cos(j + k)!r}")
+    _write("inputs/sections_hw.csv", rows)
     _write("inputs/bonds.csv", [
         "id,face,coupon_rate,frequency,maturity,first_coupon",
         "A,100.0,0.0,0,2013-07-07,",
@@ -137,6 +154,9 @@ def _cases():
         cases[f"calibrate-{model}"] = [
             "calibrate", "--model", model, "--cross-section", "inputs/sections.csv",
             "--curve", "inputs/curve.csv"]
+    cases["calibrate-hullwhite-interior"] = [
+        "calibrate", "--model", "hullwhite", "--cross-section", "inputs/sections_hw.csv",
+        "--curve", "inputs/curve.csv"]
     cases["calibrate-holee-per-date"] = [
         "calibrate", "--model", "holee", "--cross-section", "inputs/sections.csv",
         "--curve", "inputs/curve.csv", "--per-date-curve"]
