@@ -322,7 +322,9 @@ def calibrate(model: str, xs: CrossSection) -> CalibrationResult:
     f(a) = min_sigma f(a, sigma), each value one search with loadings
     (1 - e^{-a tau}) / a, is evaluated on _A_GRID log-spaced a over
     A_BOUNDS, and every local minimum of that grid is refined in log a
-    between its neighbours by ``minimize``.  The better end of A_BOUNDS
+    between its neighbours by ``minimize``: one Powell sweep, which in one
+    dimension is one bounded Brent search (a second sweep would only repeat
+    it over the same bracket).  The better end of A_BOUNDS
     wins unless a refined minimum beats it.  A fit is converged when its
     sigma search converged and a lies strictly inside A_BOUNDS.
     Non-convergence is flagged, not raised; the best point found is still
@@ -354,7 +356,7 @@ def calibrate(model: str, xs: CrossSection) -> CalibrationResult:
                     np.array([logs[i]]),
                     method="Powell",
                     bounds=[(logs[max(i - 1, 0)], logs[min(i + 1, _A_GRID - 1)])],
-                    options={"xtol": _A_XTOL},
+                    options={"xtol": _A_XTOL, "maxiter": 1},
                 )
                 candidates.append(profile(math.exp(res.x[0])))
         a, sigma, _, sigma_converged = min(candidates, key=lambda fit: fit[2])
