@@ -16,8 +16,10 @@ Estimated parameters are taken straight from the historical series and used
 unchanged for pricing: no market-price-of-risk adjustment is applied, so
 time-series dynamics and pricing dynamics are deliberately identified.
 
-The restarts run ``scipy.optimize.minimize`` (Nelder-Mead), imported on the
-first fit (``minimize`` below), so loading this module does not load scipy.
+Each restart runs ``minimize`` below, the package's own adaptive
+Nelder-Mead.  It reproduces scipy's iterates bit for bit, and a fit loads
+no scipy module; ``numpy.random`` is loaded by the first fit, for the
+restarts' start jitter.
 """
 
 from __future__ import annotations
@@ -60,11 +62,88 @@ _XATOL = 1e-6
 _FATOL = 1e-8
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
+@dataclass(frozen=True)
+class SimplexResult:
+    """The end of one Nelder-Mead search: the best vertex, its value, the
+    iteration and evaluation counts, and status 0 (converged) or 2
+    (_MAXITER reached), scipy's codes."""
 
-    return scipy_minimize(*args, **kwargs)
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    status: int
+
+
+def minimize(fun: Callable[[np.ndarray], float], x0) -> SimplexResult:
+    """Minimize ``fun`` from ``x0`` by adaptive Nelder-Mead (Gao & Han,
+    Comput. Optim. Appl. 51, 2012), stopping on _XATOL and _FATOL or after
+    _MAXITER iterations.
+
+    The search makes scipy 1.17's ``minimize(method="Nelder-Mead",
+    options={"adaptive": True, ...})`` operations in scipy's order, so it
+    visits the same points and returns the same bits; ``fun`` gets a copy
+    of each point.  With reflection coefficient 1 the expansion,
+    contraction and shrink coefficients of dimension n are 1 + 2/n,
+    3/4 - 1/(2n) and 1 - 1/n.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    n = x0.size
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        nfev += 1
+        return fun(np.copy(x))
+
+    # the start, and one vertex per coordinate moved by 5% (or to 0.00025)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    for k in range(n + 1):
+        fsim[k] = f(sim[k])
+    nit = 1
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    while nit < _MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            # outside contraction when xr beats the worst vertex, else inside
+            if fxr < fsim[-1]:
+                xc = (1 + psi) * xbar - psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return SimplexResult(
+        x=sim[0], fun=np.min(fsim), nit=nit, nfev=nfev,
+        status=2 if nit >= _MAXITER else 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -452,17 +531,7 @@ def fit_ml(
         theta0 = guess.copy()
         if restart > 0:
             theta0 = theta0 + np.log(rng.uniform(0.5, 2.0, size=guess.size))
-        res = minimize(
-            negloglik,
-            theta0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": _MAXITER,
-                "xatol": _XATOL,
-                "fatol": _FATOL,
-                "adaptive": True,
-            },
-        )
+        res = minimize(negloglik, theta0)
         total_iter += int(res.nit)
         ll = -float(res.fun)
         lls.append(ll)

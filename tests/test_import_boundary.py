@@ -1,14 +1,17 @@
 """Which commands load scipy and ``numpy.random``.
 
-scipy.optimize takes about half a second to import, and only the optimizers
-(``estimation.minimize``, ``calibration.minimize``) and the inverse normal
-CDF (``rng.ndtri``) use scipy.  ``numpy.random`` serves only the random
+scipy.optimize takes about half a second to import, and only Hull-White's
+refine (``calibration.minimize``, Powell) and the inverse normal CDF
+(``rng.ndtri``) use scipy.  ``numpy.random`` serves only the random
 streams (``rng.path_generator``) and fit-ml's restart draws.  Each of them
 is imported on first call, so importing the package, and running a command
 that neither fits nor simulates, must leave every ``scipy`` and
 ``numpy.random`` module unloaded.  So must a Ho-Lee ``calibrate``: its
-one-parameter search is the package's own.  Each check runs in a fresh
-interpreter, since this test process has both loaded already.
+one-parameter search is the package's own.  ``fit-ml``'s Nelder-Mead
+(``estimation.minimize``) is the package's own too, so it loads
+``numpy.random`` for its restart draws and no scipy module.  Each check
+runs in a fresh interpreter, since this test process has both loaded
+already.
 """
 
 import datetime as dt
@@ -79,6 +82,9 @@ def inputs(tmp_path_factory):
     schedule = [ASOF + dt.timedelta(weeks=k) for k in range(60)]
     panel = synth_panel("vasicek", vasicek, schedule, [("Z", dt.date(2056, 1, 4))], seed=3)
     fileio.write_panel(root / "panel.csv", panel)
+    bonds = [("L", dt.date(2041, 1, 4)), ("XL", dt.date(2051, 1, 4))]
+    panel = synth_panel("g2pp", g2, schedule, bonds, curve=curve, seed=4)
+    fileio.write_panel(root / "panel_2f.csv", panel)
     sections = []
     for weeks in (60, 61):
         date = ASOF + dt.timedelta(weeks=weeks)
@@ -119,32 +125,57 @@ ARTIFACTS = {
     "fit-ml": ["fit_params.txt", "fit_states.csv", "fit_report.txt", "run_log.jsonl"],
     "synth": ["panel.csv", "run_log.jsonl"],
 }
+PRELOADED = "import numpy.random, scipy.optimize, scipy.special"
+
+
+def _deferred_and_preloaded(command, argv, tmp_path):
+    """(loaded modules, written artifacts) of ``argv`` run in a fresh
+    interpreter, as is and after importing every lazy module first:
+    {"deferred": ..., "preloaded": ...}."""
+    runs = {}
+    for name, preload in (("deferred", ""), ("preloaded", PRELOADED)):
+        outdir = tmp_path / name
+        loaded = lazy_modules_after([["--output-dir", str(outdir), *argv]], preload)
+        runs[name] = loaded, {a: (outdir / a).read_bytes() for a in ARTIFACTS[command]}
+    return runs
 
 
 def _scipy_commands(inputs):
     return {
         "oracle": ["oracle", "--model", "vasicek", "--maturity", "2.0",
                    "--paths", "2000", "--step", "0.02", "--seed", "7"],
-        "fit-ml": ["fit-ml", "--model", "vasicek", "--panel", str(inputs / "panel.csv"),
-                   "--restarts", "2", "--seed", "1"],
         "synth": ["synth", "--model", "vasicek", "--n-obs", "20", "--seed", "5"],
     }
 
 
-@pytest.mark.parametrize("command", sorted(ARTIFACTS))
+@pytest.mark.parametrize("command", ["oracle", "synth"])
 def test_command_that_needs_scipy_loads_it_and_writes_the_same_artifacts(
     inputs, tmp_path, command
 ):
-    outputs = {}
-    preloaded = "import numpy.random, scipy.optimize, scipy.special"
-    for name, preload in (("deferred", ""), ("preloaded", preloaded)):
-        outdir = tmp_path / name
-        loaded = lazy_modules_after(
-            [["--output-dir", str(outdir), *_scipy_commands(inputs)[command]]], preload
-        )
-        assert "scipy" in loaded and "numpy.random" in loaded
-        outputs[name] = {a: (outdir / a).read_bytes() for a in ARTIFACTS[command]}
-    assert outputs["deferred"] == outputs["preloaded"]
+    runs = _deferred_and_preloaded(command, _scipy_commands(inputs)[command], tmp_path)
+    loaded, written = runs["deferred"]
+    assert "scipy" in loaded and "numpy.random" in loaded
+    assert written == runs["preloaded"][1]
+
+
+def _fit_commands(inputs):
+    return {
+        "vasicek": ["fit-ml", "--model", "vasicek", "--panel", str(inputs / "panel.csv"),
+                    "--restarts", "2", "--seed", "1"],
+        "g2pp": ["fit-ml", "--model", "g2pp", "--panel", str(inputs / "panel_2f.csv"),
+                 "--curve", str(inputs / "curve.csv"), "--restarts", "2", "--seed", "1"],
+    }
+
+
+@pytest.mark.parametrize("model", ["vasicek", "g2pp"])
+def test_fit_loads_numpy_random_and_no_scipy_and_writes_the_same_artifacts(
+    inputs, tmp_path, model
+):
+    runs = _deferred_and_preloaded("fit-ml", _fit_commands(inputs)[model], tmp_path)
+    loaded, written = runs["deferred"]
+    assert "numpy.random" in loaded
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
+    assert written == runs["preloaded"][1]
 
 
 def test_ndtri_writes_in_place_bit_equal_to_scipy():
