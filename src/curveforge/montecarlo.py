@@ -43,7 +43,7 @@ from .curve import DiscountCurve
 from .daycount import year_fraction
 from .errors import OrderingError, ResolutionError, SingularInversionError
 from .models import MODELS, fitted_by, record
-from .rng import normal_block, path_generator, standard_normals
+from .rng import normal_block, path_generator, shared_streams, standard_normals
 from .shortrate import (
     G2State,
     decay_loading,
@@ -61,8 +61,8 @@ MIN_STEPS_PER_HORIZON = 50
 # 2^22-normal (32 MiB) tile raised the oracle's peak by ~24 MB
 _BLOCK_ELEMENTS = 2**17
 # antithetic pairs per tile; the steps per tile follow from _BLOCK_ELEMENTS.
-# Every tile pays normal_block's set-up (a new Philox, and a state reset per
-# row), so smaller tiles run slower
+# A price's tiles share one bit generator, but every tile pays a state reset
+# and a random call per row, so smaller tiles run slower
 _TILE_PATHS = 128
 # the run-length limit of _check_block_size: min(n_paths, _MIN_BLOCK_PATHS)
 # paths of all their draws may hold at most _MAX_BLOCK_ELEMENTS normals
@@ -221,27 +221,28 @@ def _trapezoid_discounts(decay, drift, chol, x0, steps, seed, n_pairs):
     from its earlier chunks, so every pair adds its draws in draw order
     whatever the tiling.  The mirror's integral is then 2D - I.  Pairs run
     in tiles of at most _TILE_PATHS, each pair tile its steps in chunks of
-    ``_tile_steps``.
+    ``_tile_steps``, all tiles drawn through one shared bit generator.
     """
     k, n_steps = len(x0), steps.size
     D, weights = _trapezoid_weights(decay, drift, chol, x0, steps)
     chunk = _tile_steps(n_pairs, k)
     out = np.empty((n_pairs, 2))
-    for first in range(0, n_pairs, _TILE_PATHS):
-        count = min(_TILE_PATHS, n_pairs - first)
-        integral = np.full(count, D)
-        for s0 in range(0, n_steps, chunk):
-            m = min(chunk, n_steps - s0)
-            z = normal_block(seed, first, count, k * m, k * s0)
-            z *= weights[k * s0 : k * (s0 + m)]
-            z[:, 0] += integral
-            # a running sum along each row, one draw at a time
-            np.add.accumulate(z, axis=1, out=z)
-            integral = z[:, -1].copy()
-            # release this tile before the next one is drawn
-            del z
-        out[first : first + count, 0] = np.exp(-integral)
-        out[first : first + count, 1] = np.exp(integral - 2.0 * D)
+    with shared_streams():
+        for first in range(0, n_pairs, _TILE_PATHS):
+            count = min(_TILE_PATHS, n_pairs - first)
+            integral = np.full(count, D)
+            for s0 in range(0, n_steps, chunk):
+                m = min(chunk, n_steps - s0)
+                z = normal_block(seed, first, count, k * m, k * s0)
+                z *= weights[k * s0 : k * (s0 + m)]
+                z[:, 0] += integral
+                # a running sum along each row, one draw at a time
+                np.add.accumulate(z, axis=1, out=z)
+                integral = z[:, -1].copy()
+                # release this tile before the next one is drawn
+                del z
+            out[first : first + count, 0] = np.exp(-integral)
+            out[first : first + count, 1] = np.exp(integral - 2.0 * D)
     return out
 
 

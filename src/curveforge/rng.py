@@ -6,7 +6,8 @@ on how many paths are requested or in which order blocks execute.  A
 Philox stream is a function of its key and counter alone, so a block of
 paths re-keys one bit generator per row instead of building one per path,
 and a block may start any row at a later draw by setting its counter: one
-counter step covers four draws.
+counter step covers four draws.  A price's tiles share that one bit
+generator (``shared_streams``), since every row sets its whole state.
 Normals come from the inverse CDF applied to uniforms, which is bit-stable
 across platforms, unlike rejection samplers.  The inverse CDF is scipy's
 ``ndtri``.  scipy and ``numpy.random`` are imported on first use, not with
@@ -15,6 +16,7 @@ this module, so commands that never simulate load neither.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +25,8 @@ if TYPE_CHECKING:
     from numpy.random import Generator
 
 _U_FLOOR = 1e-300  # random() can return exactly 0.0; ndtri(0) is -inf
+# the generator every normal_block call re-keys inside shared_streams()
+_shared: Generator | None = None
 
 
 def ndtri(u, out=None):
@@ -49,6 +53,26 @@ def standard_normals(gen: Generator, n: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def _keyless_generator() -> Generator:
+    """A Generator over a Philox whose key and counter every row sets."""
+    from numpy.random import Generator, Philox
+
+    return Generator(Philox(key=np.zeros(2, dtype=np.uint64)))
+
+
+@contextmanager
+def shared_streams():
+    """Inside the block, every ``normal_block`` call re-keys one bit
+    generator built on entry instead of building its own (the oracle opens
+    one per price, for all its tiles)."""
+    global _shared
+    outer, _shared = _shared, _shared or _keyless_generator()
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
 def normal_block(
     seed: int, first_path: int, n_paths: int, n_draws: int, first_draw: int = 0
 ) -> np.ndarray:
@@ -58,22 +82,25 @@ def normal_block(
     Each row is drawn from its own keyed stream, so the block decomposition
     is invisible in the output: columns j:j+m of a block equal the block
     drawn with first_draw=j and m draws.  One bit generator serves the whole
-    block: before each row it gets that row's key and a fresh state with
-    counter first_draw // 4 and an empty buffer, which is exactly the state
-    a new Philox(key) is in after its first first_draw draws.  first_draw
-    must therefore be a multiple of 4.  The uniforms are inverted in place,
-    so only the returned block is held.
+    block (and every block inside ``shared_streams``): before each row it
+    gets that row's key and a fresh state with counter first_draw // 4 and
+    an empty buffer, which is exactly the state a new Philox(key) is in
+    after its first first_draw draws.  first_draw must therefore be a
+    multiple of 4.  numpy has no call that draws from several keys at once,
+    so each row costs one state set and one ``random`` call.  The uniforms
+    are inverted in place, so only the returned block is held.
     """
     if first_draw < 0 or first_draw % 4:
         raise ValueError(f"first draw {first_draw} must be a non-negative multiple of 4")
-    gen = path_generator(seed, first_path)
+    if seed < 0 or first_path < 0:
+        raise ValueError("seed and path index must be non-negative")
+    gen = _shared or _keyless_generator()
     bitgen = gen.bit_generator
-    fresh = bitgen.state
-    # plain ints set faster than the uint64 arrays the state comes in
-    fresh["state"] = {name: v.tolist() for name, v in fresh["state"].items()}
-    fresh["buffer"] = fresh["buffer"].tolist()
-    fresh["state"]["counter"][0] = first_draw // 4
-    key = fresh["state"]["key"]
+    # a fresh Philox's state, in plain ints, which set faster than arrays
+    key = [seed, first_path]
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": [first_draw // 4, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     u = np.empty((n_paths, n_draws))
     for i in range(n_paths):
         key[1] = first_path + i

@@ -17,9 +17,10 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from curveforge import montecarlo
+from curveforge import montecarlo, rng
 from curveforge.curve import flat_curve
 from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState
 from curveforge.montecarlo import SimConfig, mc_zero_price
@@ -157,6 +158,29 @@ def test_one_tile_alive_at_a_time(monkeypatch):
     params, state0 = MODELS["g2pp"]
     mc_zero_price("g2pp", params, state0, HORIZON, CONFIG, curve=CURVE)
     assert len(drawn) == 2 * 7
+
+
+def test_a_price_builds_one_bit_generator_for_all_its_tiles(monkeypatch):
+    # 3 pair tiles x 3 step chunks, drawn through one Philox; the shared
+    # generator is gone after the price, so a lone block builds its own
+    from numpy.random import Philox
+
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("key"))
+        return Philox(*args, **kwargs)
+
+    tiles = []
+    monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 128 * 40)
+    est, _ = discounts("vasicek", monkeypatch, tiles)
+    assert len(tiles) == 9 and len(built) == 1
+    assert rng._shared is None
+    normal_block(11, 0, 2, 4)
+    assert len(built) == 2
+    monkeypatch.undo()
+    assert est == discounts("vasicek", monkeypatch, [])[0]
 
 
 # runs one oracle command in a child of its own and prints that child's peak
