@@ -105,6 +105,8 @@ def minimize(fun: Callable[[np.ndarray], float], x0) -> SimplexResult:
     for k in range(n + 1):
         fsim[k] = f(sim[k])
     nit = 1
+    # scipy sorts the first simplex twice; argsort need not keep tied
+    # vertices in place, so the second sort counts
     for _ in range(2):
         order = np.argsort(fsim)
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)

@@ -54,10 +54,10 @@ def standard_normals(gen: Generator, n: int) -> np.ndarray:
 
 
 def _keyless_generator() -> Generator:
-    """A Generator over a Philox whose key and counter every row sets."""
+    """A Generator over a Philox of any key: every row sets its own."""
     from numpy.random import Generator, Philox
 
-    return Generator(Philox(key=np.zeros(2, dtype=np.uint64)))
+    return Generator(Philox())
 
 
 @contextmanager
