@@ -87,7 +87,7 @@ def minimize(fun: Callable[[np.ndarray], float], x0) -> SimplexResult:
     contraction and shrink coefficients of dimension n are 1 + 2/n,
     3/4 - 1/(2n) and 1 - 1/n.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float)).flatten()
+    x0 = np.asarray(x0, dtype=float)
     n = x0.size
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
     nfev = 0
