@@ -72,14 +72,11 @@ from .shortrate import (
     G2State,
     VasicekParams,
     decay_loading,
-    g2pp_invert_states,
     g2pp_log_price,
     g2pp_price,
     g2pp_variance,
     vasicek_ab,
-    vasicek_invert_state,
     vasicek_price,
-    vasicek_transition,
 )
 
 __version__ = "0.1.0"
@@ -131,7 +128,6 @@ __all__ = [
     "fit_ml",
     "flat_curve",
     "g2pp_dPdT",
-    "g2pp_invert_states",
     "g2pp_log_price",
     "g2pp_price",
     "g2pp_variance",
@@ -145,9 +141,7 @@ __all__ = [
     "scan_derivative_signs",
     "synth_panel",
     "vasicek_ab",
-    "vasicek_invert_state",
     "vasicek_price",
-    "vasicek_transition",
     "year_fraction",
     "ytm_from_price",
 ]

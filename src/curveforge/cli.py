@@ -418,7 +418,7 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
 
 
 @main.command("check-arbitrage")
-@click.option("--curve", type=click.Path(exists=True, dir_okay=False), default=None,
+@click.option("--curve", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Audit the pillars of this curve file for inversions.")
 @click.option("--model", type=click.Choice(["g2pp"]), default=None,
               help="Scan the model's analytic dP/dT instead of a price list.")
@@ -432,8 +432,9 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
 @domain_errors
 def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_hi):
     """Static-arbitrage audit of a curve or of model prices."""
-    if curve is None:
-        raise click.UsageError("--curve is required")
+    if model is None and (params_path or state_path):
+        option = "--params" if params_path else "--state"
+        raise click.UsageError(f"{option} needs --model")
     curve_data = fileio.ingest_curve(curve)
     if model is None:
         report = check_monotone(list(curve_data.pillars))

@@ -111,8 +111,10 @@ def minimize(fun: Callable[[np.ndarray], float], x0) -> SimplexResult:
         order = np.argsort(fsim)
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
     while nit < _MAXITER:
+        # sorted, scipy's max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0];
+        # on Python floats inf - inf is a quiet nan
         if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+                and fsim[-1].item() - fsim[0].item() <= _FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]

@@ -18,14 +18,12 @@ log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
 therefore give X exactly, from the one k x k solve in ``affine_invert`` --
 which is what makes exact likelihood work possible.  Every model's factors
 take exact k-factor Ornstein-Uhlenbeck steps, whose moments over arrays of
-gaps ``ou_moments`` gives (``vasicek_transition``: one state, one gap).  The
-two-factor Cholesky factor and alpha and beta (``g2pp_affine``) take one
-step or date, or arrays of them.
+gaps ``ou_moments`` gives.  The two-factor Cholesky factor and alpha and
+beta (``g2pp_affine``) take one step or date, or arrays of them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,19 +119,6 @@ def vasicek_price(params: VasicekParams, r: float, t: float, T: float) -> float:
     return A * libm.exp(-B * r)
 
 
-def vasicek_transition(
-    params: VasicekParams, r_s: float, dt: float
-) -> tuple[float, float]:
-    """Exact conditional (mean, variance) of r after a step of dt years."""
-    if dt <= 0:
-        raise DegenerateStepError(f"step must be positive, got {dt}")
-    a, b, sigma = params.a, params.b, params.sigma
-    decay = math.exp(-a * dt)
-    mean = r_s * decay + b * (1.0 - decay)
-    var = sigma**2 * (-math.expm1(-2.0 * a * dt)) / (2.0 * a)
-    return mean, var
-
-
 def vasicek_affine(params: VasicekParams, taus):
     """Intercepts alpha_j and loadings beta_j = [B(tau_j)] of log P at the
     remaining maturities ``taus`` (floats or arrays over dates), in the form
@@ -145,17 +130,6 @@ def vasicek_affine(params: VasicekParams, taus):
         alpha.append((b - sigma**2 / (2.0 * a**2)) * (B - tau) - sigma**2 * B**2 / (4.0 * a))
         beta.append([B])
     return alpha, beta
-
-
-def vasicek_invert_state(params: VasicekParams, price: float, t: float, T: float) -> float:
-    """Short rate implied by an observed zero price: r = (ln A - ln P)/B."""
-    if price <= 0:
-        raise ValueError(f"price must be positive, got {price}")
-    if T < t:
-        raise OrderingError(f"maturity {T} precedes valuation time {t}")
-    alpha, beta = vasicek_affine(params, [T - t])
-    (r,), _ = affine_invert(alpha, beta, [math.log(price)])
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +283,6 @@ def g2pp_affine(params: G2Params, market, horizons, horizon_index):
         alpha.append(m + 0.5 * (v[tau] - v[T] + v_t))
         beta.append([-ea[tau] / params.a, -eb[tau] / params.b])
     return alpha, beta
-
-
-def g2pp_invert_states(
-    params: G2Params,
-    curve: DiscountCurve,
-    prices: tuple[float, float],
-    t: float,
-    maturities: tuple[float, float],
-) -> G2State:
-    """Recover (x, y) from two observed zero prices at distinct maturities.
-
-    Solves the 2x2 linear system given by the affine log-price at both
-    maturities.  Raises SingularInversionError when the loading matrix is
-    numerically singular (equal maturities, or a == b making the factors
-    indistinguishable).
-    """
-    T1, T2 = maturities
-    p1, p2 = prices
-    if p1 <= 0 or p2 <= 0:
-        raise ValueError("prices must be positive")
-    if T1 <= t or T2 <= t:
-        raise OrderingError("both maturities must lie strictly after t")
-    alpha, beta = g2pp_affine(params, *g2pp_horizons(curve, t, [T1 - t, T2 - t]))
-    (x, y), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
-    return G2State(x=float(x), y=float(y), t=t)
 
 
 def g2pp_cholesky(cov) -> np.ndarray:

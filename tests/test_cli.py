@@ -728,6 +728,11 @@ class TestArgumentRanges:
               "--tau-lo", "-inf"], "--tau-lo"),
             (["check-arbitrage", "--curve", "{curve.csv}", "--model", "g2pp",
               "--tau-hi", "nan"], "--tau-hi"),
+            (["check-arbitrage"], "--curve"),
+            # without --model the audit reads only the curve
+            (["check-arbitrage", "--curve", "{curve.csv}",
+              "--params", "{vasicek.params}"], "--params"),
+            (["check-arbitrage", "--curve", "{curve.csv}", "--state", "{g2.state}"], "--state"),
         ],
     )
     def test_out_of_range_is_usage_error(self, runner, inputs, tmp_path, args, option):

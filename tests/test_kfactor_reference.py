@@ -24,6 +24,10 @@ returns each antithetic pair's path and its mirror.  Given the
 reference's steps, the kernel's first column agrees with the reference's
 discounts, and its second with the reference's driven by the negated
 normals, to rounding bounds derived below from the step count.
+
+The scalar one-date inversions the package once exported
+(``vasicek_invert_state``, ``g2pp_invert_states``) are kept here as frozen
+copies too; the panel states must match them to 1e-12.
 """
 
 import dataclasses
@@ -36,7 +40,12 @@ import pytest
 
 from curveforge import montecarlo
 from curveforge.curve import flat_curve
-from curveforge.errors import BoundaryError, DegenerateStepError, SingularInversionError
+from curveforge.errors import (
+    BoundaryError,
+    DegenerateStepError,
+    OrderingError,
+    SingularInversionError,
+)
 from curveforge.estimation import (
     _ML_MODELS,
     LOG2PI,
@@ -60,9 +69,13 @@ from curveforge.shortrate import (
     G2Params,
     G2State,
     VasicekParams,
+    affine_invert,
     decay_loading,
+    g2pp_affine,
     g2pp_cholesky,
+    g2pp_horizons,
     g2pp_variance,
+    vasicek_affine,
 )
 
 START = dt.date(2010, 1, 4)
@@ -161,6 +174,41 @@ def _ref_loglik_g2pp_core(
     density = -LOG2PI - 0.5 * np.log(det_cov) - 0.5 * quad
     jacobian = np.log(p1[1:] * p2[1:] * np.abs(det[1:]))
     return float(np.sum(density) - np.sum(jacobian)), x, y
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the scalar one-date inversions
+# ---------------------------------------------------------------------------
+
+
+def _ref_vasicek_invert_state(params, price, t, T):
+    """Short rate implied by an observed zero price: r = (ln A - ln P)/B."""
+    if price <= 0:
+        raise ValueError(f"price must be positive, got {price}")
+    if T < t:
+        raise OrderingError(f"maturity {T} precedes valuation time {t}")
+    alpha, beta = vasicek_affine(params, [T - t])
+    (r,), _ = affine_invert(alpha, beta, [math.log(price)])
+    return r
+
+
+def _ref_g2pp_invert_states(params, curve, prices, t, maturities):
+    """Recover (x, y) from two observed zero prices at distinct maturities.
+
+    Solves the 2x2 linear system given by the affine log-price at both
+    maturities.  Raises SingularInversionError when the loading matrix is
+    numerically singular (equal maturities, or a == b making the factors
+    indistinguishable).
+    """
+    T1, T2 = maturities
+    p1, p2 = prices
+    if p1 <= 0 or p2 <= 0:
+        raise ValueError("prices must be positive")
+    if T1 <= t or T2 <= t:
+        raise OrderingError("both maturities must lie strictly after t")
+    alpha, beta = g2pp_affine(params, *g2pp_horizons(curve, t, [T1 - t, T2 - t]))
+    (x, y), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
+    return G2State(x=float(x), y=float(y), t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +437,12 @@ class TestLikelihoodAgainstReference:
         np.testing.assert_array_equal(data.gaps[data.gap_index], irregular.gaps)
 
     def test_scalar_inversions_match_panel_states(self):
-        from curveforge.shortrate import g2pp_invert_states, vasicek_invert_state
-
         panel = _g2_panel("irregular")
         (n1, _), (n2, _) = panel.instruments
         (x, y), _ = _states(_ML_MODELS["g2pp"], README_G2, _PanelData.of(panel, 2, curve=CURVE))
         for k, t in enumerate(panel.times.tolist()):
             tau1, tau2 = panel.taus(n1)[k], panel.taus(n2)[k]
-            state = g2pp_invert_states(
+            state = _ref_g2pp_invert_states(
                 README_G2, CURVE, (panel.prices(n1)[k], panel.prices(n2)[k]),
                 t, (t + tau1, t + tau2),
             )
@@ -405,7 +451,7 @@ class TestLikelihoodAgainstReference:
         vas = _vas_panel("irregular")
         (r,), _ = _states(_ML_MODELS["vasicek"], FAST_VAS, _PanelData.of(vas, 1))
         for k, tau in enumerate(vas.taus("Z").tolist()):
-            got = vasicek_invert_state(FAST_VAS, vas.prices("Z")[k], 0.0, tau)
+            got = _ref_vasicek_invert_state(FAST_VAS, vas.prices("Z")[k], 0.0, tau)
             assert got == pytest.approx(r[k], abs=1e-12)
 
     def test_degenerate_two_factor_step_is_a_value_error(self):

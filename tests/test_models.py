@@ -2,7 +2,9 @@
 error types of the likelihood and the simulators at the edges, and the
 facts the rest of the package reads from the table.
 
-The two-factor moments are checked against the frozen reference
+The one-factor moments are checked against ``_ref_vasicek_transition``,
+a frozen copy of the scalar one-gap transition the package used to export;
+the two-factor moments against the frozen reference
 ``_ref_g2pp_transition`` in ``test_kfactor_reference.py``.
 
 Bounds are in units of EPS = 2^-52, the spacing of floats in [1, 2); one
@@ -26,7 +28,7 @@ from curveforge.estimation import loglik_g2pp
 from curveforge.hjm import HoLeeParams, HullWhiteParams, ShortRateState
 from curveforge.models import MODELS, fitted_by, param_fields
 from curveforge.montecarlo import SimConfig, mc_zero_price, synth_panel
-from curveforge.shortrate import G2Params, G2State, VasicekParams, vasicek_transition
+from curveforge.shortrate import G2Params, G2State, VasicekParams
 
 EPS = 2.0**-52
 # a variance sigma^2 (-expm1(-2 a h)) / 2a: the two expm1 differ by 5 EPS
@@ -47,6 +49,17 @@ def _gaps(rng, n=50):
     return np.exp(rng.uniform(math.log(1e-8), math.log(5.0), size=n))
 
 
+def _ref_vasicek_transition(params, r_s, dt):
+    """Exact conditional (mean, variance) of r after a step of dt years."""
+    if dt <= 0:
+        raise DegenerateStepError(f"step must be positive, got {dt}")
+    a, b, sigma = params.a, params.b, params.sigma
+    decay = math.exp(-a * dt)
+    mean = r_s * decay + b * (1.0 - decay)
+    var = sigma**2 * (-math.expm1(-2.0 * a * dt)) / (2.0 * a)
+    return mean, var
+
+
 def test_vasicek_moments_against_the_scalar_transition():
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -59,7 +72,7 @@ def test_vasicek_moments_against_the_scalar_transition():
         gaps = _gaps(rng)
         (decay,), (drift,), ((var,),) = MODELS["vasicek"].moments(p, gaps)
         for h, d, m, v in zip(gaps.tolist(), decay, drift, var):
-            want_mean, want_var = vasicek_transition(p, r, h)
+            want_mean, want_var = _ref_vasicek_transition(p, r, h)
             # r decay + b (1 - decay): the decays differ by 5 EPS decay, and
             # each side rounds two products, a difference and a sum, each
             # within EPS / 2 of a term no larger than |r| + b

@@ -6,6 +6,7 @@ import pytest
 
 from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.errors import (
+    DegenerateStepError,
     OrderingError,
     ResolutionError,
     SingularInversionError,
@@ -29,9 +30,10 @@ from curveforge.shortrate import (
     G2Params,
     G2State,
     VasicekParams,
+    affine_invert,
     g2pp_price,
+    vasicek_affine,
     vasicek_price,
-    vasicek_transition,
 )
 
 VAS = VasicekParams(a=1.7051, b=0.0937, sigma=0.3721)
@@ -78,6 +80,31 @@ class TestSimConfig:
         assert cfg.n_paths == 4
 
 
+def _ref_vasicek_transition(params, r_s, dt):
+    """Exact conditional (mean, variance) of r after a step of dt years
+    (a frozen copy of the scalar one-gap transition the package used to
+    export)."""
+    if dt <= 0:
+        raise DegenerateStepError(f"step must be positive, got {dt}")
+    a, b, sigma = params.a, params.b, params.sigma
+    decay = math.exp(-a * dt)
+    mean = r_s * decay + b * (1.0 - decay)
+    var = sigma**2 * (-math.expm1(-2.0 * a * dt)) / (2.0 * a)
+    return mean, var
+
+
+def _ref_vasicek_invert_state(params, price, t, T):
+    """Short rate implied by an observed zero price: r = (ln A - ln P)/B
+    (a frozen copy of the scalar inversion the package used to export)."""
+    if price <= 0:
+        raise ValueError(f"price must be positive, got {price}")
+    if T < t:
+        raise OrderingError(f"maturity {T} precedes valuation time {t}")
+    alpha, beta = vasicek_affine(params, [T - t])
+    (r,), _ = affine_invert(alpha, beta, [math.log(price)])
+    return r
+
+
 def record_steps(model, params, steps):
     """Per-step decays, drifts and Cholesky rows from the model's record."""
     decay, drift, cov = MODELS[model].moments(params, steps)
@@ -120,7 +147,7 @@ class TestExactSteps:
         horizon, n_paths = 0.75, 20_000
         steps = np.diff(np.linspace(0.0, horizon, 33))
         vals = factor_paths(*record_steps("vasicek", VAS, steps), [0.05], 77, n_paths)[:, -1, 0]
-        mean, var = vasicek_transition(VAS, 0.05, horizon)
+        mean, var = _ref_vasicek_transition(VAS, 0.05, horizon)
         assert abs(vals.mean() - mean) < 4 * vals.std(ddof=1) / math.sqrt(n_paths)
         se_var = vals.var(ddof=1) * math.sqrt(2.0 / (n_paths - 1))
         assert abs(vals.var(ddof=1) - var) < 4 * se_var
@@ -408,8 +435,6 @@ class TestSynthPanel:
         assert all(0 < q <= 1 for _, quotes in p1.observations for q in quotes.values())
 
     def test_vasicek_prices_invert_to_simulated_states(self):
-        from curveforge.shortrate import vasicek_invert_state
-
         schedule = self.weekly(20)
         instruments = [("Z", dt.date(2045, 1, 4))]
         panel = synth_panel("vasicek", VAS, schedule, instruments, seed=8)
@@ -417,7 +442,7 @@ class TestSynthPanel:
         path = _synth_path(*record_steps("vasicek", VAS, panel.gaps), [VAS.b], 8)
         for k, (date, quotes) in enumerate(panel.observations):
             tau = panel.taus("Z")[k]
-            r = vasicek_invert_state(VAS, quotes["Z"], 0.0, float(tau))
+            r = _ref_vasicek_invert_state(VAS, quotes["Z"], 0.0, float(tau))
             assert r == pytest.approx(path[k][0], abs=1e-12)
 
     def test_g2pp_panel_requires_two_instruments_and_curve(self):

@@ -16,17 +16,26 @@ from curveforge.shortrate import (
     G2Params,
     G2State,
     VasicekParams,
+    affine_invert,
     decay_loading,
+    g2pp_affine,
     g2pp_cholesky,
-    g2pp_invert_states,
+    g2pp_horizons,
     g2pp_log_price,
     g2pp_price,
     g2pp_variance,
+    ou_moments,
     vasicek_ab,
-    vasicek_invert_state,
+    vasicek_affine,
     vasicek_price,
-    vasicek_transition,
 )
+
+
+def vasicek_step(r, horizon):
+    """Mean and variance of the short rate one gap of ``horizon`` years
+    after r, from the model's record."""
+    (decay,), (drift,), ((var,),) = MODELS["vasicek"].moments(VAS, np.array([horizon]))
+    return float(r * decay[0] + drift[0]), float(var[0])
 
 
 def g2pp_moments(horizon):
@@ -100,38 +109,47 @@ class TestVasicekTransition:
         sq = sigma * math.sqrt(dt)
         for _ in range(n_steps):
             r += a * (b - r) * dt + sq * rng.standard_normal(n_paths)
-        mean, var = vasicek_transition(VAS, r0, horizon)
+        mean, var = vasicek_step(r0, horizon)
         se_mean = r.std(ddof=1) / math.sqrt(n_paths)
         assert abs(r.mean() - mean) < 4 * se_mean
         se_var = r.var(ddof=1) * math.sqrt(2.0 / (n_paths - 1))
         assert abs(r.var(ddof=1) - var) < 4 * se_var
 
     def test_long_run_mean(self):
-        mean, var = vasicek_transition(VAS, 0.30, 200.0)
+        mean, var = vasicek_step(0.30, 200.0)
         assert mean == pytest.approx(VAS.b, abs=1e-12)
         assert var == pytest.approx(VAS.sigma**2 / (2 * VAS.a), rel=1e-12)
 
     def test_zero_step_rejected(self):
         with pytest.raises(DegenerateStepError):
-            vasicek_transition(VAS, 0.05, 0.0)
+            ou_moments((VAS.a,), (VAS.sigma,), 0.0, 0.0)
         with pytest.raises(DegenerateStepError):
-            vasicek_transition(VAS, 0.05, -1.0)
+            ou_moments((VAS.a,), (VAS.sigma,), 0.0, -1.0)
 
 
 class TestVasicekInversion:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
+        rs, ts, taus, prices = [], [], [], []
         for _ in range(50):
             r = float(rng.uniform(-0.05, 0.25))
             t = float(rng.uniform(0.0, 3.0))
             tau = float(rng.uniform(0.05, 25.0))
             p = vasicek_price(VAS, r, t, t + tau)
-            back = vasicek_invert_state(VAS, p, t, t + tau)
+            (back,), _ = affine_invert(*vasicek_affine(VAS, [(t + tau) - t]), [math.log(p)])
             assert back == pytest.approx(r, abs=1e-10)
+            rs.append(r)
+            ts.append(t)
+            taus.append(tau)
+            prices.append(p)
+        # the same draws as arrays over dates, in one solve
+        ts, taus = np.array(ts), np.array(taus)
+        (back,), _ = affine_invert(*vasicek_affine(VAS, [(ts + taus) - ts]), [np.log(prices)])
+        np.testing.assert_allclose(back, rs, rtol=0.0, atol=1e-10)
 
     def test_zero_tau_singular(self):
         with pytest.raises(SingularInversionError):
-            vasicek_invert_state(VAS, 1.0, 2.0, 2.0)
+            affine_invert(*vasicek_affine(VAS, [0.0]), [0.0])
 
 
 class TestG2Variance:
@@ -313,6 +331,7 @@ class TestG2Inversion:
 
     def test_round_trip(self, curve):
         rng = np.random.default_rng(17)
+        draws = []
         for _ in range(50):
             x = float(rng.uniform(-0.15, 0.15))
             y = float(rng.uniform(-0.15, 0.15))
@@ -322,15 +341,26 @@ class TestG2Inversion:
             state = G2State(x=x, y=y, t=t)
             p1 = g2pp_price(G2, curve, state, t + tau1)
             p2 = g2pp_price(G2, curve, state, t + tau2)
-            back = g2pp_invert_states(G2, curve, (p1, p2), t, (t + tau1, t + tau2))
-            assert back.x == pytest.approx(x, abs=1e-9)
-            assert back.y == pytest.approx(y, abs=1e-9)
+            taus = [(t + tau1) - t, (t + tau2) - t]
+            alpha, beta = g2pp_affine(G2, *g2pp_horizons(curve, t, taus))
+            (bx, by), _ = affine_invert(alpha, beta, [math.log(p1), math.log(p2)])
+            assert bx == pytest.approx(x, abs=1e-9)
+            assert by == pytest.approx(y, abs=1e-9)
+            draws.append((x, y, t, *taus, p1, p2))
+        # the same draws as arrays over dates, in one solve
+        x, y, t, tau1, tau2, p1, p2 = np.array(draws).T
+        alpha, beta = g2pp_affine(G2, *g2pp_horizons(curve, t, [tau1, tau2]))
+        (bx, by), _ = affine_invert(alpha, beta, [np.log(p1), np.log(p2)])
+        np.testing.assert_allclose(bx, x, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(by, y, rtol=0.0, atol=1e-9)
 
     def test_equal_maturities_singular(self, curve):
         with pytest.raises(SingularInversionError):
-            g2pp_invert_states(G2, curve, (0.9, 0.9), 0.0, (5.0, 5.0))
+            affine_invert(*g2pp_affine(G2, *g2pp_horizons(curve, 0.0, [5.0, 5.0])),
+                          [math.log(0.9), math.log(0.9)])
 
     def test_equal_speeds_singular(self, curve):
         params = G2Params(a=0.3, b=0.3, sigma=0.1, eta=0.2, rho=0.0)
         with pytest.raises(SingularInversionError):
-            g2pp_invert_states(params, curve, (0.9, 0.8), 0.0, (2.0, 7.0))
+            affine_invert(*g2pp_affine(params, *g2pp_horizons(curve, 0.0, [2.0, 7.0])),
+                          [math.log(0.9), math.log(0.8)])
