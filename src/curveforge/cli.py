@@ -29,6 +29,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import fileio
 from .calibration import CrossSection, calibrate_series
@@ -417,6 +418,10 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
     )
 
 
+_MODEL_AUDIT_OPTIONS = (("params_path", "--params"), ("state_path", "--state"),
+                        ("tau_lo", "--tau-lo"), ("tau_hi", "--tau-hi"))
+
+
 @main.command("check-arbitrage")
 @click.option("--curve", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Audit the pillars of this curve file for inversions.")
@@ -432,9 +437,11 @@ def surface_cmd(ctx, model, params_path, states_path, curve):
 @domain_errors
 def check_arbitrage_cmd(ctx, curve, model, params_path, state_path, tau_lo, tau_hi):
     """Static-arbitrage audit of a curve or of model prices."""
-    if model is None and (params_path or state_path):
-        option = "--params" if params_path else "--state"
-        raise click.UsageError(f"{option} needs --model")
+    # the curve audit reads none of the model's options
+    given = [option for name, option in _MODEL_AUDIT_OPTIONS
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if model is None and given:
+        raise click.UsageError(f"{given[0]} needs --model")
     curve_data = fileio.ingest_curve(curve)
     if model is None:
         report = check_monotone(list(curve_data.pillars))

@@ -16,8 +16,17 @@ Estimated parameters are taken straight from the historical series and used
 unchanged for pricing: no market-price-of-risk adjustment is applied, so
 time-series dynamics and pricing dynamics are deliberately identified.
 
-Each restart runs ``minimize`` below, the package's own adaptive
-Nelder-Mead.  It reproduces scipy's iterates bit for bit, and a fit loads
+``fit_ml`` runs all its restarts through one call of ``minimize`` below,
+the package's own adaptive Nelder-Mead, in lockstep: each round asks the
+likelihood for the pending points of every live restart at once, one call
+per phase (reflections, then expansions and contractions, then shrinks),
+and the likelihood takes those points along a leading axis of its arrays.
+Each restart still reproduces scipy's iterates bit for bit, and ``nfev``
+counts points, not calls.  A call carries at most _BATCH_POINTS = 16
+points, because the batch sets the likelihood's peak memory: ~43 KB per
+g2pp point on a 260-date panel (tracemalloc: 0.69 MB at 16 points, 1.38 MB
+at 32), while the whole first simplex of 16 g2pp restarts would be 96
+points (4.1 MB) against the ~58 MB a benchmarked fit peaks at.  A fit loads
 no scipy module; ``numpy.random`` is loaded by the first fit, for the
 restarts' start jitter.
 """
@@ -25,8 +34,9 @@ restarts' start jitter.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -45,6 +55,7 @@ from .models import MODELS, Model
 from .shortrate import (
     G2Params,
     VasicekParams,
+    INVERSION_DET_TOL,
     affine_invert,
     factor_det,
     g2pp_affine,
@@ -60,93 +71,130 @@ _BOUNDARY_MARGIN = 1.0     # final coordinates this close to the box are flagged
 _MAXITER = 2000
 _XATOL = 1e-6
 _FATOL = 1e-8
+# points per objective call: the batch sets the likelihood's peak memory
+_BATCH_POINTS = 16
 
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """The end of one Nelder-Mead search: the best vertex, its value, the
-    iteration and evaluation counts, and status 0 (converged) or 2
-    (_MAXITER reached), scipy's codes."""
+    """The end of R Nelder-Mead searches run in lockstep.
+
+    Search r ends at its best vertex x[r] with value fun[r], after
+    restart_nit[r] iterations and restart_nfev[r] evaluations, with status
+    restart_status[r]: 0 (converged) or 2 (_MAXITER reached), scipy's codes.
+    nit and nfev are the sums over the searches, nfev counting points, not
+    objective calls; status is 2 when any search reached _MAXITER.
+    """
 
     x: np.ndarray
-    fun: float
+    fun: np.ndarray
     nit: int
     nfev: int
     status: int
+    restart_nit: np.ndarray
+    restart_nfev: np.ndarray
+    restart_status: np.ndarray
 
 
-def minimize(fun: Callable[[np.ndarray], float], x0) -> SimplexResult:
-    """Minimize ``fun`` from ``x0`` by adaptive Nelder-Mead (Gao & Han,
-    Comput. Optim. Appl. 51, 2012), stopping on _XATOL and _FATOL or after
-    _MAXITER iterations.
+def minimize(fun: Callable[[np.ndarray], np.ndarray], x0) -> SimplexResult:
+    """Minimize ``fun`` from each row of ``x0``, R starts of n coordinates,
+    by adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 2012),
+    every search stopping on _XATOL and _FATOL or after _MAXITER iterations.
 
-    The search makes scipy 1.17's ``minimize(method="Nelder-Mead",
-    options={"adaptive": True, ...})`` operations in scipy's order, so it
-    visits the same points and returns the same bits; ``fun`` gets a copy
-    of each point.  With reflection coefficient 1 the expansion,
-    contraction and shrink coefficients of dimension n are 1 + 2/n,
-    3/4 - 1/(2n) and 1 - 1/n.
+    ``fun`` maps an (m, n) array of points to their m values, and gets a
+    copy of at most _BATCH_POINTS points per call.  The R searches run in
+    lockstep: the first simplex is evaluated one vertex index at a time
+    across them, and each round evaluates the pending points of every live
+    search together, phase by phase -- the reflections, then the expansions
+    and contractions, then the shrinks.  Within its own search every point
+    still comes from scipy 1.17's ``minimize(method="Nelder-Mead",
+    options={"adaptive": True, ...})`` operations in scipy's order, so each
+    search visits the points and returns the bits of a run on its own.
+    With reflection coefficient 1 the expansion, contraction and shrink
+    coefficients of dimension n are 1 + 2/n, 3/4 - 1/(2n) and 1 - 1/n.
     """
     x0 = np.asarray(x0, dtype=float)
-    n = x0.size
+    R, n = x0.shape
     chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
-    nfev = 0
+    nfev = np.zeros(R, dtype=int)
+    nit = np.ones(R, dtype=int)
 
-    def f(x):
-        nonlocal nfev
-        nfev += 1
-        return fun(np.copy(x))
+    def f(points):
+        values = np.empty(len(points))
+        for s in range(0, len(points), _BATCH_POINTS):
+            values[s:s + _BATCH_POINTS] = fun(points[s:s + _BATCH_POINTS].copy())
+        return values
+
+    def sort(rows, sim_rows, fsim_rows):
+        order = np.argsort(fsim_rows, axis=1)
+        each = np.arange(len(order))[:, None]
+        sim[rows], fsim[rows] = sim_rows[each, order], fsim_rows[each, order]
 
     # the start, and one vertex per coordinate moved by 5% (or to 0.00025)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
     for k in range(n):
-        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.full(n + 1, np.inf)
+        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    fsim = np.empty((R, n + 1))
     for k in range(n + 1):
-        fsim[k] = f(sim[k])
-    nit = 1
+        fsim[:, k] = f(sim[:, k])
+    nfev += n + 1
     # scipy sorts the first simplex twice; argsort need not keep tied
     # vertices in place, so the second sort counts
+    every = np.arange(R)
     for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    while nit < _MAXITER:
-        # sorted, scipy's max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0];
-        # on Python floats inf - inf is a quiet nan
-        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                and fsim[-1].item() - fsim[0].item() <= _FATOL):
+        sort(every, sim, fsim)
+    live = every
+    while True:
+        live = live[nit[live] < _MAXITER]
+        s, fs = sim[live], fsim[live]
+        # sorted, scipy's max |fsim[0] - fsim[1:]| is fsim[-1] - fsim[0]; on
+        # an all-inf simplex inf - inf is nan, which fails the test, quietly
+        # as on the Python floats the serial search took it on
+        with np.errstate(invalid="ignore", over="ignore"):
+            done = ((np.abs(s[:, 1:] - s[:, :1]).max(axis=(1, 2)) <= _XATOL)
+                    & (fs[:, -1] - fs[:, 0] <= _FATOL))
+        if done.any():
+            live, s, fs = live[~done], s[~done], fs[~done]
+        if not live.size:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = 2 * xbar - worst
         fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            # outside contraction when xr beats the worst vertex, else inside
-            if fxr < fsim[-1]:
-                xc = (1 + psi) * xbar - psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:
-                xc = (1 - psi) * xbar + psi * sim[-1]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                    fsim[j] = f(sim[j])
-        nit += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        nfev[live] += 1
+        expand = fxr < fs[:, 0]
+        contract = ~expand & ~(fxr < fs[:, -2])
+        outside = contract & (fxr < fs[:, -1])
+        # every second point is (1 + c) xbar - c worst: c = chi expands,
+        # psi contracts outside, and -psi gives scipy's inside contraction
+        # (1 - psi) xbar + psi worst to the bit
+        second = expand | contract
+        c = np.where(expand, chi, np.where(outside, psi, -psi))[second, None]
+        x2, f2 = xr.copy(), fxr.copy()
+        x2[second] = (1 + c) * xbar[second] - c * worst[second]
+        f2[second] = f(x2[second])
+        nfev[live[second]] += 1
+        # an expansion or an outside contraction is kept if no worse than
+        # the reflection (the expansion only if better), an inside one if
+        # better than the worst vertex; a contraction not kept shrinks
+        take = second & np.where(
+            expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fs[:, -1]))
+        shrink = contract & ~take
+        new = ~shrink
+        s[new, -1] = np.where(take[:, None], x2, xr)[new]
+        fs[new, -1] = np.where(take, f2, fxr)[new]
+        if shrink.any():
+            best = s[shrink, :1]
+            s[shrink, 1:] = best + sigma * (s[shrink, 1:] - best)
+            fs[shrink, 1:] = f(s[shrink, 1:].reshape(-1, n)).reshape(-1, n)
+            nfev[live[shrink]] += n
+        nit[live] += 1
+        sort(live, s, fs)
+    status = np.where(nit >= _MAXITER, 2, 0)
     return SimplexResult(
-        x=sim[0], fun=np.min(fsim), nit=nit, nfev=nfev,
-        status=2 if nit >= _MAXITER else 0,
+        x=sim[:, 0].copy(), fun=np.min(fsim, axis=1),
+        nit=int(nit.sum()), nfev=int(nfev.sum()), status=int(status.max()),
+        restart_nit=nit, restart_nfev=nfev, restart_status=status,
     )
 
 
@@ -341,10 +389,16 @@ class _PanelData:
         )
 
 
+def _degenerate(det_cov):
+    """Where a step covariance has a determinant that is not positive and
+    finite."""
+    return ~((det_cov > 0) & np.isfinite(det_cov))
+
+
 def _gaussian_logpdf(resid, cov):
     """log N(resid; 0, cov) date by date, for k = 1 or 2 factors."""
     det_cov = factor_det(cov)
-    if not (np.all(det_cov > 0) and np.all(np.isfinite(det_cov))):
+    if _degenerate(det_cov).any():
         raise DegenerateStepError(
             "transition covariance is degenerate at some gap "
             "(a vanishing variance or |rho| at 1)"
@@ -363,7 +417,8 @@ class _MLModel:
     (factor count, curve, transition moments) in ``models.MODELS``."""
 
     model: Model
-    from_theta: Callable[[np.ndarray], object]
+    # search coordinates -> the parameter fields, as floats
+    from_theta: Callable[[np.ndarray], tuple]
     moment_guess: Callable[[PricePanel], np.ndarray]
     # (params, panel data) -> intercepts alpha[j], loadings beta[j][i]
     affine: Callable
@@ -374,6 +429,54 @@ def _panel_data(spec: _MLModel, panel: PricePanel, curve):
     is priced off a curve (a curve too short for the panel fails here)."""
     model = spec.model
     return _PanelData.of(panel, model.factors, curve if model.needs_curve else None)
+
+
+class _Points:
+    """m parameter points of one model, read like one point: each parameter
+    field is an (m, 1) column of the points' values (``values[:, j]``)."""
+
+    def __init__(self, names, values: np.ndarray):
+        self.names = names
+        self.values = values
+        for j, name in enumerate(names):
+            setattr(self, name, values[:, j:j + 1])
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, rows):
+        return _Points(self.names, self.values[rows])
+
+
+def _points(spec: _MLModel, thetas: np.ndarray) -> _Points:
+    """The parameter points of the rows of ``thetas``, mapped one by one."""
+    names = [f.name for f in fields(spec.model.params)]
+    return _Points(names, np.array([spec.from_theta(t) for t in thetas.tolist()]))
+
+
+def _cut(part, keep):
+    """``part`` (an array, _Points, a list of them or None) on the points
+    in ``keep`` only."""
+    if part is None:
+        return None
+    if isinstance(part, list):
+        return [_cut(p, keep) for p in part]
+    return part[keep]
+
+
+def _screen(rows, bad, *parts):
+    """The points left in a batch after one domain check, and ``parts``
+    cut to them: a point leaves where ``bad`` holds on any date or gap.
+
+    ``rows`` indexes the batch's points still in it, or is None for one
+    point, which is not screened here: it raises at the check itself.
+    """
+    if rows is None:
+        return rows, *parts
+    keep = ~bad.any(axis=-1)
+    if keep.all():
+        return rows, *parts
+    return rows[keep], *(_cut(p, keep) for p in parts)
 
 
 def _states(model: _MLModel, params, data: _PanelData):
@@ -389,17 +492,42 @@ def _loglik(model: _MLModel, params, data: _PanelData):
     transition density of the states over its gap minus the log-Jacobian
     log(P_1 ... P_k |det beta|) of the price map.  The transition moments
     are computed on the distinct gaps and gathered date by date.
+
+    ``params`` is one point, or m points as ``_Points``: every array then
+    gains a leading axis over the points, and the log-likelihood is an (m,)
+    array whose rows equal the one-point values bit for bit.  One point
+    whose price map is singular or whose step covariance is degenerate
+    raises (SingularInversionError, DegenerateStepError).  Among m points
+    such a point reads -inf instead: it leaves the batch at that check,
+    before anything else is computed on it, and X holds the points left.
     """
-    X, det = _states(model, params, data)
+    points = len(params) if isinstance(params, _Points) else None
+    rows = None if points is None else np.arange(points)
+    alpha, beta = model.affine(params, data)
+    rows, params, alpha, beta = _screen(
+        rows, abs(factor_det(beta)) < INVERSION_DET_TOL, params, alpha, beta)
+    X, det = affine_invert(alpha, beta, data.log_prices)
     decay, drift, cov = model.model.moments(params, data.gaps)
+    rows, X, det, decay, drift, cov = _screen(
+        rows, _degenerate(factor_det(cov)), X, det, decay, drift, cov)
     at = data.gap_index
+
+    def gathered(values):
+        return values.take(at, axis=-1)
+
     resid = []
     for i, x in enumerate(X):
-        mean = x[:-1] * decay[i][at]
-        resid.append(x[1:] - (mean if drift is None else mean + drift[i][at]))
-    density = _gaussian_logpdf(resid, [[c[at] for c in row] for row in cov])
-    jacobian = np.log(data.price_product * np.abs(det[1:]))
-    return float(np.sum(density) - np.sum(jacobian)), X
+        mean = x[..., :-1] * gathered(decay[i])
+        resid.append(x[..., 1:] - (mean if drift is None else mean + gathered(drift[i])))
+    density = _gaussian_logpdf(resid, [[gathered(c) for c in row] for row in cov])
+    jacobian = np.log(data.price_product * np.abs(det[..., 1:]))
+    # row sums of C-ordered arrays: each is the pairwise sum of one point
+    ll = np.sum(density, axis=-1) - np.sum(jacobian, axis=-1)
+    if rows is None:
+        return float(ll), X
+    out = np.full(points, -np.inf)
+    out[rows] = ll
+    return out, X
 
 
 def _panel_loglik(model: str, params, curve, panel: PricePanel):
@@ -475,19 +603,36 @@ def _moment_guess_g2pp(panel: PricePanel) -> np.ndarray:
     )
 
 
-def _vasicek_from_theta(theta: np.ndarray) -> VasicekParams:
-    return VasicekParams(
-        a=math.exp(theta[0]), b=math.exp(theta[1]), sigma=math.exp(theta[2])
-    )
+def _negloglik(spec: _MLModel, data: _PanelData, thetas: np.ndarray) -> np.ndarray:
+    """-log-likelihood at each row of ``thetas``, the search coordinates of
+    fit_ml: inf outside _THETA_BOX, where the panel has no likelihood, and
+    where it is not finite."""
+    values = np.full(len(thetas), np.inf)
+    inside = np.max(np.abs(thetas), axis=1) <= _THETA_BOX
+    if inside.any():
+        ll, _ = _loglik(spec, _points(spec, thetas[inside]), data)
+        values[inside] = np.where(np.isfinite(ll), -ll, np.inf)
+    return values
 
 
-def _g2pp_from_theta(theta: np.ndarray) -> G2Params:
-    return G2Params(
-        a=math.exp(theta[0]),
-        b=math.exp(theta[1]),
-        sigma=math.exp(theta[2]),
-        eta=math.exp(theta[3]),
-        rho=RHO_CLIP * math.tanh(theta[4]),
+# The maps from search coordinates go through the math module, value by
+# value: numpy's vectorised exp and tanh round differently on part of the
+# inputs (see libm).
+
+
+def _vasicek_from_theta(theta) -> tuple:
+    """(a, b, sigma)"""
+    return math.exp(theta[0]), math.exp(theta[1]), math.exp(theta[2])
+
+
+def _g2pp_from_theta(theta) -> tuple:
+    """(a, b, sigma, eta, rho)"""
+    return (
+        math.exp(theta[0]),
+        math.exp(theta[1]),
+        math.exp(theta[2]),
+        math.exp(theta[3]),
+        RHO_CLIP * math.tanh(theta[4]),
     )
 
 
@@ -515,32 +660,19 @@ def fit_ml(
         raise ValueError(f"the {model} fit needs the market curve")
     data = _panel_data(spec, panel, curve)
     guess = spec.moment_guess(panel)
-    from_theta = spec.from_theta
-
-    def negloglik(theta):
-        if np.max(np.abs(theta)) > _THETA_BOX:
-            return np.inf
-        p = from_theta(theta)
-        try:
-            ll, _ = _loglik(spec, p, data)
-        except (ValueError, FloatingPointError, OverflowError):
-            return np.inf
-        return -ll if math.isfinite(ll) else np.inf
-
     rng = np.random.default_rng(config.seed)
+    starts = [guess] + [
+        guess + np.log(rng.uniform(0.5, 2.0, size=guess.size))
+        for _ in range(config.restarts - 1)
+    ]
+    res = minimize(functools.partial(_negloglik, spec, data), np.array(starts))
     best = None
     lls = []
-    total_iter = 0
-    for restart in range(config.restarts):
-        theta0 = guess.copy()
-        if restart > 0:
-            theta0 = theta0 + np.log(rng.uniform(0.5, 2.0, size=guess.size))
-        res = minimize(negloglik, theta0)
-        total_iter += int(res.nit)
-        ll = -float(res.fun)
+    for x, fun in zip(res.x, res.fun):
+        ll = -float(fun)
         lls.append(ll)
         if math.isfinite(ll) and (best is None or ll > best[0]):
-            best = (ll, np.asarray(res.x))
+            best = (ll, x)
 
     if best is None:
         raise OptimizationError(
@@ -551,7 +683,7 @@ def fit_ml(
     finite = sorted((v for v in lls if math.isfinite(v)), reverse=True)
     converged = len(finite) < 2 or (finite[0] - finite[1]) <= 1e-4
     boundary = bool(np.max(np.abs(theta_best)) > _THETA_BOX - _BOUNDARY_MARGIN)
-    params = from_theta(theta_best)
+    params = spec.model.params(*spec.from_theta(theta_best))
 
     X, _ = _states(spec, params, data)
     states = StateSeries(
@@ -561,7 +693,7 @@ def fit_ml(
     )
     report = OptimizerReport(
         restarts=config.restarts,
-        iterations=total_iter,
+        iterations=res.nit,
         converged=converged,
         boundary=boundary,
         restart_logliks=lls,

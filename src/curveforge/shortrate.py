@@ -20,6 +20,14 @@ which is what makes exact likelihood work possible.  Every model's factors
 take exact k-factor Ornstein-Uhlenbeck steps, whose moments over arrays of
 gaps ``ou_moments`` gives.  The two-factor Cholesky factor and alpha and
 beta (``g2pp_affine``) take one step or date, or arrays of them.
+
+The likelihood evaluates m parameter points at once.  Its parameters are
+then (m, 1) columns instead of floats, and ``ou_moments``,
+``vasicek_affine``, ``g2pp_variance_expm1``, ``g2pp_affine`` and
+``affine_invert`` return arrays with a leading axis over the points.  Each
+row equals the one-point result bit for bit: squares of parameters go
+through ``libm.square`` (libm's pow, as Python floats square), and gathers
+along the last axis through ``take``, which keeps rows C-ordered.
 """
 
 from __future__ import annotations
@@ -52,7 +60,8 @@ def ou_moments(speeds, vols, rho, gaps):
     Returns the decays e^{-a_i g} and the covariance
     rho_ij sigma_i sigma_j (1 - e^{-(a_i + a_j) g}) / (a_i + a_j), with
     rho_ii = 1, as lists decay[i] and cov[i][j] of arrays over the gaps.
-    A zero speed takes the limit sigma^2 g of a Brownian motion.  Raises
+    A zero speed, given as a float, takes the limit sigma^2 g of a Brownian
+    motion; (m, 1) columns of speeds must be positive.  Raises
     DegenerateStepError on a gap that is not positive.
     """
     gaps = np.asarray(gaps, dtype=float)
@@ -60,9 +69,9 @@ def ou_moments(speeds, vols, rho, gaps):
         raise DegenerateStepError(f"step must be positive, got {gaps.min()}")
 
     def cov(i, j):
-        scale = vols[i] ** 2 if i == j else rho * vols[i] * vols[j]
+        scale = libm.square(vols[i]) if i == j else rho * vols[i] * vols[j]
         speed = speeds[i] + speeds[j]
-        if speed == 0.0:
+        if np.ndim(speed) == 0 and speed == 0.0:
             return scale * gaps
         return scale * (-np.expm1(-speed * gaps)) / speed
 
@@ -124,10 +133,11 @@ def vasicek_affine(params: VasicekParams, taus):
     remaining maturities ``taus`` (floats or arrays over dates), in the form
     ``affine_invert`` takes."""
     a, b, sigma = params.a, params.b, params.sigma
+    sigma2 = libm.square(sigma)
     alpha, beta = [], []
     for tau in taus:
         B = decay_loading(a, tau)
-        alpha.append((b - sigma**2 / (2.0 * a**2)) * (B - tau) - sigma**2 * B**2 / (4.0 * a))
+        alpha.append((b - sigma2 / (2.0 * libm.square(a))) * (B - tau) - sigma2 * B**2 / (4.0 * a))
         beta.append([B])
     return alpha, beta
 
@@ -202,18 +212,16 @@ def g2pp_variance_expm1(params: G2Params, tau: np.ndarray):
     a, b, sigma, eta, rho = params.a, params.b, params.sigma, params.eta, params.rho
 
     ea = np.expm1(-a * tau)          # exp(-a tau) - 1
-    e2a = np.expm1(-2.0 * a * tau)
     eb = np.expm1(-b * tau)
-    e2b = np.expm1(-2.0 * b * tau)
-    eab = np.expm1(-(a + b) * tau)
-
-    term_x = (sigma / a) ** 2 * (tau + (2.0 * ea - 0.5 * e2a) / a)
-    term_y = (eta / b) ** 2 * (tau + (2.0 * eb - 0.5 * e2b) / b)
-    term_xy = (
+    # the x, y and cross terms, summed in place as they come: over m
+    # parameter points fewer (m, len(tau)) arrays are alive at once
+    v = libm.square(sigma / a) * (tau + (2.0 * ea - 0.5 * np.expm1(-2.0 * a * tau)) / a)
+    v += libm.square(eta / b) * (tau + (2.0 * eb - 0.5 * np.expm1(-2.0 * b * tau)) / b)
+    v += (
         2.0 * rho * sigma * eta / (a * b)
-        * (tau + ea / a + eb / b - eab / (a + b))
+        * (tau + ea / a + eb / b - np.expm1(-(a + b) * tau) / (a + b))
     )
-    return term_x + term_y + term_xy, ea, eb
+    return v, ea, eb
 
 
 def g2pp_log_price(
@@ -276,12 +284,16 @@ def g2pp_affine(params: G2Params, market, horizons, horizon_index):
     """
     v, ea, eb = g2pp_variance_expm1(params, horizons)
     k = len(market)
-    v_t = v[horizon_index[0]]
+
+    def at(values, row):
+        return values.take(horizon_index[row], axis=-1)
+
+    v_t = at(v, 0)
     alpha, beta = [], []
     for j, m in enumerate(market):
-        tau, T = horizon_index[1 + j], horizon_index[1 + k + j]
-        alpha.append(m + 0.5 * (v[tau] - v[T] + v_t))
-        beta.append([-ea[tau] / params.a, -eb[tau] / params.b])
+        tau, T = 1 + j, 1 + k + j
+        alpha.append(m + 0.5 * (at(v, tau) - at(v, T) + v_t))
+        beta.append([-at(ea, tau) / params.a, -at(eb, tau) / params.b])
     return alpha, beta
 
 
@@ -321,8 +333,9 @@ def affine_invert(alpha, beta, log_prices):
     """Factor values X solving beta . X = alpha - log P, for k = 1 or 2.
 
     Price j has intercept alpha[j], log-price log_prices[j] and loading
-    beta[j][i] on factor i; entries are floats or arrays over dates.
-    Returns (X, det beta) with X[i] the values of factor i.  Raises
+    beta[j][i] on factor i; entries are floats or arrays over dates, with a
+    leading axis over parameter points if the loadings have one.  Returns
+    (X, det beta) with X[i] the values of factor i.  Raises
     SingularInversionError where |det beta| < INVERSION_DET_TOL: a price at
     its own maturity, two equal maturities or two equal reversion speeds
     carry too little information to fix the state.

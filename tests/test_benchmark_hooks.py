@@ -289,3 +289,47 @@ def test_traced_fit_looks_the_curve_up_once_per_fit(monkeypatch, tmp_path):
     assert 0 < nfev_1 < nfev_2
     # one lookup at the observation dates and one per maturity
     assert curve_1 == curve_2 == 3
+
+
+def test_traced_fit_counts_points_not_calls(monkeypatch, tmp_path):
+    """fit_ml runs its restarts as one lockstep search, one estimation.minimize
+    call per fit that evaluates many points per objective call.  The fit's
+    unit of work stays the likelihood evaluation: the traced
+    ``estimation.nfev`` is the sum of the restarts' point counts, equal to
+    what an untraced ``workloads.Evaluations`` counts, and the traced
+    ``estimation.nit`` is the report's ``iterations``."""
+    asof = dt.date(2013, 1, 7)
+    curve = flat_curve(0.04, span=40.0, n_pillars=40, asof=asof)
+    fileio.write_curve(tmp_path / "curve.csv", curve)
+    panel = synth_panel(
+        "g2pp", G2Params(a=0.3, b=0.6, sigma=0.03, eta=0.02, rho=0.4),
+        [asof + dt.timedelta(weeks=k) for k in range(20)],
+        [("12Y", dt.date(2025, 1, 6)), ("20Y", dt.date(2033, 1, 3))],
+        curve=curve, seed=0,
+    )
+    fileio.write_panel(tmp_path / "panel.csv", panel)
+    argv = ["fit-ml", "--model", "g2pp", "--panel", str(tmp_path / "panel.csv"),
+            "--curve", str(tmp_path / "curve.csv"), "--restarts", "3"]
+    searches = []
+    search = curveforge.estimation.minimize
+
+    def recorded(fun, x0):
+        searches.append(search(fun, x0))
+        return searches[-1]
+
+    monkeypatch.setattr(curveforge.estimation, "minimize", recorded)
+    tracer = traced_command(monkeypatch, ["--output-dir", str(tmp_path / "traced"), *argv])
+    (res,) = searches
+    assert len(res.restart_nfev) == 3
+    assert tracer.count["estimation.nfev"] == sum(res.restart_nfev) == res.nfev
+    assert tracer.calls["estimation.objective"] < res.nfev
+    report = fileio.read_keyvalues(tmp_path / "traced" / "fit_report.txt")
+    assert tracer.count["estimation.nit"] == int(report["iterations"]) == res.nit
+
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    evaluations = importlib.import_module("workloads").Evaluations()
+    with contextlib.redirect_stdout(io.StringIO()):
+        curveforge.cli.main(["--output-dir", str(tmp_path / "untraced"), *argv],
+                            standalone_mode=False)
+    assert evaluations.total == tracer.count["estimation.nfev"]
+    assert len(searches) == 2

@@ -733,6 +733,11 @@ class TestArgumentRanges:
             (["check-arbitrage", "--curve", "{curve.csv}",
               "--params", "{vasicek.params}"], "--params"),
             (["check-arbitrage", "--curve", "{curve.csv}", "--state", "{g2.state}"], "--state"),
+            (["check-arbitrage", "--curve", "{curve.csv}", "--tau-lo", "3"], "--tau-lo"),
+            (["check-arbitrage", "--curve", "{curve.csv}", "--tau-lo", "3",
+              "--tau-hi", "1"], "--tau-lo"),
+            # the default value, given explicitly, is still given
+            (["check-arbitrage", "--curve", "{curve.csv}", "--tau-hi", "25"], "--tau-hi"),
         ],
     )
     def test_out_of_range_is_usage_error(self, runner, inputs, tmp_path, args, option):
@@ -744,6 +749,19 @@ class TestArgumentRanges:
         assert result.exit_code == 2, result.output
         assert option in result.output
         assert "Traceback" not in result.output
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    def test_model_option_from_a_config_file_needs_model(self, runner, inputs, tmp_path):
+        # a config value is given as much as a flag is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau_hi=10.0\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(cfg), "--output-dir", str(tmp_path), "check-arbitrage",
+             "--curve", str(inputs / "curve.csv")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--tau-hi needs --model" in result.output
         assert not (tmp_path / "run_log.jsonl").exists()
 
     def test_odd_path_count_names_the_pairs(self, runner, tmp_path):
