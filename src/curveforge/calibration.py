@@ -375,8 +375,10 @@ def calibrate_series(model: str, sections: list[CrossSection]) -> CalibrationSer
     """Calibrate each dated cross-section independently, on the curve it
     carries.
 
-    Single-date domain failures are recorded in the series; only a fully
-    failed series raises, and any other exception (a bug) propagates.
+    Single-date domain failures are recorded in the series, each message
+    stripped of edge whitespace as a calibration file reads it back (the
+    exception's class name when nothing is left); only a fully failed
+    series raises, and any other exception (a bug) propagates.
     """
     if not sections:
         raise ValueError("no cross-sections supplied")
@@ -399,7 +401,7 @@ def calibrate_series(model: str, sections: list[CrossSection]) -> CalibrationSer
                     params=None,
                     objective=None,
                     converged=False,
-                    error=str(exc),
+                    error=str(exc).strip() or type(exc).__name__,
                 )
             )
     if all(rec.params is None for rec in records):

@@ -11,6 +11,7 @@ standard tenor grid.
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,42 @@ def check_violation(t_lo: float, t_hi: float, p_lo: float, p_hi: float) -> None:
         )
 
 
+class Violations(Sequence):
+    """An audit's violations: the (T_low, T_high, P_low, P_high) tuples of
+    the rows of an index table, in row-major order, read on demand.
+
+    ``rows[i]`` holds the indices of violation i's four values in the float
+    array ``fields``; the length is the row count.  The rows are taken as
+    violations without a check, as ``check_monotone`` makes them.
+    """
+
+    __slots__ = ("fields", "rows")
+    __hash__ = None
+
+    def __init__(self, fields: np.ndarray, rows: np.ndarray):
+        self.fields = fields
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [tuple(row) for row in self.fields[self.rows[i]].tolist()]
+        return tuple(self.fields[self.rows[i]].tolist())
+
+    def __iter__(self):
+        return map(tuple, self.fields[self.rows].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple, Violations)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass
 class ArbitrageReport:
     """Outcome of a static-arbitrage audit.
@@ -70,14 +107,33 @@ class ArbitrageReport:
     T_low < T_high and P_low < P_high — a longer bond priced strictly above
     a shorter one.  derivative_sign_changes lists maturities where the
     analytic dP/dT crosses zero (populated by the derivative scan only).
+
+    Every report holds its violations as an index table, which the writers
+    read: ``rows[i]`` gives the indices of violation i's four values in the
+    float array ``fields``.  An audit's violations are a ``Violations``
+    view of its table, whose fields are the audited maturities and prices.
+    A list of tuples is kept as given, after every row is checked, and the
+    distinct floats of its rows become the fields, told apart by bit
+    pattern, so -0.0 and 0.0 each keep their own; such a list is not to be
+    edited afterwards.
     """
 
-    violations: list[tuple[float, float, float, float]]
+    violations: Sequence[tuple[float, float, float, float]]
     derivative_sign_changes: list[float] = field(default_factory=list)
+    fields: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for violation in self.violations:
-            check_violation(*violation)
+        if isinstance(self.violations, Violations):
+            self.fields, self.rows = self.violations.fields, self.violations.rows
+            return
+        table = np.asarray(self.violations, dtype=float).reshape(len(self.violations), 4)
+        ok = (table[:, 0] < table[:, 1]) & (table[:, 2] < table[:, 3])
+        if not ok.all():
+            check_violation(*self.violations[int(np.argmin(ok))])
+        bits, index = np.unique(table.view(np.int64), return_inverse=True)
+        self.fields = bits.view(np.float64)
+        self.rows = index.reshape(table.shape)
 
     @property
     def clean(self) -> bool:
@@ -124,7 +180,8 @@ def g2pp_dPdT(
     the T-derivative of the price variance over [., T].  The market forward
     f(0,T) is the curve's own analytic (piecewise-constant) forward, so the
     result is the exact derivative of g2pp_price between curve pillars.
-    Broadcasts over array maturities and state fields; scalar in, scalar out.
+    D is evaluated at tau and at T in one call.  Broadcasts over array
+    maturities and state fields; scalar in, scalar out.
     """
     t = state.t
     if libm.anywhere(T <= t):
@@ -142,9 +199,11 @@ def g2pp_dPdT(
             + 2.0 * rho * sigma * eta * ba * bb
         )
 
+    horizons, split = libm.concatenated(tau, T)
+    dvar_tau, dvar_T = split(dvar(horizons))
     dlog = (
         -curve.forward(T)
-        + 0.5 * (dvar(tau) - dvar(T))
+        + 0.5 * (dvar_tau - dvar_T)
         - libm.exp(-a * tau) * state.x
         - libm.exp(-b * tau) * state.y
     )
@@ -158,8 +217,10 @@ def check_monotone(prices: list[tuple[float, float]]) -> ArbitrageReport:
     Reports every pair — adjacent or not — where the longer maturity is
     priced strictly above the shorter one, in row-major (shorter, longer)
     order.  One comparison of all prices against all prices finds the
-    pairs.  The report is empty exactly when prices are non-increasing in
-    maturity.
+    pairs; their index arrays into the maturities and prices are the
+    report's table, read as tuples only on demand (``Violations``), and no
+    pair is checked again.  The report is empty exactly when prices are
+    non-increasing in maturity.
     """
     table = np.asarray(prices, dtype=float).reshape(-1, 2)
     taus, values = table[:, 0], table[:, 1]
@@ -168,13 +229,10 @@ def check_monotone(prices: list[tuple[float, float]]) -> ArbitrageReport:
     if np.any(values <= 0):
         raise ValueError("prices must be positive")
     lo, hi = np.nonzero(np.triu(values[None, :] > values[:, None], 1))
-    # the pairs share the n maturity and price floats rather than copying them
-    tau, price = taus.tolist(), values.tolist()
-    violations = [
-        (tau[i], tau[j], price[i], price[j])
-        for i, j in zip(lo.tolist(), hi.tolist())
-    ]
-    return ArbitrageReport(violations=violations)
+    # the pairs index the n maturities and n prices rather than copying them
+    n = len(taus)
+    rows = np.column_stack((lo, hi, lo + n, hi + n))
+    return ArbitrageReport(violations=Violations(table.T.ravel(), rows))
 
 
 def scan_derivative_signs(
@@ -195,7 +253,9 @@ def scan_derivative_signs(
     next _BISECT_LEVELS steps may visit (``_midpoint_tree``) and walks the
     steps on those values, so an audit makes at most
     1 + ceil(_BISECT_STEPS / _BISECT_LEVELS) derivative calls.  A grid
-    point where the derivative is exactly zero is a crossing itself.
+    point where the derivative is exactly zero is a crossing itself, except
+    the last one (``tau_hi``): a crossing is looked for in the intervals
+    that start at each grid point, and the scan has none after its end.
     """
     if tau_hi <= tau_lo:
         raise OrderingError("scan interval is empty")

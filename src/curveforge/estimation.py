@@ -60,6 +60,7 @@ from .shortrate import (
     factor_det,
     g2pp_affine,
     g2pp_horizons,
+    step_gaps,
     vasicek_affine,
 )
 
@@ -369,7 +370,7 @@ class _PanelData:
         prices = [panel.prices(name) for name in names]
         times = panel.times
         taus = [panel.taus(name) for name in names]
-        gaps, gap_index = np.unique(np.diff(times), return_inverse=True)
+        gaps, gap_index = np.unique(step_gaps(times), return_inverse=True)
         product = prices[0][1:]
         for p in prices[1:]:
             product = product * p[1:]

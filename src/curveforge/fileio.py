@@ -2,9 +2,11 @@
 
 All data files are plain comma-separated text with ISO-8601 dates and
 decimal-point numerics, locale-independent.  Floats are written with
-``repr`` so every emitted file re-ingests bit-identically.  Writers are
-atomic: content goes to a temp file in the target directory and is renamed
-into place, so a crashed run never leaves a partial file at the final path.
+``repr`` so every emitted file re-ingests bit-identically; a free-text
+cell that ingest would not read back unchanged (empty, or with edge
+whitespace, which ingest strips) is refused.  Writers are atomic: content
+goes to a temp file in the target directory and is renamed into place, so
+a crashed run never leaves a partial file at the final path.
 
 One reader parses every CSV schema: leading '# key=value' lines are
 metadata, blank records are skipped and a quoted field may span lines.  It
@@ -39,7 +41,6 @@ import csv
 import dataclasses
 import datetime as dt
 import io
-import itertools
 import math
 import os
 import tempfile
@@ -68,6 +69,22 @@ STATE_COLUMNS = (("time", "x", "y"), ("time", "r"))
 def _fmt(x: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
     return repr(float(x))
+
+
+def _text_cell(text: str, what: str) -> str:
+    """``text`` as a CSV cell that ingest reads back unchanged.
+
+    Ingest strips every cell (``str.strip``: spaces, line breaks, \\x85,
+    \\x0c and the other Unicode whitespace) and reads an empty text cell as
+    missing, so empty text or text with edge whitespace is refused with a
+    ValueError that names the cell.
+    """
+    if not text or text != text.strip():
+        raise ValueError(
+            f"{what} {text!r} does not read back unchanged: a text cell must be "
+            "non-empty, with no leading or trailing whitespace"
+        )
+    return text
 
 
 def _tenor_label(tau: float) -> str:
@@ -332,6 +349,8 @@ def ingest_panel(path: str | os.PathLike) -> PricePanel:
 
 def write_panel(path: str | os.PathLike, panel: PricePanel) -> None:
     maturity = dict(panel.instruments)
+    for name in maturity:
+        _text_cell(name, "instrument_id")
     out = io.StringIO()
     writer = csv.writer(out)
     has_flag = panel.negotiated is not None
@@ -548,41 +567,46 @@ def ingest_surface(path: str | os.PathLike) -> PriceSurface:
     return _build(PriceSurface, dates=dates, maturities=MATURITY_GRID, values=values)
 
 
-def _join_violations(report: ArbitrageReport, seps: tuple[str, ...]) -> str:
+def _violation_pieces(report: ArbitrageReport, seps: tuple[str, ...]) -> list[str]:
     """Every violation as seps[0] T_low seps[1] T_high seps[2] P_low
-    seps[3] P_high seps[4], the fields written with _fmt, rows joined.
+    seps[3] P_high seps[4], the fields written with _fmt, in four pieces
+    per row, for one join of the whole file.
 
-    Every field is one of a few floats (an audit of n maturities has at
-    most 2n), so each distinct float is formatted once and the rows are
-    gathered by index.  Floats are told apart by bit pattern: -0.0 and 0.0
-    keep their own repr.
+    The rows are read from the report's index table: each field a row uses
+    (an audit of n maturities has at most its 2n maturities and prices) is
+    formatted once and joined once with the separators around each of its
+    columns, and a row gathers its four pieces by index.
     """
-    n = len(report.violations)
-    values = np.fromiter(
-        itertools.chain.from_iterable(report.violations), dtype=float
-    ).reshape(n, 4)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array([_fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    parts = np.empty((n, 9), dtype=object)
-    parts[:, 0::2] = np.array(seps, dtype=object)
-    parts[:, 1::2] = text[index.reshape(n, 4)]
-    return "".join(parts.ravel().tolist())
+    n = len(report.rows)
+    if not n:
+        return []
+    used = np.zeros(len(report.fields), dtype=bool)
+    used[report.rows] = True
+    rows = (np.cumsum(used) - 1)[report.rows]
+    text = np.array(list(map(_fmt, report.fields[used].tolist())), dtype=object)
+    columns = (seps[0] + text + seps[1], text + seps[2], text + seps[3], text + seps[4])
+    parts = np.empty((n, 4), dtype=object)
+    for k, column in enumerate(columns):
+        parts[:, k] = column[rows[:, k]]
+    return parts.ravel().tolist()
 
 
 def write_arbitrage(path: str | os.PathLike, report: ArbitrageReport) -> None:
     header = ",".join(ARBITRAGE_COLUMNS) + "\r\n"
-    rows = _join_violations(report, ("", ",", ",", ",", "\r\n"))
-    atomic_write_text(path, header + rows)
+    rows = _violation_pieces(report, ("", ",", ",", ",", "\r\n"))
+    atomic_write_text(path, "".join([header, *rows]))
 
 
 def _violation_table(t: _Table) -> list[tuple[float, float, float, float]]:
-    violations = list(zip(*(t.floats(j, name) for j, name in enumerate(ARBITRAGE_COLUMNS))))
-    for i in t.live():
-        try:
-            check_violation(*violations[i])
-        except ValueError as exc:
-            t.fail(i, str(exc))
-    return violations
+    columns = [t.floats(j, name) for j, name in enumerate(ARBITRAGE_COLUMNS)]
+    t_lo, t_hi, p_lo, p_hi = np.array(columns)
+    for i in np.flatnonzero(~((t_lo < t_hi) & (p_lo < p_hi))).tolist():
+        if i not in t.failed:
+            try:
+                check_violation(*(column[i] for column in columns))
+            except ValueError as exc:
+                t.fail(i, str(exc))
+    return list(zip(*columns))
 
 
 def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
@@ -593,11 +617,11 @@ def ingest_arbitrage(path: str | os.PathLike) -> ArbitrageReport:
 
 def render_arbitrage_text(report: ArbitrageReport) -> str:
     """Human-readable, line-oriented rendering of an arbitrage report."""
-    text = _join_violations(
+    pieces = _violation_pieces(
         report, ("VIOLATION maturity ", " -> ", ": price rises ", " -> ", "\n")
     )
-    for T in report.derivative_sign_changes:
-        text += f"DERIVATIVE SIGN CHANGE at T={_fmt(T)}\n"
+    pieces += [f"DERIVATIVE SIGN CHANGE at T={_fmt(T)}\n" for T in report.derivative_sign_changes]
+    text = "".join(pieces)
     return text or "CLEAN no static-arbitrage violations found\n"
 
 
@@ -607,15 +631,16 @@ def render_arbitrage_text(report: ArbitrageReport) -> str:
 
 def write_calibration(path: str | os.PathLike, series: CalibrationSeries) -> None:
     """Write per-date fitted parameters in long format, one row per
-    parameter; a failed date becomes a single error row."""
+    parameter; a failed date becomes a single error row, its message in
+    the value cell (empty when it has none)."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(CALIBRATION_COLUMNS)
     for rec in series.records:
         if rec.params is None:
-            writer.writerow(
-                [rec.asof.isoformat(), "error", rec.error or "", "", "0"]
-            )
+            date = rec.asof.isoformat()
+            error = "" if rec.error is None else _text_cell(rec.error, f"error cell of {date}")
+            writer.writerow([date, "error", error, "", "0"])
             continue
         for name, value in vars(rec.params).items():
             writer.writerow(

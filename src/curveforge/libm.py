@@ -60,6 +60,21 @@ def square(x):
     return x ** 2
 
 
+def concatenated(*xs):
+    """The elements of the arguments as one flat float array, and a
+    function that splits an array over them back into one array per
+    argument at its shape (0-d for a scalar).  An element-wise function
+    called once on the flat array thus gives each argument what a call of
+    its own would."""
+    arrays = [np.asarray(x, dtype=float) for x in xs]
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+
+    def split(flat):
+        return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+    return np.concatenate([a.ravel() for a in arrays]), split
+
+
 def anywhere(cond) -> bool:
     """Whether a comparison holds anywhere: np.any on arrays, and the plain
     bool of a scalar comparison unchanged."""

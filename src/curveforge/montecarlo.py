@@ -50,6 +50,7 @@ from .shortrate import (
     g2pp_cholesky,
     g2pp_price,
     g2pp_variance,
+    step_gaps,
     vasicek_price,
 )
 
@@ -289,7 +290,7 @@ def mc_zero_price(
     n_steps = int(math.ceil(horizon / config.step))
     _check_block_size(config.n_paths, spec.factors * n_steps)
     times = np.linspace(t0, T, n_steps + 1)
-    steps = np.diff(times)
+    steps = step_gaps(times)
     if spec.needs_curve and curve is None:
         raise ValueError(f"{model} model needs the market curve")
 
@@ -376,7 +377,7 @@ def synth_panel(
     _check_state(model, state0)
 
     times = np.array([year_fraction(schedule[0], d) for d in schedule])
-    decay, drift, cov = spec.moments(params, np.diff(times))
+    decay, drift, cov = spec.moments(params, step_gaps(times))
     path = _synth_path(
         decay, drift, _cholesky_rows(cov), spec.factor_values(state0), seed
     )

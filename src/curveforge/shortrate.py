@@ -18,8 +18,9 @@ log P(t, T) = alpha(t, T) - beta(t, T) . X.  k prices at distinct maturities
 therefore give X exactly, from the one k x k solve in ``affine_invert`` --
 which is what makes exact likelihood work possible.  Every model's factors
 take exact k-factor Ornstein-Uhlenbeck steps, whose moments over arrays of
-gaps ``ou_moments`` gives.  The two-factor Cholesky factor and alpha and
-beta (``g2pp_affine``) take one step or date, or arrays of them.
+gaps ``ou_moments`` gives (``step_gaps`` makes and checks the gaps).  The
+two-factor Cholesky factor and alpha and beta (``g2pp_affine``) take one
+step or date, or arrays of them.
 
 The likelihood evaluates m parameter points at once.  Its parameters are
 then (m, 1) columns instead of floats, and ``ou_moments``,
@@ -41,6 +42,7 @@ from .curve import DiscountCurve
 from .errors import BoundaryError, DegenerateStepError, OrderingError, SingularInversionError
 
 INVERSION_DET_TOL = 1e-14  # |det beta| below this makes a price map singular
+_ONE_CALL_HORIZONS = 4096  # see _price_terms
 
 
 def decay_loading(k: float, tau):
@@ -52,6 +54,15 @@ def decay_loading(k: float, tau):
     return out if out.ndim else float(out)
 
 
+def step_gaps(times) -> np.ndarray:
+    """The gaps between consecutive times of a grid.  Raises
+    DegenerateStepError on a gap that is not positive."""
+    gaps = np.diff(times)
+    if gaps.min(initial=np.inf) <= 0:
+        raise DegenerateStepError(f"step must be positive, got {gaps.min()}")
+    return gaps
+
+
 def ou_moments(speeds, vols, rho, gaps):
     """Exact step moments of the k-factor Ornstein-Uhlenbeck process
     dx_i = -a_i x_i dt + sigma_i dW_i (dW_1 dW_2 = rho dt) over an array of
@@ -61,12 +72,11 @@ def ou_moments(speeds, vols, rho, gaps):
     rho_ij sigma_i sigma_j (1 - e^{-(a_i + a_j) g}) / (a_i + a_j), with
     rho_ii = 1, as lists decay[i] and cov[i][j] of arrays over the gaps.
     A zero speed, given as a float, takes the limit sigma^2 g of a Brownian
-    motion; (m, 1) columns of speeds must be positive.  Raises
-    DegenerateStepError on a gap that is not positive.
+    motion; (m, 1) columns of speeds must be positive.  The gaps must be
+    positive: ``step_gaps`` checks them once, where a panel or a simulation
+    makes them, not on every evaluation.
     """
     gaps = np.asarray(gaps, dtype=float)
-    if gaps.min(initial=np.inf) <= 0:
-        raise DegenerateStepError(f"step must be positive, got {gaps.min()}")
 
     def cov(i, j):
         scale = libm.square(vols[i]) if i == j else rho * vols[i] * vols[j]
@@ -229,23 +239,43 @@ def g2pp_log_price(
 ) -> float:
     """log P(t, T) under the curve-fitted two-factor model.
 
-    Broadcasts over array maturities and state fields; scalar in, scalar out.
+    The variance adjustment and the loadings come from ``_price_terms``.
+    Broadcasts over array maturities and state fields; scalar in, scalar
+    out.
     """
     t = state.t
     if libm.anywhere(T < t):
         raise OrderingError(f"maturity {T} precedes state time {t}")
     tau = T - t
     market = curve.log_discount(T) - curve.log_discount(t)
-    adjust = 0.5 * (
-        g2pp_variance(params, t, T)
-        - g2pp_variance(params, 0.0, T)
-        + g2pp_variance(params, 0.0, t)
-    )
-    loadings = (
-        decay_loading(params.a, tau) * state.x + decay_loading(params.b, tau) * state.y
-    )
+    adjust, ea, eb = _price_terms(params, tau, T, t)
+    loadings = (-ea / params.a) * state.x + (-eb / params.b) * state.y
     out = market + adjust - loadings
     return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _price_terms(params: G2Params, tau, T, t):
+    """The variance adjustment 0.5 (V(t, T) - V(0, T) + V(0, t)) of
+    log P(t, T) and expm1(-a tau), expm1(-b tau), from which the loadings at
+    tau = T - t follow.
+
+    V(t, T) is V(0, T - t), so every V is V(0, .) of one horizon.  While the
+    horizon arrays tau, T and t hold at most _ONE_CALL_HORIZONS elements,
+    one ``g2pp_variance_expm1`` call over their concatenation gives them
+    all, each at its own shape: there the call's fixed cost is most of its
+    time (an audit's scan and bisection).  Past that, one call per array
+    costs the same per element and keeps a surface's temporaries a third
+    the size.
+    """
+    if np.size(tau) + np.size(T) + np.size(t) <= _ONE_CALL_HORIZONS:
+        flat, split = libm.concatenated(tau, T, t)
+        (v_tau, v_T, v_t), (ea, _, _), (eb, _, _) = map(
+            split, g2pp_variance_expm1(params, flat)
+        )
+    else:
+        v_T, v_t = (g2pp_variance_expm1(params, np.asarray(h, dtype=float))[0] for h in (T, t))
+        v_tau, ea, eb = g2pp_variance_expm1(params, np.asarray(tau, dtype=float))
+    return 0.5 * (v_tau - v_T + v_t), ea, eb
 
 
 def g2pp_price(params: G2Params, curve: DiscountCurve, state: G2State, T: float) -> float:

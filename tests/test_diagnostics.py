@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from curveforge import diagnostics
 from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.diagnostics import (
     MATURITY_GRID,
@@ -238,6 +239,17 @@ class TestIncreasingPriceSearch:
     def test_scan_rejects_empty_interval(self, curve):
         with pytest.raises(OrderingError):
             scan_derivative_signs(G2, curve, G2State(0.0, 0.0, 0.0), 2.0, 2.0)
+
+    def test_exact_zero_at_the_last_grid_point_is_not_a_crossing(self, curve, monkeypatch):
+        # dP/dT = (T - 1)(T - 5) on the grid 1, 2, 3, 4, 5 is exactly zero at
+        # both ends and negative in between: the first grid point is a
+        # crossing, the last one (tau_hi) starts no interval and is not
+        def slope(params, curve, state, T):
+            return (T - 1.0) * (T - 5.0)
+
+        monkeypatch.setattr(diagnostics, "g2pp_dPdT", slope)
+        rep = scan_derivative_signs(G2, curve, G2State(0.0, 0.0, 0.0), 1.0, 5.0, 5)
+        assert rep.derivative_sign_changes == [1.0]
 
 
 class TestBuildSurface:

@@ -1,13 +1,19 @@
 import datetime as dt
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from curveforge import fileio
+from curveforge import calibration, fileio
 from curveforge.bonds import CouponBond
-from curveforge.calibration import CalibrationRecord, CalibrationSeries
+from curveforge.calibration import (
+    CalibrationRecord,
+    CalibrationResult,
+    CalibrationSeries,
+    calibrate_series,
+)
 from curveforge.curve import DiscountCurve, flat_curve
 from curveforge.diagnostics import MATURITY_GRID, ArbitrageReport, PriceSurface
 from curveforge.errors import IngestionError
@@ -432,6 +438,81 @@ class TestCalibrationRoundTrip:
         )
         with pytest.raises(IngestionError):
             fileio.ingest_calibration(path)
+
+
+class TestTextCells:
+    """Ingest strips every cell, so a writer refuses the text cells that
+    would not read back unchanged."""
+
+    TAILS = ["failed  \x85\x0c ", "failed  ", "  failed", " \x85\x0c"]
+
+    def series(self, error):
+        return CalibrationSeries(
+            records=[
+                CalibrationRecord(
+                    asof=dt.date(2013, 1, 7),
+                    params=HoLeeParams(sigma=0.01),
+                    objective=1e-18,
+                    converged=True,
+                ),
+                CalibrationRecord(
+                    asof=dt.date(2013, 1, 14),
+                    params=None,
+                    objective=None,
+                    converged=False,
+                    error=error,
+                ),
+            ]
+        )
+
+    @pytest.mark.parametrize("error", TAILS + [""])
+    def test_calibration_error_with_edge_whitespace_refused(self, tmp_path, error):
+        path = tmp_path / "calibration.csv"
+        with pytest.raises(ValueError, match="error cell of 2013-01-14"):
+            fileio.write_calibration(path, self.series(error))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("error", [None, "failed", "all starts\n failed \x85 twice"])
+    def test_calibration_error_reads_back_unchanged(self, tmp_path, error):
+        back = roundtrip_bytes(
+            tmp_path,
+            fileio.write_calibration,
+            fileio.ingest_calibration,
+            self.series(error),
+            "calibration.csv",
+        )
+        assert back.records[1].error == error
+
+    @pytest.mark.parametrize("name", ["S  \x85\x0c ", " S", "S ", ""])
+    def test_instrument_id_with_edge_whitespace_refused(self, tmp_path, name):
+        panel = PricePanel(
+            observations=[(dt.date(2013, 1, 7), {name: 0.9})],
+            instruments=[(name, dt.date(2025, 1, 6))],
+        )
+        with pytest.raises(ValueError, match="instrument_id"):
+            fileio.write_panel(tmp_path / "panel.csv", panel)
+
+    def test_calibrate_series_records_stripped_messages(self, tmp_path, monkeypatch):
+        messages = {8: "failed  \x85\x0c ", 15: "  no fit  ", 22: " \x0c "}
+
+        def calibrate(model, xs):
+            if xs.asof.day in messages:
+                raise ValueError(messages[xs.asof.day])
+            return CalibrationResult(HoLeeParams(sigma=0.01), 1e-18, True)
+
+        monkeypatch.setattr(calibration, "calibrate", calibrate)
+        sections = [SimpleNamespace(asof=dt.date(2013, 1, day)) for day in (1, 8, 15, 22)]
+        series = calibrate_series("holee", sections)
+        errors = [rec.error for rec in series.records]
+        assert errors == [None, "failed", "no fit", "ValueError"]
+        back = roundtrip_bytes(
+            tmp_path,
+            fileio.write_calibration,
+            fileio.ingest_calibration,
+            series,
+            "calibration.csv",
+        )
+        assert [rec.error for rec in back.records] == errors
 
 
 class TestStateRoundTrip:

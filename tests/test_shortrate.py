@@ -24,7 +24,7 @@ from curveforge.shortrate import (
     g2pp_log_price,
     g2pp_price,
     g2pp_variance,
-    ou_moments,
+    step_gaps,
     vasicek_ab,
     vasicek_affine,
     vasicek_price,
@@ -121,10 +121,11 @@ class TestVasicekTransition:
         assert var == pytest.approx(VAS.sigma**2 / (2 * VAS.a), rel=1e-12)
 
     def test_zero_step_rejected(self):
+        # the gaps are checked where they are made, not by ou_moments
         with pytest.raises(DegenerateStepError):
-            ou_moments((VAS.a,), (VAS.sigma,), 0.0, 0.0)
+            step_gaps(np.array([0.5, 0.5]))
         with pytest.raises(DegenerateStepError):
-            ou_moments((VAS.a,), (VAS.sigma,), 0.0, -1.0)
+            step_gaps(np.array([1.0, 0.0]))
 
 
 class TestVasicekInversion:
@@ -317,7 +318,7 @@ class TestG2Transition:
 
     def test_one_bad_step_fails_the_whole_array(self):
         with pytest.raises(DegenerateStepError, match="got 0.0"):
-            g2pp_moments(np.array([0.1, 0.0, 0.2]))
+            step_gaps(np.cumsum([0.0, 0.1, 0.0, 0.2]))
         good = np.array([[1.0, 0.5], [0.5, 1.0]])
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(BoundaryError, match="not positive semi-definite"):
