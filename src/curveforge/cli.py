@@ -534,6 +534,18 @@ def oracle_cmd(ctx, model, params_path, state_path, curve, maturity, n_paths,
     )
 
 
+def _calendar_date(ctx, start: dt.date, days: float, options: list, what: str) -> dt.date:
+    """``start`` plus ``days`` rounded to whole days; a date off the
+    calendar is a usage error naming the ``options``."""
+    try:
+        return start + dt.timedelta(days=round(days))
+    except OverflowError:
+        raise click.BadParameter(
+            f"{what} falls outside the calendar ({dt.date.min} to {dt.date.max})",
+            ctx=ctx, param_hint=options,
+        ) from None
+
+
 @main.command("synth")
 @click.option("--model", type=click.Choice(fitted_by("ml")), required=True)
 @click.option("--params", "params_path",
@@ -560,12 +572,15 @@ def synth_cmd(ctx, model, params_path, curve, state_path, start, n_obs,
             f"the {spec.factors}-factor {model} panel needs exactly "
             f"{spec.factors} --maturity value(s), got {len(maturities)}"
         )
-    params = _load_params(model, params_path)
+    _calendar_date(ctx, start, (n_obs - 1) * gap_days, ["--start", "--n-obs", "--gap-days"],
+                   f"the last of {n_obs} dates {gap_days} days apart from {start}")
     schedule = [start + dt.timedelta(days=i * gap_days) for i in range(n_obs)]
     instruments = [
-        (f"Z{i + 1}", start + dt.timedelta(days=round(tau * 365.0)))
+        (f"Z{i + 1}", _calendar_date(ctx, start, tau * 365.0, ["--maturity"],
+                                     f"{tau} years from {start}"))
         for i, tau in enumerate(maturities)
     ]
+    params = _load_params(model, params_path)
     curve_data = fileio.ingest_curve(curve) if curve else None
     if spec.needs_curve and curve_data is None:
         curve_data = flat_curve(_DEFAULT_CURVE_RATE, span=80.0, n_pillars=80)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import libm
 from .curve import DiscountCurve
-from .errors import DATA_ERRORS, OrderingError
+from .errors import DATA_ERRORS, OrderingError, PriceRangeError
 from .estimation import StateSeries
 from .hjm import holee_price, hullwhite_price
 from .models import MODELS
@@ -184,7 +184,9 @@ def g2pp_dPdT(
     maturities and state fields; scalar in, scalar out.
     """
     t = state.t
-    if libm.anywhere(T <= t):
+    early = T <= t
+    if libm.anywhere(early):
+        T, t = libm.first_where(early, T, t)
         raise OrderingError(f"maturity {T} must exceed valuation time {t}")
     a, b = params.a, params.b
     sigma, eta, rho = params.sigma, params.eta, params.rho
@@ -220,14 +222,17 @@ def check_monotone(prices: list[tuple[float, float]]) -> ArbitrageReport:
     pairs; their index arrays into the maturities and prices are the
     report's table, read as tuples only on demand (``Violations``), and no
     pair is checked again.  The report is empty exactly when prices are
-    non-increasing in maturity.
+    non-increasing in maturity.  A price of 0 or below (a model price that
+    underflowed, say) raises ``PriceRangeError`` naming the first one.
     """
     table = np.asarray(prices, dtype=float).reshape(-1, 2)
     taus, values = table[:, 0], table[:, 1]
     if np.any(taus[1:] <= taus[:-1]):
         raise OrderingError("maturities must be strictly increasing")
-    if np.any(values <= 0):
-        raise ValueError("prices must be positive")
+    nonpositive = values <= 0
+    if nonpositive.any():
+        price, tau = libm.first_where(nonpositive, values, taus)
+        raise PriceRangeError(f"prices must be positive; price {price} at maturity {tau}")
     lo, hi = np.nonzero(np.triu(values[None, :] > values[:, None], 1))
     # the pairs index the n maturities and n prices rather than copying them
     n = len(taus)

@@ -66,9 +66,13 @@ def curve_terms(curve: DiscountCurve, t, T):
     the forward f(0, t), after checking 0 <= t <= T.  Broadcasts like the
     prices.
     """
-    if libm.anywhere(t < 0):
+    negative = t < 0
+    if libm.anywhere(negative):
+        (t,) = libm.first_where(negative, t)
         raise OrderingError(f"valuation time must be >= 0, got {t}")
-    if libm.anywhere(T < t):
+    early = T < t
+    if libm.anywhere(early):
+        T, t = libm.first_where(early, T, t)
         raise OrderingError(f"maturity {T} precedes valuation time {t}")
     tau = T - t
     market = curve.log_discount(T) - curve.log_discount(t)

@@ -79,3 +79,14 @@ def anywhere(cond) -> bool:
     """Whether a comparison holds anywhere: np.any on arrays, and the plain
     bool of a scalar comparison unchanged."""
     return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def first_where(cond, *values) -> tuple:
+    """The values at the first element where an array comparison holds, as
+    floats (each broadcast to the comparison's shape); the values unchanged
+    after a scalar comparison.  An error message then names one offending
+    element, as a scalar call's message does, not a whole array."""
+    if not isinstance(cond, np.ndarray):
+        return values
+    i = int(cond.argmax())
+    return tuple(float(np.broadcast_to(v, cond.shape).flat[i]) for v in values)

@@ -119,7 +119,9 @@ def vasicek_ab(params: VasicekParams, t: float, T: float) -> tuple[float, float]
 
     Broadcasts over array arguments; scalar in, scalar out.
     """
-    if libm.anywhere(T < t):
+    early = T < t
+    if libm.anywhere(early):
+        T, t = libm.first_where(early, T, t)
         raise OrderingError(f"maturity {T} precedes valuation time {t}")
     a, b, sigma = params.a, params.b, params.sigma
     tau = T - t
@@ -191,8 +193,10 @@ class G2State:
     t: float = 0.0
 
     def __post_init__(self):
-        if libm.anywhere(self.t < 0):
-            raise OrderingError(f"state time must be >= 0, got {self.t}")
+        negative = self.t < 0
+        if libm.anywhere(negative):
+            (t,) = libm.first_where(negative, self.t)
+            raise OrderingError(f"state time must be >= 0, got {t}")
 
 
 def g2pp_variance(params: G2Params, t, T):
@@ -244,7 +248,9 @@ def g2pp_log_price(
     out.
     """
     t = state.t
-    if libm.anywhere(T < t):
+    early = T < t
+    if libm.anywhere(early):
+        T, t = libm.first_where(early, T, t)
         raise OrderingError(f"maturity {T} precedes state time {t}")
     tau = T - t
     market = curve.log_discount(T) - curve.log_discount(t)

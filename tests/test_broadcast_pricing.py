@@ -21,7 +21,7 @@ from curveforge.diagnostics import (
     g2pp_dPdT,
     scan_derivative_signs,
 )
-from curveforge.errors import DATA_ERRORS
+from curveforge.errors import DATA_ERRORS, OrderingError
 from curveforge.estimation import StateSeries
 from curveforge.hjm import HoLeeParams, HullWhiteParams, holee_price, hullwhite_price
 from curveforge.shortrate import (
@@ -176,6 +176,34 @@ class TestBroadcastEqualsScalar:
             holee_price(HoLeeParams(sigma=0.01), CURVE, 0.03, np.array([0.5, -0.1]), 2.0)
         with pytest.raises(ValueError):
             G2State(x=np.zeros(2), y=np.zeros(2), t=np.array([0.0, -1.0]))
+
+    def test_ordering_errors_name_the_first_offender_as_a_scalar_call_does(self):
+        vas = VasicekParams(a=0.5, b=0.04, sigma=0.02)
+        g2 = G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99)
+        hl, hw = HoLeeParams(sigma=0.01), HullWhiteParams(a=0.1, sigma=0.01)
+        state = G2State(0.01, -0.01, 1.0)
+        times = np.array([[0.0], [2.0], [3.0]])  # broadcast against (1, 3) maturities
+        cases = [
+            (lambda t, T: vasicek_price(vas, 0.03, t, T), (times, np.array([[1.0, 2.5, 4.0]])),
+             (2.0, 1.0)),
+            (lambda t, T: holee_price(hl, CURVE, 0.03, t, T), (times, np.full((1, 3), 2.5)),
+             (3.0, 2.5)),
+            (lambda t, T: hullwhite_price(hw, CURVE, 0.03, t, T),
+             (np.array([0.5, -0.1, -0.2]), 2.0), (-0.1, 2.0)),
+            (lambda t, T: g2pp_price(g2, CURVE, state, T), (None, np.array([1.5, 0.5, 0.25])),
+             (None, 0.5)),
+            (lambda t, T: g2pp_dPdT(g2, CURVE, state, T), (None, np.array([1.5, 1.0, 0.5])),
+             (None, 1.0)),
+            (lambda t, T: G2State(0.0, 0.0, t), (np.array([0.0, -1.0, -2.0]), None),
+             (-1.0, None)),
+        ]
+        for price, array_args, scalar_args in cases:
+            with pytest.raises(OrderingError) as array_call:
+                price(*array_args)
+            with pytest.raises(OrderingError) as scalar_call:
+                price(*scalar_args)
+            assert str(array_call.value) == str(scalar_call.value)
+            assert "[" not in str(array_call.value)
 
 
 def cellwise_surface(model, params, states, curve):

@@ -478,6 +478,36 @@ class TestCheckArbitrage:
         assert result.exit_code == 0, result.output
         assert "derivative sign changes" in result.output
 
+    def test_underflowed_model_prices_are_a_domain_error(self, runner, tmp_path):
+        # past ~18,700 years the two-factor price underflows to 0.0 on a
+        # curve that extrapolates flat
+        path = tmp_path / "flat.csv"
+        fileio.write_curve(path, flat_curve(0.04, span=40.0, n_pillars=40,
+                                            flat_extrapolation=True))
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "check-arbitrage", "--curve", str(path),
+             "--model", "g2pp", "--tau-hi", "40000"],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.startswith(
+            "Error: prices must be positive; price 0.0 at maturity 18666.711111111108\n"
+        )
+        assert not (tmp_path / "arbitrage.csv").exists()
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    def test_scan_from_zero_names_the_first_bad_maturity(self, runner, inputs, tmp_path):
+        # the scan's first maturity is the state time itself
+        result = runner.invoke(
+            main,
+            ["--output-dir", str(tmp_path), "check-arbitrage",
+             "--curve", str(inputs / "curve.csv"), "--model", "g2pp", "--tau-lo", "0"],
+        )
+        assert result.exit_code == 1
+        assert result.output == "Error: maturity 0.0 must exceed valuation time 0.0\n"
+
 
 class TestOracle:
     def seeded_run(self, runner, tmp_path, name):
@@ -656,6 +686,28 @@ class TestSynth:
         factors = MODELS[model].factors
         assert (f"needs exactly {factors} --maturity value(s), got {len(maturities)}"
                 in result.output)
+        assert not (tmp_path / "panel.csv").exists()
+        assert not (tmp_path / "run_log.jsonl").exists()
+
+    @pytest.mark.parametrize("args, options, what", [
+        (["--maturity", "9000"], "'--maturity'", "9000.0 years from 2010-01-04"),
+        (["--maturity", "1e300"], "'--maturity'", "1e+300 years from 2010-01-04"),
+        (["--maturity", "-1e300"], "'--maturity'", "-1e+300 years from 2010-01-04"),
+        (["--n-obs", "200000", "--gap-days", "30"], "'--start' / '--n-obs' / '--gap-days'",
+         "the last of 200000 dates 30 days apart from 2010-01-04"),
+        (["--start", "9999-12-01", "--n-obs", "10"], "'--start' / '--n-obs' / '--gap-days'",
+         "the last of 10 dates 7 days apart from 9999-12-01"),
+    ], ids=["maturity-9000", "maturity-1e300", "maturity-minus-1e300", "n-obs", "start"])
+    def test_dates_past_the_calendar_are_usage_errors(self, runner, tmp_path,
+                                                      args, options, what):
+        result = runner.invoke(
+            main, ["--output-dir", str(tmp_path), "synth", "--model", "vasicek", *args]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert (f"Invalid value for {options}: {what} falls outside the calendar "
+                "(0001-01-01 to 9999-12-31)") in result.output
         assert not (tmp_path / "panel.csv").exists()
         assert not (tmp_path / "run_log.jsonl").exists()
 

@@ -1,17 +1,20 @@
 """Which commands load scipy and ``numpy.random``.
 
 scipy.optimize takes about half a second to import, and only Hull-White's
-refine (``calibration.minimize``, Powell) and the inverse normal CDF
-(``rng.ndtri``) use scipy.  ``numpy.random`` serves only the random
-streams (``rng.path_generator``) and fit-ml's restart draws.  Each of them
-is imported on first call, so importing the package, and running a command
-that neither fits nor simulates, must leave every ``scipy`` and
-``numpy.random`` module unloaded.  So must a Ho-Lee ``calibrate``: its
-one-parameter search is the package's own.  ``fit-ml``'s Nelder-Mead
-(``estimation.minimize``) is the package's own too, so it loads
-``numpy.random`` for its restart draws and no scipy module.  Each check
-runs in a fresh interpreter, since this test process has both loaded
-already.
+refine (``calibration.minimize``, Powell) and the oracle's inverse normal
+CDF (``rng.ndtri``, scipy's vectorised ``ndtri``) use scipy.
+``numpy.random`` serves only the random streams (``rng.path_generator``)
+and fit-ml's restart draws.  Each of them is imported on first call, so
+importing the package, and running a command that neither fits nor
+simulates, must leave every ``scipy`` and ``numpy.random`` module unloaded.
+So must a Ho-Lee ``calibrate``: its one-parameter search is the package's
+own.  ``fit-ml``'s Nelder-Mead (``estimation.minimize``) is the package's
+own too, so it loads ``numpy.random`` for its restart draws and no scipy
+module.  ``synth`` inverts its few uniforms through the package's scalar
+copy of Cephes ``ndtri`` (``rng.scalar_ndtri``), so it loads
+``numpy.random`` for its stream and no scipy module either; only the
+``oracle`` loads ``scipy.special``.  Each check runs in a fresh
+interpreter, since this test process has both loaded already.
 """
 
 import datetime as dt
@@ -144,17 +147,35 @@ def _scipy_commands(inputs):
     return {
         "oracle": ["oracle", "--model", "vasicek", "--maturity", "2.0",
                    "--paths", "2000", "--step", "0.02", "--seed", "7"],
-        "synth": ["synth", "--model", "vasicek", "--n-obs", "20", "--seed", "5"],
     }
 
 
-@pytest.mark.parametrize("command", ["oracle", "synth"])
+@pytest.mark.parametrize("command", ["oracle"])
 def test_command_that_needs_scipy_loads_it_and_writes_the_same_artifacts(
     inputs, tmp_path, command
 ):
     runs = _deferred_and_preloaded(command, _scipy_commands(inputs)[command], tmp_path)
     loaded, written = runs["deferred"]
     assert "scipy" in loaded and "numpy.random" in loaded
+    assert written == runs["preloaded"][1]
+
+
+def _synth_commands(inputs):
+    return {
+        "vasicek": ["synth", "--model", "vasicek", "--n-obs", "20", "--seed", "5"],
+        "g2pp": ["synth", "--model", "g2pp", "--curve", str(inputs / "curve.csv"),
+                 "--n-obs", "20", "--seed", "5"],
+    }
+
+
+@pytest.mark.parametrize("model", ["vasicek", "g2pp"])
+def test_synth_loads_numpy_random_and_no_scipy_and_writes_the_same_artifacts(
+    inputs, tmp_path, model
+):
+    runs = _deferred_and_preloaded("synth", _synth_commands(inputs)[model], tmp_path)
+    loaded, written = runs["deferred"]
+    assert "numpy.random" in loaded
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]
     assert written == runs["preloaded"][1]
 
 

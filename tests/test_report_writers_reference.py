@@ -29,7 +29,7 @@ from curveforge.diagnostics import (
     check_monotone,
     scan_derivative_signs,
 )
-from curveforge.errors import OrderingError
+from curveforge.errors import OrderingError, PriceRangeError
 from curveforge.shortrate import G2Params, G2State, g2pp_price
 
 G2 = G2Params(a=0.13, b=0.3526, sigma=0.2062, eta=0.4892, rho=-0.99)
@@ -206,24 +206,29 @@ class TestCheckMonotone:
         assert_same_report_files(tmp_path, report, reference)
 
     @pytest.mark.parametrize(
-        "prices, error",
+        "prices, error, first",
         [
-            ([(2.0, 0.90), (1.0, 0.95)], OrderingError),
-            ([(1.0, 0.90), (1.0, 0.95)], OrderingError),
-            ([(1.0, 0.95), (2.0, 0.0)], ValueError),
-            ([(1.0, 0.95), (2.0, -0.5)], ValueError),
-            ([(1.0, -0.0)], ValueError),
+            ([(2.0, 0.90), (1.0, 0.95)], OrderingError, ""),
+            ([(1.0, 0.90), (1.0, 0.95)], OrderingError, ""),
+            ([(1.0, 0.95), (2.0, 0.0)], PriceRangeError, "; price 0.0 at maturity 2.0"),
+            ([(1.0, 0.95), (2.0, -0.5)], PriceRangeError, "; price -0.5 at maturity 2.0"),
+            ([(1.0, -0.0)], PriceRangeError, "; price -0.0 at maturity 1.0"),
+            ([(1.0, 0.95), (2.0, 0.0), (3.0, -1.0)], PriceRangeError,
+             "; price 0.0 at maturity 2.0"),
             # the ordering check comes first
-            ([(2.0, -1.0), (1.0, 0.95)], OrderingError),
+            ([(2.0, -1.0), (1.0, 0.95)], OrderingError, ""),
         ],
     )
-    def test_same_errors(self, prices, error):
+    def test_same_errors(self, prices, error, first):
+        # a price of 0 or below is a PriceRangeError, a domain error and the
+        # reference's ValueError both, whose message goes on to name the
+        # first such price
         with pytest.raises(error) as new:
             check_monotone(prices)
-        with pytest.raises(error) as ref:
+        with pytest.raises(ValueError) as ref:
             ref_check_monotone(prices)
-        assert type(new.value) is type(ref.value)
-        assert str(new.value) == str(ref.value)
+        assert isinstance(new.value, type(ref.value))
+        assert str(new.value) == str(ref.value) + first
 
 
 # ---------------------------------------------------------------------------
